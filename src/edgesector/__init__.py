@@ -22,7 +22,7 @@ from .graphs import (
     vertex_triple_multiset,
 )
 from .matrices import Matrix, det_resolvent
-from .polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_log, series_of
+from .polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
 from .edge_space import (
     OrientedEdgeSpace,
     build_hashimoto,
@@ -110,7 +110,6 @@ __all__ = [
     "run_screen",
     "schur_series_check",
     "sector_blocks",
-    "series_log",
     "series_of",
     "shadow_set",
     "sym_spectrum",

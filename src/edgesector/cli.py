@@ -57,12 +57,19 @@ def _resolve_graph(token: str) -> Graph:
         ) from exc
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", type=int, default=12, help="series order (default 12)")
-    parser.add_argument("--kmax", type=int, default=2, help="highest mixed power (default 2)")
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of tables")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-    parser.add_argument("--tol", type=float, default=1e-6, help="bound slack (default 1e-6)")
+_FLAGS = {
+    "order": dict(type=int, default=12, help="series order (default 12)"),
+    "kmax": dict(type=int, default=2, help="highest mixed power (default 2)"),
+    "json": dict(action="store_true", help="emit JSON instead of tables"),
+    "jobs": dict(type=int, default=1, help="parallel workers (default 1)"),
+    "tol": dict(type=float, default=1e-6, help="bound slack (default 1e-6)"),
+}
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Attach the named shared flags; each subcommand takes only those it reads."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,32 +83,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("examples", help="list the embedded corpus")
-    _common_flags(p)
+    _flags(p, "json")
 
     p = sub.add_parser("zeta", help="determinant, line factor, correction, series")
     p.add_argument("graph", help="corpus name or graph6")
-    _common_flags(p)
+    _flags(p, "order", "json")
 
     p = sub.add_parser("shadows", help="gauge-invariant mixed-shadow charpolys")
     p.add_argument("graph", help="corpus name or graph6")
     p.add_argument("--raw", action="store_true",
                    help="also print the raw mixed block (gauge-dependent, lexicographic gauge)")
-    _common_flags(p)
+    _flags(p, "kmax", "json")
 
     p = sub.add_parser("bounds", help="numerical-range bound report for Spec(T)")
     p.add_argument("graph", help="corpus name or graph6")
-    _common_flags(p)
+    _flags(p, "tol", "json")
 
     p = sub.add_parser("fingerprint", help="exact invariant record(s), JSONL")
     p.add_argument("graphs", nargs="+", help="corpus names or graph6 strings")
-    _common_flags(p)
+    _flags(p, "order", "kmax")
 
     p = sub.add_parser(
         "verify",
         help="run the full identity battery (series checks run at order min(--order, 8))",
     )
     p.add_argument("graphs", nargs="+", help="corpus names or graph6 strings")
-    _common_flags(p)
+    _flags(p, "order", "json")
 
     p = sub.add_parser("screen", help="group a census by exact invariants")
     p.add_argument("--input", default="-", help="graph6 file, or - for stdin")
@@ -119,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append every fingerprint to PATH as JSONL")
     p.add_argument("--max-pairs", type=int, default=10,
                    help="pair reports per class (default 10)")
-    _common_flags(p)
+    _flags(p, "order", "kmax", "json", "jobs")
 
     return parser
 

@@ -88,11 +88,6 @@ class Graph:
     def degree_matrix(self) -> Matrix:
         return Matrix.diagonal(self.degrees())
 
-    def has_edge(self, a: int, b: int) -> bool:
-        if a > b:
-            a, b = b, a
-        return (a, b) in set(self.edges)
-
     def relabel(self, perm) -> "Graph":
         """Graph with vertex i renamed to perm[i]."""
         return Graph.from_edges(self.n, [(perm[a], perm[b]) for a, b in self.edges])

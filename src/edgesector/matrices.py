@@ -3,8 +3,7 @@
 Entries are ints or fractions.Fraction (mixing is fine; integer matrices stay
 integer under the ring operations).  Everything is computed exactly: the
 characteristic polynomial goes through a rational Hessenberg reduction plus
-the Hessenberg determinant recurrence, with Faddeev-LeVerrier kept as an
-independent second route for cross-checking.
+the Hessenberg determinant recurrence.
 """
 
 from __future__ import annotations
@@ -261,27 +260,6 @@ class Matrix:
             ps.append(term)
         return ps[n]
 
-    def faddeev_leverrier(self) -> Poly:
-        """Characteristic polynomial again, by the Faddeev-LeVerrier recursion.
-
-        O(n^4); kept as an independent oracle against charpoly().
-        """
-        if not self.is_square():
-            raise DimensionError("characteristic polynomial of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Poly.one()
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        mk = Matrix.identity(n)
-        for k in range(1, n + 1):
-            mk = self * mk
-            c = -Fraction(mk.trace()) / k
-            coeffs[n - k] = c
-            if k < n:
-                mk = mk + Matrix.identity(n).scaled(c)
-        return Poly(coeffs)
-
     def __repr__(self):
         return f"Matrix({self._rows!r})"
 
@@ -289,11 +267,11 @@ class Matrix:
 def det_resolvent(mat: Matrix, scale=1) -> Poly:
     """det(I - w * scale * mat) as an exact polynomial in w.
 
-    This is the degree-reversal of charpoly(scale * mat); the constant term
-    is always 1.
+    The degree-reversal of charpoly(mat) with coefficient k multiplied by
+    scale^k, so the Hessenberg reduction runs on the unscaled matrix; the
+    constant term is always 1.
     """
     if not mat.is_square():
         raise DimensionError("resolvent determinant of a non-square matrix")
-    scaled = mat.scaled(scale) if scale != 1 else mat
-    p = scaled.charpoly()
-    return p.reversal(at_degree=mat.nrows)
+    p = mat.charpoly().reversal(at_degree=mat.nrows)
+    return Poly([c * scale**k for k, c in enumerate(p.coeffs)])

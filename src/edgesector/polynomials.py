@@ -56,18 +56,6 @@ class Poly:
     def one(cls) -> "Poly":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, c, k: int) -> "Poly":
-        return cls((0,) * k + (c,))
-
     # -- structure -------------------------------------------------------
 
     def degree(self):
@@ -392,9 +380,6 @@ class RatFunc:
             return up
         return -self.den.root_order(a)
 
-    def series(self, order: int) -> "PowerSeries":
-        return series_of(self, order)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatFunc)
@@ -488,11 +473,6 @@ class PowerSeries:
             out.append(Fraction(ratio.coeffs[k - 1], k) if ratio.coeffs[k - 1] else 0)
         return PowerSeries(self.order, out)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries(order, self.coeffs[: order + 1])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PowerSeries)
@@ -523,10 +503,6 @@ def series_of(f: RatFunc, order: int) -> PowerSeries:
     num = PowerSeries.from_poly(f.num, order)
     den = PowerSeries.from_poly(f.den, order)
     return num * den.inverse()
-
-
-def series_log(s: PowerSeries) -> PowerSeries:
-    return s.log()
 
 
 def first_difference(a, b) -> int | None:

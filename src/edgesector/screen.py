@@ -114,7 +114,8 @@ def canonical_label(g: Graph) -> Graph:
             rows.pop()
 
     place(0, [], [], frozenset(range(n)))
-    assert best_perm is not None
+    if best_perm is None:
+        raise RuntimeError("canonical labeling placed no complete vertex order")
     inverse = [0] * n
     for pos, v in enumerate(best_perm):
         inverse[v] = pos
@@ -186,26 +187,22 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
     es = edge_space(g)
     t = build_hashimoto(es)
     p = build_reversal(es)
+    hl2 = build_hl2(es)
+    pm = build_pm_basis(es)
+    blocks = sector_blocks(es)
+    d, absd = build_incidence(es)
+    deg, adj = g.degree_matrix(), g.adjacency()
 
     check("reversal_involution", lambda: (p * p == Matrix.identity(2 * g.m), ""))
-    check(
-        "shared_endpoint_splitting",
-        lambda: (build_hl2(es) == p * t + t * p, "A = PT + TP"),
-    )
+    check("shared_endpoint_splitting", lambda: (hl2 == p * t + t * p, "A = PT + TP"))
     check(
         "reversal_symmetry",
-        lambda: (
-            p * build_hl2(es) == t + t.transpose() and t == p * t.transpose() * p,
-            "PA = T + T^t",
-        ),
+        lambda: (p * hl2 == t + t.transpose() and t == p * t.transpose() * p, "PA = T + T^t"),
     )
     check(
         "incidence_laplacians",
         lambda: (
-            (lambda d, a: d[0] * d[0].transpose() == g.degree_matrix() - g.adjacency()
-             and d[1] * d[1].transpose() == g.degree_matrix() + g.adjacency())(
-                build_incidence(es), None
-            ),
+            d * d.transpose() == deg - adj and absd * absd.transpose() == deg + adj,
             "DD^t and |D||D|^t",
         ),
     )
@@ -215,11 +212,7 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
     )
     check(
         "pm_basis_norm",
-        lambda: (
-            build_pm_basis(es).transpose() * build_pm_basis(es)
-            == Matrix.identity(2 * g.m).scaled(2),
-            "U^t U = 2I",
-        ),
+        lambda: (pm.transpose() * pm == Matrix.identity(2 * g.m).scaled(2), "U^t U = 2I"),
     )
     check("bass_vs_hashimoto", lambda: (bass_det(g) == hashimoto_det(g), ""))
     check(
@@ -233,9 +226,16 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
     if is_regular(g) is not None and is_connected(g):
         check("regular_collapse", lambda: (regular_collapse_check(g), ""))
 
-    rng = random.Random(seed)
     base_shadows = shadow_set(es)
-    base_mmt = (lambda m: m * m.transpose())(sector_blocks(es).M)
+    m, mt = blocks.M, blocks.M.transpose()
+    # production fills MtM from the MMt charpoly; the AB/BA lemma is checked here
+    check(
+        "mixed_products_cospectral",
+        lambda: ((mt * m).charpoly() == base_shadows.mtm, "charpoly(M^t M) = charpoly(M M^t)"),
+    )
+
+    rng = random.Random(seed)
+    base_mmt = m * mt
 
     def gauge_check():
         for _ in range(gauges):
@@ -289,7 +289,6 @@ class ScreenConfig:
 @dataclass(frozen=True)
 class ClassRecord:
     digest: str
-    key_string: str
     members: tuple[str, ...]  # graph6, in input order
     pairs: tuple[PairReport, ...]
 
@@ -394,7 +393,6 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
         classes.append(
             ClassRecord(
                 digest=digest,
-                key_string=bucket["key"],
                 members=tuple(t for _, t, _ in members),
                 pairs=tuple(pairs),
             )

@@ -25,7 +25,6 @@ from .polynomials import (
     RatFunc,
     first_difference,
     ratfunc_reduce,
-    series_log,
     series_of,
 )
 
@@ -37,7 +36,8 @@ def hashimoto_det(g: Graph) -> Poly:
     """det(I - wT), an integer polynomial with constant term 1."""
     t = build_hashimoto(edge_space(g))
     p = det_resolvent(t)
-    assert p.is_integer() and p[0] == 1
+    if not (p.is_integer() and p[0] == 1):
+        raise ArithmeticError("det(I - wT) is not an integer polynomial with constant term 1")
     return p
 
 
@@ -69,7 +69,7 @@ def bass_det(g: Graph) -> Poly:
     """(1 - w^2)^(m-n) det(I - w A + w^2 (D - I)), as an exact polynomial.
 
     For m < n the prefactor exponent is negative; the quotient is computed
-    as an exact rational function and asserted to be polynomial (trees give
+    as an exact rational function and checked to be polynomial (trees give
     the constant 1).
     """
     vertex = _vertex_space_det(g)
@@ -79,7 +79,8 @@ def bass_det(g: Graph) -> Poly:
         out = vertex * one_minus_w2**k
     else:
         out = vertex.exact_div(one_minus_w2 ** (-k))
-    assert out.is_integer()
+    if not out.is_integer():
+        raise ArithmeticError("Bass determinant is not an integer polynomial")
     return out
 
 
@@ -246,7 +247,7 @@ def log_trace_check(g: Graph, order: int) -> bool:
     """log C(w) == -sum_k (w^k/k) (tr T^k - 2^-k tr L^k), exactly to the order."""
     if order < 1:
         raise ValueError("series order must be at least 1")
-    lhs = series_log(correction_series(g, order))
+    lhs = correction_series(g, order).log()
     t = build_hashimoto(edge_space(g))
     line = sector_blocks(edge_space(g)).L
     t_traces = t.power_traces(order)

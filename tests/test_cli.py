@@ -1,6 +1,12 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from edgesector.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+import edgesector
+from edgesector.cli import EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +95,37 @@ def test_verify_json(capsys):
     assert code == EXIT_OK
     rec = json.loads(out)
     assert all(c["ok"] for c in rec["checks"])
+
+
+def test_verify_survives_python_O():
+    # runtime checks are explicit raises, so -O (which drops asserts) keeps them
+    src = str(Path(edgesector.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "edgesector.cli", "verify", "K4", "--json"],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert all(c["ok"] for c in checks)
+    assert "mixed_products_cospectral" in {c["name"] for c in checks}
+
+
+def test_shared_flags_only_where_read():
+    expected = {
+        "examples": {"json"},
+        "zeta": {"order", "json"},
+        "shadows": {"kmax", "json"},
+        "bounds": {"tol", "json"},
+        "fingerprint": {"order", "kmax"},
+        "verify": {"order", "json"},
+        "screen": {"order", "kmax", "json", "jobs"},
+    }
+    shared = {"order", "kmax", "json", "jobs", "tol"}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        flags = {opt[2:] for a in parser._actions for opt in a.option_strings}
+        assert flags & shared == expected[name], name
 
 
 def test_unknown_graph_exits_2(capsys):

@@ -10,7 +10,6 @@ from edgesector.polynomials import (
     RatFunc,
     first_difference,
     ratfunc_reduce,
-    series_log,
     series_of,
 )
 
@@ -104,7 +103,7 @@ def test_series_log_mercator():
         5,
         [0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5)],
     )
-    assert series_log(s) == expect
+    assert s.log() == expect
 
 
 def test_series_inverse_roundtrip():

@@ -5,15 +5,23 @@ import pytest
 
 from edgesector.graphs import Graph, corpus, corpus_graph
 from edgesector.edge_space import edge_space, random_gauge, regauge, sector_blocks
-from edgesector.polynomials import Poly
+from edgesector.polynomials import Poly, first_difference
 from edgesector.shadows import (
     Fingerprint,
     compare,
     fingerprint,
-    first_shadow_difference,
     regular_collapse_check,
     shadow_set,
 )
+
+
+def first_shadow_difference(fg: Fingerprint, fh: Fingerprint):
+    """(name, order) of the first differing shadow coefficient, or None."""
+    for (name, pg), (_, ph) in zip(fg.shadows.named(), fh.shadows.named()):
+        k = first_difference(pg, ph)
+        if k is not None:
+            return name, k
+    return None
 
 
 def test_k3_shadow_roots():
@@ -162,9 +170,11 @@ def test_compare_self():
 
 
 def test_mmt_equals_mtm_charpolys_corpus():
+    # shadow_set stores one charpoly under both keys; check it against M^T M
     for entry in corpus():
         ss = shadow_set(edge_space(entry.graph))
-        assert ss.mmt == ss.mtm
+        m = sector_blocks(edge_space(entry.graph)).M
+        assert ss.mmt == ss.mtm == (m.transpose() * m).charpoly()
         for _, p in ss.named():
             assert p.is_integer()
 

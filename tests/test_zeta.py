@@ -243,14 +243,12 @@ def test_log_trace_k2_degenerate():
 
 def test_log_trace_c3_closed_form():
     # both sides equal log((1-w^3)^2) - log((1-w)(1+w/2)^2)
-    from edgesector.polynomials import series_log
-
     g = corpus_graph("K3")
     order = 8
     det_series = series_of(ratfunc_reduce(hashimoto_det(g), Poly.one()), order)
     line_series = series_of(ratfunc_reduce(line_factor(g), Poly.one()), order)
-    closed = series_log(det_series) - series_log(line_series)
-    assert series_log(factorize(g, order).correction_series) == closed
+    closed = det_series.log() - line_series.log()
+    assert factorize(g, order).correction_series.log() == closed
     assert log_trace_check(g, order)
 
 
@@ -298,3 +296,20 @@ def test_resolution_principle_random_line_cospectral_free():
     for a in graphs[:5]:
         for b in graphs[5:]:
             assert resolution_compare(a, b).consistent()
+
+
+@pytest.mark.parametrize("bad", [Poly((1, Fraction(1, 2))), Poly((2, 1))])
+def test_hashimoto_det_rejects_bad_resolvent(monkeypatch, bad):
+    import edgesector.zeta as zeta
+
+    monkeypatch.setattr(zeta, "det_resolvent", lambda mat: bad)
+    with pytest.raises(ArithmeticError):
+        zeta.hashimoto_det.__wrapped__(corpus_graph("K3"))  # bypass the cache
+
+
+def test_bass_det_rejects_non_integer(monkeypatch):
+    import edgesector.zeta as zeta
+
+    monkeypatch.setattr(zeta, "_vertex_space_det", lambda g: Poly((1, Fraction(1, 2))))
+    with pytest.raises(ArithmeticError):
+        bass_det(corpus_graph("K3"))
