@@ -344,10 +344,11 @@ def hermitian_part_spectrum_check(g: Graph, tol: float = DEFAULT_BOUND_SLACK) ->
     This is the block-diagonal collapse of the Hermitian part in the
     reversal eigenbasis; compared entrywise after sorting, within tol.
     """
-    t = build_hashimoto(edge_space(g))
+    es = edge_space(g)
+    t = build_hashimoto(es)
     sym = (t + t.transpose()).map(lambda x: Fraction(x, 2))
     h_eigs = sym_spectrum(sym)
-    blocks = sector_blocks(edge_space(g))
+    blocks = sector_blocks(es)
     expected = sorted(
         [x / 2 for x in sym_spectrum(blocks.L)]
         + [-x / 2 for x in sym_spectrum(blocks.S)]

@@ -405,6 +405,8 @@ class PowerSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
+        if order < 0:
+            raise ValueError(f"series order must be at least 0, got {order}")
         cs = [_canon(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the truncation order allows")
@@ -464,6 +466,8 @@ class PowerSeries:
         """Formal logarithm via integrating s'/s; needs constant term 1."""
         if self.coeffs[0] != 1:
             raise ValueError("series logarithm needs constant term 1")
+        if self.order == 0:
+            return PowerSeries(0, [0])
         deriv = PowerSeries(
             self.order - 1, [k * c for k, c in enumerate(self.coeffs)][1:]
         )

@@ -172,9 +172,15 @@ class CheckResult:
 
 
 def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list[CheckResult]:
-    """Run every structural identity on one graph; failures are data."""
+    """Run every structural identity on one graph; failures are data.
+
+    An order below 1 is an input error, not a failed identity: it raises
+    ValueError before any check runs.
+    """
     import random
 
+    if order < 1:
+        raise ValueError(f"series order must be at least 1, got {order}")
     results: list[CheckResult] = []
 
     def check(name: str, fn):
@@ -417,9 +423,17 @@ def write_fingerprints_jsonl(fps, stream) -> None:
 
 
 def read_fingerprints_jsonl(stream) -> list[Fingerprint]:
+    """Read a JSONL fingerprint store; a bad record raises ValueError naming
+    its line number in the store."""
     out = []
-    for line in stream:
+    for lineno, line in enumerate(stream, start=1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             out.append(Fingerprint.from_json_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"fingerprint store line {lineno}: {type(exc).__name__}: {exc}"
+            ) from exc
     return out

@@ -113,66 +113,34 @@ def correction_series(g: Graph, order: int = DEFAULT_ORDER) -> PowerSeries:
 def schur_series_check(g: Graph, order: int) -> bool:
     """Check the Schur-complement form of the correction factor.
 
-    Builds I + (w/2) S + (w^2/4) M^T (I - (w/2) L)^{-1} M with truncated
-    power-series entries, takes its determinant by Gaussian elimination in
-    the series ring (every pivot is 1 + O(w), so no pivoting is needed), and
-    compares with the correction series from the determinant quotient.
+    With u = w/2 the Schur complement is
+
+        E(u) = I + u S + u^2 M^T (I - u L)^{-1} M
+             = I + u S + sum_{j>=0} u^(j+2) M^T L^j M,
+
+    a power series whose coefficients C_0 = I, C_1 = S and
+    C_(j+2) = M^T L^j M are integer matrices.  Its determinant is taken by
+    Gaussian elimination in the series ring (every pivot is 1 + O(u), so no
+    pivoting is needed and every entry stays an integer series).  Scaling
+    coefficient k by 2^-k turns det E into a series in w, which is compared
+    with the correction series from the determinant quotient.
     """
     if order < 1:
         raise ValueError("series order must be at least 1")
     blocks = sector_blocks(edge_space(g))
     m = g.m
-    half = Fraction(1, 2)
-
-    # truncated resolvent sum_{j<=order} (w/2)^j L^j, entrywise series
-    resolvent = [[[0] * (order + 1) for _ in range(m)] for _ in range(m)]
-    power = Matrix.identity(m)
-    coeff = Fraction(1)
-    for j in range(order + 1):
-        for i in range(m):
-            prow = power[i]
-            for k in range(m):
-                if prow[k]:
-                    resolvent[i][k][j] = prow[k] * coeff
-        if j < order:
-            power = power * blocks.L
-            coeff *= half
-    res_series = [
-        [PowerSeries(order, resolvent[i][k]) for k in range(m)] for i in range(m)
+    mt = blocks.M.transpose()
+    coeffs = [Matrix.identity(m), blocks.S]
+    lm = blocks.M  # L^j M, carried forward
+    for _ in range(order - 1):
+        coeffs.append(mt * lm)
+        lm = blocks.L * lm
+    mat = [
+        [PowerSeries(order, [c[i][k] for c in coeffs]) for k in range(m)]
+        for i in range(m)
     ]
 
-    mt = blocks.M.transpose()
-    # E = I + (w/2) S + (w^2/4) M^T R(w) M, entrywise in the series ring
-    mat: list[list[PowerSeries]] = []
-    quarter = Fraction(1, 4)
-    for i in range(m):
-        row = []
-        for k in range(m):
-            base = [0] * (order + 1)
-            base[0] = 1 if i == k else 0
-            if order >= 1:
-                base[1] = half * blocks.S[i][k]
-            cell = PowerSeries(order, base)
-            mixed = None
-            for u in range(m):
-                if mt[i][u] == 0:
-                    continue
-                inner = None
-                for v in range(m):
-                    if blocks.M[v][k] == 0:
-                        continue
-                    term = res_series[u][v] * blocks.M[v][k]
-                    inner = term if inner is None else inner + term
-                if inner is not None:
-                    term = inner * mt[i][u]
-                    mixed = term if mixed is None else mixed + term
-            if mixed is not None:
-                shifted = [0, 0] + [quarter * c for c in mixed.coeffs[: order - 1]]
-                cell = cell + PowerSeries(order, shifted)
-            row.append(cell)
-        mat.append(row)
-
-    # determinant by elimination; the matrix is I + O(w) throughout
+    # determinant by elimination; the matrix is I + O(u) throughout
     det = PowerSeries(order, [1])
     for col in range(m):
         pivot = mat[col][col]
@@ -187,7 +155,8 @@ def schur_series_check(g: Graph, order: int) -> bool:
             mat[i] = [
                 mat[i][k] - factor * mat[col][k] for k in range(m)
             ]
-    return det == correction_series(g, order)
+    in_w = PowerSeries(order, [Fraction(c, 2**k) for k, c in enumerate(det.coeffs)])
+    return in_w == correction_series(g, order)
 
 
 @dataclass(frozen=True)
@@ -248,8 +217,9 @@ def log_trace_check(g: Graph, order: int) -> bool:
     if order < 1:
         raise ValueError("series order must be at least 1")
     lhs = correction_series(g, order).log()
-    t = build_hashimoto(edge_space(g))
-    line = sector_blocks(edge_space(g)).L
+    es = edge_space(g)
+    t = build_hashimoto(es)
+    line = sector_blocks(es).L
     t_traces = t.power_traces(order)
     l_traces = line.power_traces(order)
     rhs = [0]

@@ -128,6 +128,24 @@ def test_shared_flags_only_where_read():
         assert flags & shared == expected[name], name
 
 
+def test_verify_order_zero_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "K4", "--order", "0")
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_negative_order_exits_2(capsys):
+    for argv in (
+        ["zeta", "K4", "--order", "-1"],
+        ["fingerprint", "K4", "--order", "-1"],
+        ["screen", "--generate", "4", "--order", "-1", "--key", "A,hashimoto"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR, argv
+        assert err.startswith("error:"), argv
+
+
 def test_unknown_graph_exits_2(capsys):
     code, _, err = run_cli(capsys, "zeta", "no_such_graph")
     assert code == EXIT_INPUT_ERROR

@@ -106,6 +106,17 @@ def test_series_log_mercator():
     assert s.log() == expect
 
 
+def test_series_log_order_zero():
+    assert PowerSeries(0, [1]).log() == PowerSeries(0, [0])
+
+
+def test_series_rejects_negative_order():
+    with pytest.raises(ValueError, match="order"):
+        PowerSeries(-1, [])
+    with pytest.raises(ValueError, match="order"):
+        series_of(ratfunc_reduce(Poly((1, 1)), Poly.one()), -1)
+
+
 def test_series_inverse_roundtrip():
     rng = random.Random(2)
     for _ in range(10):

@@ -162,6 +162,27 @@ def test_screen_deterministic_across_jobs():
     assert out1.summary == out2.summary
 
 
+def _store_lines(*names):
+    buf = io.StringIO()
+    write_fingerprints_jsonl([fingerprint(corpus_graph(n)) for n in names], buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def test_store_truncated_record_names_its_line():
+    first, second = _store_lines("K4", "C6")
+    cut = io.StringIO(first + second[: len(second) // 2])
+    with pytest.raises(ValueError, match=r"fingerprint store line 2: JSONDecodeError"):
+        read_fingerprints_jsonl(cut)
+
+
+def test_store_missing_field_names_its_line():
+    (line,) = _store_lines("K4")
+    rec = json.loads(line)
+    del rec["shadows"]
+    with pytest.raises(ValueError, match=r"fingerprint store line 1: KeyError: 'shadows'"):
+        read_fingerprints_jsonl(io.StringIO(json.dumps(rec) + "\n"))
+
+
 def test_fingerprint_persistence_roundtrip_grouping():
     graphs = [corpus_graph(n) for n in ["exA_G1", "exA_H1", "K4", "C6"]]
     fps = [fingerprint(g) for g in graphs]

@@ -5,7 +5,7 @@ import pytest
 
 from edgesector.graphs import Graph, corpus, corpus_graph
 from edgesector.edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
-from edgesector.polynomials import Poly, RatFunc, ratfunc_reduce, series_of
+from edgesector.polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
 from edgesector.zeta import (
     bass_det,
     factorize,
@@ -135,9 +135,26 @@ def test_schur_series_k3_closed_form():
 
 def test_schur_series_random():
     rng = random.Random(33)
-    for _ in range(15):
-        g = random_connected_graph(rng, n_max=8, extra_max=4)
-        assert schur_series_check(g, 6)
+    graphs = [Graph.from_edges(1, [])]  # edgeless, m = 0
+    graphs += [random_connected_graph(rng, n_max=8, extra_max=4) for _ in range(15)]
+    for g in graphs:
+        # order 1 runs no coefficient product; order 2 adds only M^T M
+        for order in (1, 2, 6):
+            assert schur_series_check(g, order), (g, order)
+
+
+def test_schur_series_detects_wrong_correction(monkeypatch):
+    import edgesector.zeta as zeta
+
+    true_series = zeta.correction_series
+
+    def off_by_last(g, order):
+        coeffs = list(true_series(g, order).coeffs)
+        coeffs[-1] += Fraction(1, 2**order)
+        return PowerSeries(order, coeffs)
+
+    monkeypatch.setattr(zeta, "correction_series", off_by_last)
+    assert not schur_series_check(corpus_graph("K4"), 8)
 
 
 def test_schur_rejects_bad_order():
