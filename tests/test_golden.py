@@ -26,6 +26,8 @@ CORPUS_DIGESTS = {
 }
 CENSUS6_DIGEST = "b3a7a9eb6bc27d0f74ae035d7a7df3ad3183bf0b78fd5ed108761e331b84596d"
 SCREEN6_DIGEST = "7920d12bee370648d07628b1d86e6ea330c64a44031fade472b6dd656c4884cb"
+# 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
+SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
 
 
 @pytest.mark.parametrize("order,kmax", sorted(CORPUS_DIGESTS))
@@ -45,3 +47,10 @@ def test_screen_generate_six_full_key(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert _digest(out.splitlines()) == SCREEN6_DIGEST
+
+
+def test_screen_generate_six_hashimoto_pairs(capsys):
+    code = main(["screen", "--generate", "6", "--key", "hashimoto", "--json"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert _digest(out.splitlines()) == SCREEN6_HASHIMOTO_DIGEST
