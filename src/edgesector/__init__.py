@@ -40,6 +40,7 @@ from .zeta import (
     bass_det,
     factorize,
     hashimoto_det,
+    ihara_det,
     log_trace_check,
     resolution_compare,
     schur_series_check,
@@ -53,6 +54,7 @@ from .shadows import (
     fingerprint,
     regular_collapse_check,
     shadow_set,
+    vertex_shadow_set,
 )
 from .bounds import (
     BoundReport,
@@ -98,6 +100,7 @@ __all__ = [
     "hashimoto_det",
     "hashimoto_spectrum",
     "hermitian_part_spectrum_check",
+    "ihara_det",
     "is_bipartite",
     "is_connected",
     "is_regular",
@@ -116,5 +119,6 @@ __all__ = [
     "trivial_roots",
     "verify_all",
     "verify_sector_identity",
+    "vertex_shadow_set",
     "vertex_triple_multiset",
 ]

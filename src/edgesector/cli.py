@@ -28,11 +28,12 @@ from .graphs import (
 from .screen import (
     GROUPING_KEYS,
     ScreenConfig,
+    ScreenError,
     builtin_generate,
     run_screen,
     verify_all,
 )
-from .shadows import fingerprint, shadow_set
+from .shadows import fingerprint, vertex_shadow_set
 from .zeta import factorize, trivial_roots
 
 EXIT_OK = 0
@@ -185,15 +186,14 @@ def cmd_zeta(args) -> int:
 
 def cmd_shadows(args) -> int:
     g = _resolve_graph(args.graph)
-    es = edge_space(g)
-    shadows = shadow_set(es, args.kmax)
+    shadows = vertex_shadow_set(g, args.kmax)
     if args.json:
         record = {
             "graph6": encode_graph6(g),
             "shadows": {name: p.coeff_strings() for name, p in shadows.named()},
         }
         if args.raw:
-            record["mixed_block"] = sector_blocks(es).M.to_json_dict()
+            record["mixed_block"] = sector_blocks(edge_space(g)).M.to_json_dict()
             record["gauge"] = "lexicographic"
         print(json.dumps(record))
         return EXIT_OK
@@ -201,7 +201,7 @@ def cmd_shadows(args) -> int:
         print(f"charpoly {name:8s}: {poly.pretty('x')}")
     if args.raw:
         print("raw mixed block (gauge-dependent, lexicographic gauge):")
-        for row in sector_blocks(es).M.rows:
+        for row in sector_blocks(edge_space(g)).M.rows:
             print("  ", row)
     return EXIT_OK
 
@@ -324,6 +324,9 @@ def main(argv=None) -> int:
     except (CliInputError, Graph6Error, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ScreenError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

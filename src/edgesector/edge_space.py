@@ -12,6 +12,7 @@ when T is written in the +/- eigenbasis of P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph
 from .matrices import Matrix
@@ -122,7 +123,11 @@ class SectorBlocks:
         return Matrix(rows, ncols=2 * m)
 
 
+@lru_cache(maxsize=128)
 def sector_blocks(es: OrientedEdgeSpace) -> SectorBlocks:
+    """L, S and M of one gauge, built once: verify_all reaches the same
+    blocks through a dozen checks.  The matrices are shared, never mutate
+    them."""
     d, absd = build_incidence(es)
     m = es.m
     two_i = Matrix.identity(m).scaled(2)

@@ -273,5 +273,4 @@ def det_resolvent(mat: Matrix, scale=1) -> Poly:
     """
     if not mat.is_square():
         raise DimensionError("resolvent determinant of a non-square matrix")
-    p = mat.charpoly().reversal(at_degree=mat.nrows)
-    return Poly([c * scale**k for k, c in enumerate(p.coeffs)])
+    return mat.charpoly().resolvent(mat.nrows, scale)

@@ -211,6 +211,27 @@ class Poly:
             out[d - k] = c
         return Poly(out)
 
+    def resolvent(self, dim: int, scale=1) -> "Poly":
+        """det(I - w * scale * X) for a dim x dim matrix X whose charpoly is
+        self: the reversal at dim with coefficient k times scale^k."""
+        p = self.reversal(at_degree=dim)
+        return Poly([c * scale**k for k, c in enumerate(p.coeffs)])
+
+    def shift(self, a) -> "Poly":
+        """p(x + a), by Horner's rule in the ring of polynomials."""
+        out = Poly.zero()
+        for c in reversed(self.coeffs):
+            out = out.mul_x_minus(-a) + Poly((c,))
+        return out
+
+    def times_x_power(self, k: int) -> "Poly":
+        """x^k * self; for k < 0 the lowest -k coefficients must vanish."""
+        if k >= 0:
+            return Poly((0,) * k + self.coeffs)
+        if any(self.coeffs[:-k]):
+            raise ArithmeticError(f"x^{-k} does not divide the polynomial")
+        return Poly(self.coeffs[-k:])
+
     def root_order(self, a) -> int:
         """Largest k with (x - a)^k dividing self, by repeated synthetic division."""
         if self.is_zero():

@@ -34,8 +34,8 @@ from .shadows import (
     DEFAULT_KMAX,
     Fingerprint,
     PairReport,
-    compare,
     fingerprint,
+    pair_report,
     regular_collapse_check,
     shadow_set,
 )
@@ -288,6 +288,8 @@ class ScreenConfig:
         for key in self.keys:
             if key not in GROUPING_KEYS:
                 raise ValueError(f"unknown grouping key {key!r}; use {GROUPING_KEYS}")
+        if self.order < 0 or self.kmax < 0:
+            raise ValueError("series order and kmax must be nonnegative")
         if "hashimoto" not in self.keys and self.order < 8:
             raise ValueError("series order below 8 cannot report divergence orders")
 
@@ -314,10 +316,17 @@ class ScreenResult:
     fingerprints: list[Fingerprint] = field(default_factory=list)  # kept graphs, input order
 
 
+class ScreenError(RuntimeError):
+    """Fingerprinting a screened graph raised; the message names its input line."""
+
+
 def _fingerprint_task(args):
-    g6, order, kmax = args
-    g = parse_graph6(g6)
-    return fingerprint(g, order, kmax)
+    lineno, g6, order, kmax = args
+    try:
+        return fingerprint(parse_graph6(g6), order, kmax)
+    except Exception as exc:  # noqa: BLE001 - re-raised with its input line
+        # raised inside a pool worker too, so jobs > 1 reports the same line
+        raise ScreenError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
 
 
 def key_string_of(fp: Fingerprint, keys: tuple[str, ...]) -> str:
@@ -331,6 +340,8 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     Graphs are fingerprinted (optionally by a worker pool, re-sequenced by
     input index), filtered, grouped by the configured invariant key, and all
     classes with at least two members are returned with pairwise reports.
+    A graph whose fingerprint raises stops the screen with a ScreenError
+    naming its input line, whatever the worker count.
     """
     graphs: list[tuple[int, str, Graph]] = []
     read = 0
@@ -359,7 +370,7 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
             continue
         filtered.append((lineno, text, g))
 
-    tasks = [(text, cfg.order, cfg.kmax) for _, text, g in filtered]
+    tasks = [(lineno, text, cfg.order, cfg.kmax) for lineno, text, _ in filtered]
     if cfg.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             prints = list(pool.map(_fingerprint_task, tasks, chunksize=8))
@@ -367,7 +378,7 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
         prints = [_fingerprint_task(t) for t in tasks]
 
     groups: dict[str, dict] = {}
-    for (lineno, text, g), fp in zip(filtered, prints):
+    for (lineno, text, _), fp in zip(filtered, prints):
         key = key_string_of(fp, cfg.keys)
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         bucket = groups.setdefault(digest, {"key": key, "members": []})
@@ -375,7 +386,7 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
             # digest collision: fall back to the full string as the digest
             digest = "full:" + key
             bucket = groups.setdefault(digest, {"key": key, "members": []})
-        bucket["members"].append((lineno, text, g))
+        bucket["members"].append((lineno, text, fp))
 
     classes: list[ClassRecord] = []
     separated = {"shadows": 0, "hashimoto": 0, "S": 0}
@@ -385,10 +396,12 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
         if len(members) < 2:
             continue
         pairs = []
-        for (_, t1, g1), (_, t2, g2) in combinations(members, 2):
+        for (_, _, f1), (_, _, f2) in combinations(members, 2):
             if len(pairs) >= cfg.max_pairs_per_class:
                 break
-            rep = compare(g1, g2, cfg.order, cfg.kmax)
+            # from the fingerprints in hand: with jobs > 1 this process
+            # never computed them, so compare() would compute them again
+            rep = pair_report(f1, f2)
             pairs.append(rep)
             if not rep.agree.get("S", True):
                 separated["S"] += 1

@@ -5,19 +5,27 @@ signs, so the spectra of M M^T, M^T M and M^T L^k M are invariants of the
 underlying graph.  Fingerprints store exact characteristic-polynomial
 coefficient vectors rather than floating eigenvalues: cospectrality becomes
 string equality and needs no tolerance policy.
+
+Every sector block is a product of incidence matrices, L = |D|^T |D| - 2I,
+S = D^T D - 2I and M = |D|^T D, so by the AB/BA lemma each fingerprint
+spectrum is also the spectrum of an n x n matrix built from the signless
+Laplacian Q = |D||D|^T = Deg + A and the Laplacian Delta = D D^T = Deg - A.
+fingerprint computes in that vertex space; shadow_set and zeta.factorize
+keep the m x m and 2m x 2m edge-space routes as independent oracles.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .edge_space import OrientedEdgeSpace, edge_space, sector_blocks
 from .graphs import Graph, encode_graph6, is_connected, is_regular
 from .matrices import Matrix
 from .polynomials import Poly, PowerSeries, scalar_from_str
-from .zeta import DEFAULT_ORDER, factorize, resolution_compare
+from .zeta import DEFAULT_ORDER, PairDivergence, ihara_det
 
 DEFAULT_KMAX = 2
 SCHEMA_VERSION = 1
@@ -39,6 +47,8 @@ class ShadowSet:
 
 
 def shadow_set(es: OrientedEdgeSpace, kmax: int = DEFAULT_KMAX) -> ShadowSet:
+    """The mixed-product charpolys from the m x m sector blocks of one gauge
+    (the edge-space oracle for vertex_shadow_set)."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     blocks = sector_blocks(es)
@@ -52,6 +62,37 @@ def shadow_set(es: OrientedEdgeSpace, kmax: int = DEFAULT_KMAX) -> ShadowSet:
         powers.append((mt * lk * m).charpoly())
         lk = lk * line
     return ShadowSet(kmax, mmt, mmt, tuple(powers))
+
+
+def _laplacians(g: Graph) -> tuple[Matrix, Matrix]:
+    """(Q, Delta) = (Deg + A, Deg - A) = (|D||D|^T, D D^T)."""
+    a, deg = g.adjacency(), g.degree_matrix()
+    return deg + a, deg - a
+
+
+def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
+    """shadow_set from n x n vertex matrices.
+
+    |D| L^k |D|^T = Q (Q - 2I)^k and D D^T = Delta, so by the AB/BA lemma
+    charpoly(M^T L^k M) = x^(m-n) charpoly(Q (Q - 2I)^k Delta); k = 0 gives
+    M M^T (and M^T M, which has the same charpoly).
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    q, delta = _laplacians(g)
+    q_minus_2 = q - Matrix.identity(g.n).scaled(2)
+    polys = []
+    qk = q  # Q (Q - 2I)^k, carried forward
+    for _ in range(kmax + 1):
+        polys.append((qk * delta).charpoly().times_x_power(g.m - g.n))
+        qk = qk * q_minus_2
+    return ShadowSet(kmax, polys[0], polys[0], tuple(polys[1:]))
+
+
+def _sector_charpoly(vertex: Matrix, m: int) -> Poly:
+    """charpoly of X^T X - 2I (m x m) from that of X X^T (n x n): the AB/BA
+    factor x^(m-n), then the shift x -> x + 2."""
+    return vertex.charpoly().times_x_power(m - vertex.nrows).shift(2)
 
 
 def _strip_zero_roots(p: Poly) -> Poly:
@@ -92,6 +133,11 @@ class Fingerprint:
     hashimoto_det: Poly
     correction_order: int
     correction_series: PowerSeries
+
+    @property
+    def line_factor(self) -> Poly:
+        """det(I - (w/2) L), read back from charpoly_line."""
+        return self.charpoly_line.resolvent(self.m, Fraction(1, 2))
 
     def invariant_strings(self) -> dict[str, str]:
         """Exact, byte-stable string per invariant; used for grouping keys."""
@@ -165,24 +211,27 @@ class Fingerprint:
 def fingerprint(
     g: Graph, order: int = DEFAULT_ORDER, kmax: int = DEFAULT_KMAX
 ) -> Fingerprint:
-    """Deterministic exact fingerprint in the default lexicographic gauge."""
-    es = edge_space(g)
-    fact = factorize(g, order)
-    # det(I - (w/2) L) is the reversal of charpoly(L) with coefficient j
-    # scaled by 2^-j; undo both rather than reduce L a second time
-    line = Poly([c * 2**j for j, c in enumerate(fact.line_factor.coeffs)])
+    """Deterministic exact fingerprint, computed from n x n vertex matrices
+    (and the 2n x 2n Ihara companion); equal to the edge-space routes."""
+    q, delta = _laplacians(g)
+    charpoly_line = _sector_charpoly(q, g.m)
+    det = ihara_det(g)
+    # det / det(I - (w/2) L) expands directly: the line factor has constant
+    # term 1, so no reduction of the rational function is needed
+    line = charpoly_line.resolvent(g.m, Fraction(1, 2))
+    series = PowerSeries.from_poly(det, order) * PowerSeries.from_poly(line, order).inverse()
     return Fingerprint(
         graph6=encode_graph6(g),
         n=g.n,
         m=g.m,
         degrees=g.degree_multiset(),
         charpoly_adjacency=g.adjacency().charpoly(),
-        charpoly_line=line.reversal(at_degree=g.m),
-        charpoly_signed=sector_blocks(es).S.charpoly(),
-        shadows=shadow_set(es, kmax),
-        hashimoto_det=fact.hashimoto_det,
+        charpoly_line=charpoly_line,
+        charpoly_signed=_sector_charpoly(delta, g.m),
+        shadows=vertex_shadow_set(g, kmax),
+        hashimoto_det=det,
         correction_order=order,
-        correction_series=fact.correction_series,
+        correction_series=series,
     )
 
 
@@ -219,8 +268,11 @@ class PairReport:
 def compare(
     g: Graph, h: Graph, order: int = DEFAULT_ORDER, kmax: int = DEFAULT_KMAX
 ) -> PairReport:
-    fg = fingerprint(g, order, kmax)
-    fh = fingerprint(h, order, kmax)
+    return pair_report(fingerprint(g, order, kmax), fingerprint(h, order, kmax))
+
+
+def pair_report(fg: Fingerprint, fh: Fingerprint) -> PairReport:
+    """Agreement and divergence of two fingerprints of the same order and kmax."""
     agree = {
         "degrees": fg.degrees == fh.degrees,
         "A": fg.charpoly_adjacency == fh.charpoly_adjacency,
@@ -231,7 +283,7 @@ def compare(
     }
     for (name, pg), (_, ph) in zip(fg.shadows.named(), fh.shadows.named()):
         agree[f"shadow_{name}"] = pg == ph
-    divergence = resolution_compare(g, h, order)
+    divergence = PairDivergence.between(fg, fh)
     return PairReport(
         graph6=(fg.graph6, fh.graph6),
         agree=agree,

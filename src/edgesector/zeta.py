@@ -8,6 +8,10 @@ where L is the line-graph adjacency and the correction factor C(w) is a
 reduced rational function (for P3 it is 1/(1 - w^2/4), so it is genuinely
 non-polynomial in general).  Everything in this module is exact; the only
 floating-point work in the package lives in bounds.py.
+
+hashimoto_det (the 2m x 2m charpoly of T), line_factor, factorize and
+bass_det (evaluation-interpolation) are the oracles of verify and the
+tests; fingerprints take det(I - wT) from ihara_det, a 2n x 2n charpoly.
 """
 
 from __future__ import annotations
@@ -65,14 +69,12 @@ def _vertex_space_det(g: Graph) -> Poly:
     return Poly.interpolate(points)
 
 
-def bass_det(g: Graph) -> Poly:
-    """(1 - w^2)^(m-n) det(I - w A + w^2 (D - I)), as an exact polynomial.
+def _bass_prefactor(vertex: Poly, g: Graph) -> Poly:
+    """(1 - w^2)^(m-n) * vertex, an integer polynomial.
 
-    For m < n the prefactor exponent is negative; the quotient is computed
-    as an exact rational function and checked to be polynomial (trees give
-    the constant 1).
+    For m < n the exponent is negative and the division must be exact
+    (trees give the constant 1).
     """
-    vertex = _vertex_space_det(g)
     k = g.m - g.n
     one_minus_w2 = Poly((1, 0, -1))
     if k >= 0:
@@ -82,6 +84,32 @@ def bass_det(g: Graph) -> Poly:
     if not out.is_integer():
         raise ArithmeticError("Bass determinant is not an integer polynomial")
     return out
+
+
+def bass_det(g: Graph) -> Poly:
+    """det(I - wT) by the Bass formula, the vertex determinant taken by
+    evaluation-interpolation; an oracle independent of ihara_det's kernel."""
+    return _bass_prefactor(_vertex_space_det(g), g)
+
+
+def _ihara_companion(g: Graph) -> Matrix:
+    """K = [[A, I - Deg], [I, 0]], 2n x 2n, with det(I - wK) =
+    det(I - wA + w^2 (Deg - I)) by the Schur complement of the lower block."""
+    n = g.n
+    a = g.adjacency()
+    deg = g.degrees()
+    rows = []
+    for i in range(n):
+        rows.append(list(a[i]) + [(1 - deg[i]) if j == i else 0 for j in range(n)])
+    for i in range(n):
+        rows.append([1 if j == i else 0 for j in range(n)] + [0] * n)
+    return Matrix(rows, ncols=2 * n)
+
+
+def ihara_det(g: Graph) -> Poly:
+    """det(I - wT) in vertex space: the Bass formula with the vertex
+    determinant read off the reversed charpoly of the 2n x 2n companion."""
+    return _bass_prefactor(det_resolvent(_ihara_companion(g)), g)
 
 
 @dataclass(frozen=True)
@@ -247,12 +275,24 @@ class PairDivergence:
         return self.det_first_diff_order == self.correction_first_diff_order
 
 
+    @classmethod
+    def between(cls, a, b) -> "PairDivergence":
+        """Divergence of two records carrying hashimoto_det, line_factor and
+        correction_series (ZetaFactorizations or Fingerprints)."""
+        det_order = first_difference(a.hashimoto_det, b.hashimoto_det)
+        values = None
+        if det_order is not None:
+            values = (a.hashimoto_det[det_order], b.hashimoto_det[det_order])
+        return cls(
+            line_cospectral=a.line_factor == b.line_factor,
+            det_first_diff_order=det_order,
+            correction_first_diff_order=first_difference(
+                a.correction_series, b.correction_series
+            ),
+            diff_values=values,
+        )
+
+
 def resolution_compare(g: Graph, h: Graph, order: int = DEFAULT_ORDER) -> PairDivergence:
-    fg, fh = factorize(g, order), factorize(h, order)
-    line_cospectral = fg.line_factor == fh.line_factor
-    det_order = first_difference(fg.hashimoto_det, fh.hashimoto_det)
-    corr_order = first_difference(fg.correction_series, fh.correction_series)
-    values = None
-    if det_order is not None:
-        values = (fg.hashimoto_det[det_order], fh.hashimoto_det[det_order])
-    return PairDivergence(line_cospectral, det_order, corr_order, values)
+    """Edge-space divergence of two graphs, through factorize."""
+    return PairDivergence.between(factorize(g, order), factorize(h, order))

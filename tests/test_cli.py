@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import edgesector
-from edgesector.cli import EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
+from edgesector.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +177,21 @@ def test_screen_bad_input_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "screen", "--input", str(census))
     assert code == EXIT_INPUT_ERROR
     assert "line 2" in err
+
+
+def test_screen_failing_fingerprint_exits_1_with_its_line(tmp_path, capsys, monkeypatch):
+    from edgesector import screen
+
+    def broken(g, order, kmax):
+        raise ArithmeticError("no charpoly")
+
+    monkeypatch.setattr(screen, "fingerprint", broken)
+    census = tmp_path / "one.g6"
+    census.write_text(">>graph6<<\nBw\n")
+    code, out, err = run_cli(capsys, "screen", "--input", str(census))
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: line 2: ArithmeticError: no charpoly\n"
 
 
 def test_screen_fingerprint_store_roundtrip(tmp_path, capsys):

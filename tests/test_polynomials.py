@@ -65,6 +65,19 @@ def test_reversal():
     assert p.reversal(at_degree=5) == Poly((0, 0, 1, 0, 0, 2))
 
 
+def test_shift_times_x_power_and_resolvent():
+    p = Poly((3, -2, 0, 1))  # x^3 - 2x + 3
+    assert p.shift(2) == Poly((7, 10, 6, 1))  # p(x + 2)
+    assert p.shift(2).shift(-2) == p
+    assert p.times_x_power(2) == Poly((0, 0, 3, -2, 0, 1))
+    assert p.times_x_power(2).times_x_power(-2) == p
+    with pytest.raises(ArithmeticError):
+        p.times_x_power(-1)
+    # X = diag(0, 1, 0): charpoly x^3 - x^2, det(I - s w X) = 1 - s w
+    assert Poly((0, 0, -1, 1)).resolvent(3) == Poly((1, -1))
+    assert Poly((0, 0, -1, 1)).resolvent(3, Fraction(1, 2)) == Poly((1, Fraction(-1, 2)))
+
+
 def test_interpolation_matches_poly():
     rng = random.Random(1)
     for _ in range(20):

@@ -1,12 +1,15 @@
 import io
 import json
+import multiprocessing
 import random
 
 import pytest
 
 from edgesector.graphs import Graph, Graph6Error, corpus_graph, encode_graph6
+from edgesector import screen
 from edgesector.screen import (
     ScreenConfig,
+    ScreenError,
     builtin_generate,
     canonical_label,
     certificate,
@@ -149,6 +152,10 @@ def test_screen_config_validation():
         ScreenConfig(keys=("A", "bogus"))
     with pytest.raises(ValueError):
         ScreenConfig(keys=("A",), order=4)
+    with pytest.raises(ValueError):
+        ScreenConfig(keys=("hashimoto",), order=-1)
+    with pytest.raises(ValueError):
+        ScreenConfig(keys=("A",), kmax=-1)
 
 
 def test_screen_deterministic_across_jobs():
@@ -160,6 +167,44 @@ def test_screen_deterministic_across_jobs():
     out2 = run_screen(lines, cfg2)
     assert [c.to_json_dict() for c in out1.classes] == [c.to_json_dict() for c in out2.classes]
     assert out1.summary == out2.summary
+
+
+def _fail_on(g6: str):
+    """A fingerprint stand-in that raises on one graph."""
+
+    def fake(g, order, kmax):
+        if encode_graph6(g) == g6:
+            raise ArithmeticError("charpoly went wrong")
+        return fingerprint(g, order, kmax)
+
+    return fake
+
+
+def test_screen_names_the_line_of_a_failing_fingerprint(monkeypatch):
+    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
+    monkeypatch.setattr(screen, "fingerprint", _fail_on(lines[3][1]))
+    with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
+        run_screen(lines, ScreenConfig(keys=("A",)))
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched fingerprint only when forked",
+)
+def test_screen_names_the_line_of_a_failing_fingerprint_in_a_worker(monkeypatch):
+    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
+    monkeypatch.setattr(screen, "fingerprint", _fail_on(lines[3][1]))
+    with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
+        run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+
+
+def test_pool_screen_reports_pairs_from_the_worker_fingerprints():
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
+    fingerprint.cache_clear()
+    out = run_screen(lines, ScreenConfig(keys=("hashimoto",), jobs=2))
+    assert out.summary["pairs_reported"] > 0
+    # every fingerprint was computed in a worker; none again in this process
+    assert fingerprint.cache_info().currsize == 0
 
 
 def _store_lines(*names):

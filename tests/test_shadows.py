@@ -13,6 +13,7 @@ from edgesector.shadows import (
     regular_collapse_check,
     shadow_set,
 )
+from edgesector.zeta import resolution_compare
 
 
 def first_shadow_difference(fg: Fingerprint, fh: Fingerprint):
@@ -160,6 +161,24 @@ def test_compare_paper_pair():
     assert not rep.agree["S"]
     assert rep.det_first_diff_order == 6
     assert rep.correction_first_diff_order == 6
+
+
+def test_line_cospectral_compares_line_factors_not_line_charpolys():
+    # G and G + K2 (a disjoint edge): L gains the eigenvalue 0, so charpoly_L
+    # gains a factor x, but det(I - (w/2) L) and det(I - wT) are unchanged
+    g = corpus_graph("paperG")
+    h = Graph.from_edges(g.n + 2, list(g.edges) + [(g.n, g.n + 1)])
+    fg, fh = fingerprint(g), fingerprint(h)
+    assert fh.m == fg.m + 1
+    assert fh.charpoly_line == Poly((0,) + fg.charpoly_line.coeffs)
+    assert fg.line_factor == fh.line_factor
+    rep = compare(g, h)
+    assert rep.line_cospectral
+    assert rep.agree["hashimoto"] and rep.agree["correction"]
+    assert not rep.agree["L"]
+    assert rep.det_first_diff_order is None
+    assert rep.correction_first_diff_order is None
+    assert resolution_compare(g, h).line_cospectral
 
 
 def test_compare_self():

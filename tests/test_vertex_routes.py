@@ -1,0 +1,176 @@
+"""Every fingerprint field against its edge-space oracle.
+
+fingerprint computes in vertex space: L, S and the mixed shadows from n x n
+matrices built from Q = Deg + A and Delta = Deg - A, the Ihara determinant
+from the 2n x 2n companion K, the correction series as a quotient of series.
+The oracles here are the m x m sector blocks, the 2m x 2m Hashimoto
+operator and the reduced rational function of zeta.factorize.
+"""
+
+import importlib
+import random
+
+import pytest
+
+import edgesector
+from edgesector import cli, screen, shadows, zeta
+from edgesector.edge_space import edge_space, sector_blocks
+from edgesector.graphs import Graph, corpus, corpus_graph, encode_graph6
+from edgesector.polynomials import PowerSeries
+from edgesector.shadows import Fingerprint, ShadowSet, compare, fingerprint, shadow_set, vertex_shadow_set
+from edgesector.zeta import factorize, hashimoto_det, ihara_det, line_factor, resolution_compare
+from conftest import random_population
+
+# (order, kmax): every order in {0, 1, 12} and every kmax in 0..3
+SETTINGS = ((0, 0), (1, 1), (12, 2), (12, 3))
+KMAX = 3
+
+
+def edge_fingerprint(g: Graph, order: int, kmax: int) -> Fingerprint:
+    """The fingerprint assembled from the edge-space routes only."""
+    es = edge_space(g)
+    blocks = sector_blocks(es)
+    mixed = shadow_set(es, kmax)
+    mtm = (blocks.M.transpose() * blocks.M).charpoly()
+    return Fingerprint(
+        graph6=encode_graph6(g),
+        n=g.n,
+        m=g.m,
+        degrees=g.degree_multiset(),
+        charpoly_adjacency=g.adjacency().charpoly(),
+        charpoly_line=blocks.L.charpoly(),
+        charpoly_signed=blocks.S.charpoly(),
+        shadows=ShadowSet(kmax, mixed.mmt, mtm, mixed.mtlkm),
+        hashimoto_det=hashimoto_det(g),
+        correction_order=order,
+        correction_series=factorize(g, order).correction_series,
+    )
+
+
+def truncated(fp: Fingerprint, order: int, kmax: int) -> Fingerprint:
+    """The same record at a lower series order and kmax."""
+    s = fp.shadows
+    return Fingerprint(
+        graph6=fp.graph6,
+        n=fp.n,
+        m=fp.m,
+        degrees=fp.degrees,
+        charpoly_adjacency=fp.charpoly_adjacency,
+        charpoly_line=fp.charpoly_line,
+        charpoly_signed=fp.charpoly_signed,
+        shadows=ShadowSet(kmax, s.mmt, s.mtm, s.mtlkm[:kmax]),
+        hashimoto_det=fp.hashimoto_det,
+        correction_order=order,
+        correction_series=PowerSeries(order, fp.correction_series.coeffs[: order + 1]),
+    )
+
+
+def assert_routes_agree(g: Graph) -> None:
+    oracle = edge_fingerprint(g, 12, KMAX)
+    assert ihara_det(g) == oracle.hashimoto_det
+    for order, kmax in SETTINGS:
+        want = truncated(oracle, order, kmax)
+        got = fingerprint(g, order, kmax)
+        assert got.to_json_dict() == want.to_json_dict(), (encode_graph6(g), order, kmax)
+        assert got == want
+    assert fingerprint(g, 12, KMAX).line_factor == line_factor(g)
+
+
+def random_graph(rng: random.Random, n_max: int) -> Graph:
+    """Seeded G(n, p): edgeless, forests and disconnected graphs included."""
+    n = rng.randint(0, n_max)
+    p = rng.choice((0.0, 0.15, 0.3, 0.5, 0.8))
+    return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(a + offset, b + offset) for a, b in g.edges]
+        offset += g.n
+    return Graph.from_edges(offset, edges)
+
+
+EDGE_CASES = {
+    "n=0": Graph.from_edges(0, []),
+    "K1": Graph.from_edges(1, []),
+    "edgeless3": Graph.from_edges(3, []),
+    "edgeless6": Graph.from_edges(6, []),
+    "K2": corpus_graph("K2"),
+    "star5": Graph.from_edges(6, [(0, v) for v in range(1, 6)]),
+    "forest": disjoint_union(corpus_graph("P3"), Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])),
+    "tree_plus_isolated": disjoint_union(corpus_graph("P3"), Graph.from_edges(2, [])),
+    "K3+K1": disjoint_union(corpus_graph("K3"), Graph.from_edges(1, [])),
+    "C4+K2": disjoint_union(corpus_graph("C4"), corpus_graph("K2")),
+    "K4+P3+K1": disjoint_union(corpus_graph("K4"), corpus_graph("P3"), Graph.from_edges(1, [])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_routes_agree_edge_cases(name):
+    assert_routes_agree(EDGE_CASES[name])
+
+
+@pytest.mark.parametrize("entry", corpus(), ids=lambda e: e.name)
+def test_routes_agree_corpus(entry):
+    assert_routes_agree(entry.graph)
+
+
+def test_routes_agree_random_connected():
+    for g in random_population(seed=4242, count=20, n_max=9):
+        assert_routes_agree(g)
+
+
+def test_routes_agree_random_any():
+    rng = random.Random(2718)
+    for _ in range(30):
+        assert_routes_agree(random_graph(rng, 8))
+
+
+def test_vertex_shadow_set_rejects_negative_kmax():
+    with pytest.raises(ValueError):
+        vertex_shadow_set(corpus_graph("petersen"), -1)
+
+
+def test_pair_report_matches_edge_space_divergence():
+    for a, b in [("paperG", "paperH"), ("exA_G1", "exA_H1"), ("exB_G2", "exB_H2"), ("K4", "C6")]:
+        g, h = corpus_graph(a), corpus_graph(b)
+        rep, pd = compare(g, h), resolution_compare(g, h)
+        assert rep.line_cospectral == pd.line_cospectral
+        assert rep.det_first_diff_order == pd.det_first_diff_order
+        assert rep.correction_first_diff_order == pd.correction_first_diff_order
+        assert rep.det_diff_values == pd.diff_values
+
+
+# the package re-exports the function edge_space under the module's name
+edge_space_module = importlib.import_module("edgesector.edge_space")
+
+# names that only the edge-space oracles may reach; bass_det is a verify oracle
+EDGE_ONLY = {
+    edge_space_module: ("build_hashimoto", "sector_blocks"),
+    zeta: ("factorize", "hashimoto_det", "line_factor", "bass_det"),
+    shadows: ("shadow_set",),
+}
+
+
+def test_fingerprint_and_pair_reports_never_reach_edge_space(monkeypatch):
+    modules = (edgesector, edge_space_module, zeta, shadows, screen, cli)
+    for home, names in EDGE_ONLY.items():
+        for name in names:
+            original = getattr(home, name)
+
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called on the vertex route")
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+    fingerprint.cache_clear()
+    try:
+        for entry in corpus():
+            fingerprint(entry.graph, 12, KMAX)
+        compare(corpus_graph("paperG"), corpus_graph("paperH"))
+        lines = [(i, encode_graph6(g)) for i, g in enumerate(random_population(99, 12, n_max=6), 1)]
+        screen.run_screen(lines, screen.ScreenConfig(keys=("A", "hashimoto")))
+    finally:
+        fingerprint.cache_clear()
