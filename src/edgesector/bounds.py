@@ -151,20 +151,6 @@ def _poly_roots(coeffs: list[float], tol: float, max_iter: int = 1000):
     raise RootFindingError("Aberth iteration hit the cap", best)
 
 
-def _cluster_members(roots, radius: float) -> list[list[complex]]:
-    """Greedy partition of nearby complex roots into multiplicity clusters."""
-    clusters: list[list[complex]] = []
-    for z in sorted(roots, key=lambda z: (z.real, z.imag)):
-        for members in clusters:
-            center = sum(members) / len(members)
-            if abs(z - center) <= radius * max(1.0, abs(center)):
-                members.append(z)
-                break
-        else:
-            clusters.append([z])
-    return clusters
-
-
 @dataclass(frozen=True)
 class SpectrumEstimate:
     """Certified roots of the exact Hashimoto characteristic polynomial."""

@@ -2,8 +2,9 @@
 
 Entries are ints or fractions.Fraction (mixing is fine; integer matrices stay
 integer under the ring operations).  Everything is computed exactly: the
-characteristic polynomial goes through a rational Hessenberg reduction plus
-the Hessenberg determinant recurrence.
+characteristic polynomial is Berkowitz's division-free algorithm, so an
+integer matrix gives an integer polynomial without any rational arithmetic;
+rank and det eliminate over Fraction.
 """
 
 from __future__ import annotations
@@ -217,48 +218,38 @@ class Matrix:
     def charpoly(self) -> Poly:
         """Monic characteristic polynomial det(xI - M), computed exactly.
 
-        Rational Hessenberg reduction followed by the last-column expansion
-        recurrence for Hessenberg matrices; O(n^3) field operations.  Integer
-        input gives integer output.
+        Berkowitz's division-free algorithm: ring operations only, so integer
+        input stays integer and never meets a Fraction.  The polynomial of each
+        leading (r+1)x(r+1) block is the Toeplitz column
+        [1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C] convolved with that of
+        the leading r x r block A_r, where R and C are row and column r cut to
+        A_r and a is entry (r, r).  The mat-vecs skip zero entries, so a
+        sparse operator costs O(n * nnz) per block, O(n^4) when dense.
         """
         if not self.is_square():
             raise DimensionError("characteristic polynomial of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Poly.one()
-        h = [[Fraction(a) for a in r] for r in self._rows]
-        for j in range(n - 2):
-            piv = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
-            if piv is None:
-                continue
-            if piv != j + 1:
-                h[piv], h[j + 1] = h[j + 1], h[piv]
-                for row in h:
-                    row[piv], row[j + 1] = row[j + 1], row[piv]
-            inv = 1 / h[j + 1][j]
-            hj = h[j + 1]
-            for i in range(j + 2, n):
-                f = h[i][j] * inv
-                if f:
-                    hi = h[i]
-                    for c in range(j, n):
-                        hi[c] -= f * hj[c]
-                    for row in h:
-                        row[j + 1] += f * row[i]
-        # p_r = (x - h[r,r]) p_{r-1} - sum_k h[k,r] (prod of subdiagonals) p_{k-1}
-        ps = [Poly.one()]
-        for r in range(1, n + 1):
-            term = ps[r - 1].mul_x_minus(h[r - 1][r - 1])
-            prod = Fraction(1)
-            for k in range(r - 1, 0, -1):
-                prod *= h[k][k - 1]
-                if prod == 0:
-                    break
-                coef = h[k - 1][r - 1] * prod
-                if coef:
-                    term = term.sub_scaled(ps[k - 1], coef)
-            ps.append(term)
-        return ps[n]
+        rows = self._rows
+        block: list[list[tuple[int, object]]] = []  # nonzeros of A_r, by row
+        coeffs = [1]  # charpoly of A_r, descending degree
+        for r, row in enumerate(rows):
+            across = [(j, a) for j, a in enumerate(row[:r]) if a]
+            t = [1, -row[r]]
+            if across:
+                v = [rows[i][r] for i in range(r)]
+                for k in range(r):
+                    if k:
+                        v = [sum(a * v[j] for j, a in nz) for nz in block]
+                    t.append(-sum(a * v[j] for j, a in across))
+            t += [0] * (r + 2 - len(t))
+            coeffs = [
+                sum(t[k - j] * coeffs[j] for j in range(min(k, r) + 1))
+                for k in range(r + 2)
+            ]
+            for i, nz in enumerate(block):
+                if rows[i][r]:
+                    nz.append((r, rows[i][r]))
+            block.append(across + ([(r, row[r])] if row[r] else []))
+        return Poly(coeffs[::-1])
 
     def __repr__(self):
         return f"Matrix({self._rows!r})"
@@ -268,8 +259,8 @@ def det_resolvent(mat: Matrix, scale=1) -> Poly:
     """det(I - w * scale * mat) as an exact polynomial in w.
 
     The degree-reversal of charpoly(mat) with coefficient k multiplied by
-    scale^k, so the Hessenberg reduction runs on the unscaled matrix; the
-    constant term is always 1.
+    scale^k, so the charpoly kernel runs on the unscaled (integer) matrix;
+    the constant term is always 1.
     """
     if not mat.is_square():
         raise DimensionError("resolvent determinant of a non-square matrix")

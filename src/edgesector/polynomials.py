@@ -141,7 +141,7 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    # internal helpers used by the characteristic-polynomial recurrence
+    # internal helper of shift()
     def mul_x_minus(self, a) -> "Poly":
         """(x - a) * self, cheaper than a general product."""
         cs = self.coeffs
@@ -150,15 +150,6 @@ class Poly:
             out[i + 1] += c
             out[i] -= a * c
         return Poly(out)
-
-    def sub_scaled(self, other: "Poly", s) -> "Poly":
-        """self - s * other."""
-        a, b = list(self.coeffs), other.coeffs
-        if len(a) < len(b):
-            a += [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            a[i] -= s * c
-        return Poly(a)
 
     # -- division --------------------------------------------------------
 

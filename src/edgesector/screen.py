@@ -131,19 +131,19 @@ def certificate(g: Graph) -> tuple:
 def _all_graphs_up_to_iso(n: int) -> tuple[Graph, ...]:
     """Every graph on n vertices up to isomorphism, by vertex augmentation:
     extend each (n-1)-vertex class representative with a new vertex joined to
-    every subset of the old vertices, then dedup by canonical certificate."""
+    every subset of the old vertices, then dedup by canonical form (each
+    candidate is labeled once; a canonical graph is its own certificate)."""
     if n == 0:
         return (Graph.from_edges(0, []),)
-    seen: dict[tuple, Graph] = {}
+    seen: set[Graph] = set()
     for base in _all_graphs_up_to_iso(n - 1):
         for mask in range(1 << (n - 1)):
             edges = list(base.edges)
             for v in range(n - 1):
                 if mask & (1 << v):
                     edges.append((v, n - 1))
-            candidate = canonical_label(Graph.from_edges(n, edges))
-            seen.setdefault(certificate(candidate), candidate)
-    return tuple(sorted(seen.values(), key=lambda g: (g.m, g.edges)))
+            seen.add(canonical_label(Graph.from_edges(n, edges)))
+    return tuple(sorted(seen, key=lambda g: (g.m, g.edges)))
 
 
 MAX_GENERATED_VERTICES = 7
@@ -321,9 +321,9 @@ class ScreenError(RuntimeError):
 
 
 def _fingerprint_task(args):
-    lineno, g6, order, kmax = args
+    lineno, g, order, kmax = args
     try:
-        return fingerprint(parse_graph6(g6), order, kmax)
+        return fingerprint(g, order, kmax)
     except Exception as exc:  # noqa: BLE001 - re-raised with its input line
         # raised inside a pool worker too, so jobs > 1 reports the same line
         raise ScreenError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
@@ -370,7 +370,7 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
             continue
         filtered.append((lineno, text, g))
 
-    tasks = [(lineno, text, cfg.order, cfg.kmax) for lineno, text, _ in filtered]
+    tasks = [(lineno, g, cfg.order, cfg.kmax) for lineno, _, g in filtered]
     if cfg.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             prints = list(pool.map(_fingerprint_task, tasks, chunksize=8))

@@ -71,10 +71,34 @@ def test_charpoly_examples():
 
 def test_charpoly_vs_faddeev_leverrier():
     rng = random.Random(10)
+    mats = []
     for _ in range(40):
         n = rng.randint(1, 12) if rng.random() < 0.3 else rng.randint(1, 6)
-        m = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        assert m.charpoly() == faddeev_leverrier(m)
+        mats.append(Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+    mats += [Matrix([]), Matrix([[0]]), Matrix([[-7]])]
+    for n in range(2, 9):  # singular: the last row repeats the first
+        raw = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        raw[-1] = list(raw[0])
+        mats.append(Matrix(raw))
+        assert mats[-1].charpoly()[0] == 0
+    for n in range(1, 10):  # nilpotent: strictly upper triangular
+        m = Matrix([[rng.randint(-5, 5) if j > i else 0 for j in range(n)] for i in range(n)])
+        assert m.charpoly() == Poly((0,) * n + (1,))
+        mats.append(m)
+    for n in (16, 24):  # dense, large entries
+        mats.append(Matrix([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]))
+    for _ in range(10):  # rational entries
+        n = rng.randint(1, 6)
+        rows = [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        mats.append(Matrix(rows))
+    for m in mats:
+        p = m.charpoly()
+        assert p == faddeev_leverrier(m)
+        if all(isinstance(a, int) for row in m.rows for a in row):
+            assert p.is_integer()
 
 
 def test_charpoly_rational_entries():

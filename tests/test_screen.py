@@ -134,6 +134,53 @@ def test_screen_filters():
     assert out.summary["kept"] == 0
     out = run_screen(lines, ScreenConfig(keys=("A",)))
     assert out.summary["kept"] == 1
+    # degrees: C4 (2,2,2,2), star3 (3,1,1,1); the empty graph has none
+    c4, star3 = encode_graph6(corpus_graph("C4")), encode_graph6(corpus_graph("star3"))
+    empty = encode_graph6(Graph(0, ()))
+    lines = [(1, c4), (2, star3), (3, empty)]
+
+    def kept(**limits):
+        out = run_screen(lines, ScreenConfig(keys=("A",), **limits))
+        return [fp.graph6 for fp in out.fingerprints]
+
+    assert kept(min_degree=2) == [c4]
+    assert kept(min_degree=1) == [c4, star3]
+    assert kept(max_degree=2) == [c4, empty]
+    assert kept(max_degree=3) == [c4, star3, empty]
+    assert kept(min_degree=1, max_degree=2) == [c4]
+    assert kept(min_degree=3, max_degree=2) == []
+
+
+def test_builtin_generate_labels_each_candidate_once(monkeypatch):
+    calls = []
+    real = screen.canonical_label
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(screen, "canonical_label", counted)
+    screen._all_graphs_up_to_iso.cache_clear()
+    assert len(builtin_generate(5)) == 21
+    # the n-vertex candidates: every (n-1)-vertex class times every neighbor set
+    candidates = sum(len(screen._all_graphs_up_to_iso(n - 1)) << (n - 1) for n in range(1, 6))
+    assert candidates == 219
+    assert len(calls) == candidates
+
+
+def test_screen_parses_each_line_once(monkeypatch):
+    calls = []
+    real = screen.parse_graph6
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(screen, "parse_graph6", counted)
+    lines = [(i, encode_graph6(g)) for i, g in enumerate(builtin_generate(4), start=1)]
+    out = run_screen(lines, ScreenConfig(keys=("A", "L", "S", "shadows", "hashimoto"), jobs=1))
+    assert out.summary["kept"] == 6
+    assert calls == [text for _, text in lines]
 
 
 def test_screen_malformed_lines():
