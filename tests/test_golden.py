@@ -10,8 +10,8 @@ import hashlib
 import pytest
 
 from edgesector.cli import EXIT_OK, main
-from edgesector.graphs import corpus
-from edgesector.screen import builtin_generate
+from edgesector.graphs import corpus, encode_graph6
+from edgesector.screen import _all_graphs_up_to_iso, builtin_generate
 from edgesector.shadows import fingerprint
 
 
@@ -25,6 +25,8 @@ CORPUS_DIGESTS = {
     (16, 3): "ef10ee90a246667f483b596105b91c1c22d556fa1cb55337f220392476712673",
 }
 CENSUS6_DIGEST = "b3a7a9eb6bc27d0f74ae035d7a7df3ad3183bf0b78fd5ed108761e331b84596d"
+# all 1044 graphs on 7 vertices, disconnected ones included, in output order
+GENERATED7_DIGEST = "f9a7d1de9e3cf7e112738a7c605b3948cfba9652db8fba2de83f7167e72a1d11"
 SCREEN6_DIGEST = "7920d12bee370648d07628b1d86e6ea330c64a44031fade472b6dd656c4884cb"
 # 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
 SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
@@ -40,6 +42,12 @@ def test_census_up_to_six_fingerprints():
     graphs = [g for n in range(1, 7) for g in builtin_generate(n)]
     assert len(graphs) == 143
     assert _digest(fingerprint(g).to_jsonl() for g in graphs) == CENSUS6_DIGEST
+
+
+def test_generator_up_to_seven():
+    graphs = _all_graphs_up_to_iso(7)
+    assert len(graphs) == 1044
+    assert _digest(encode_graph6(g) for g in graphs) == GENERATED7_DIGEST
 
 
 def test_screen_generate_six_full_key(capsys):

@@ -22,6 +22,27 @@ from edgesector.shadows import fingerprint
 from conftest import random_connected_graph
 
 
+def vertex_augmentation_oracle(n: int) -> tuple[Graph, ...]:
+    """Every graph on n vertices up to isomorphism, the slow way: extend each
+    (n-1)-vertex class with a new vertex joined to every subset of the old
+    vertices, label every candidate, and dedup through one global set."""
+    classes = (Graph.from_edges(0, []),)
+    for k in range(1, n + 1):
+        seen = set()
+        for base in classes:
+            for mask in range(1 << (k - 1)):
+                edges = list(base.edges)
+                edges += [(v, k - 1) for v in range(k - 1) if mask >> v & 1]
+                seen.add(canonical_label(Graph.from_edges(k, edges)))
+        classes = tuple(sorted(seen, key=lambda g: (g.m, g.edges)))
+    return classes
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_generator_matches_vertex_augmentation_oracle(n):
+    assert screen._all_graphs_up_to_iso(n) == vertex_augmentation_oracle(n)
+
+
 def test_builtin_counts():
     # connected graphs up to isomorphism: OEIS A001349
     for n, want in [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)]:
