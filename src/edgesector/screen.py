@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -58,7 +59,9 @@ GROUPING_KEYS = ("A", "L", "S", "shadows", "hashimoto")
 
 def _refine_colors(g: Graph) -> list[int]:
     """Iterated neighbor-color refinement starting from degrees; the color
-    ids are canonical (derived from sorted invariant keys only)."""
+    ids are canonical (derived from sorted invariant keys only).  Each round
+    sorts by the previous color first, so a higher degree never gets a lower
+    color."""
     adj = g.neighbors()
     colors = g.degrees()
     for _ in range(g.n):
@@ -73,85 +76,132 @@ def _refine_colors(g: Graph) -> list[int]:
     return colors
 
 
-def canonical_label(g: Graph) -> Graph:
-    """Canonical representative of the isomorphism class of g.
+def _canonical_search(g: Graph, colors: list[int]) -> tuple[list[int], set[int]]:
+    """The backtracking search behind every canonical labeling of g.
 
-    Degree-refined backtracking: vertices are placed color class by color
-    class, maximizing the packed adjacency bit string; branches that cannot
-    beat the current best prefix are cut.
+    Vertices are placed color class by color class (lowest refined color
+    first), maximizing the packed adjacency bit string; branches that cannot
+    beat the current best prefix are cut, so every best order is reached.
+    Returns the first best order found (the vertex at each position) and the
+    vertices that take the last position in some best order.  The best orders
+    are the first one composed with the automorphisms of g, so the second
+    value is the Aut(g)-orbit of the last vertex.
     """
     n = g.n
-    if n == 0:
-        return g
-    adj = [set() for _ in range(n)]
-    for a, b in g.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    colors = _refine_colors(g)
+    nbrs = g.neighbors()
+    slot_color = sorted(colors)  # the color placed at each position
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        members.setdefault(colors[v], []).append(v)
+    row_of = [0] * n  # row_of[v]: the positions of v's placed neighbors
+    used = [False] * n
+    placed: list[int] = []
+    rows: list[int] = []
     best_rows: list[int] | None = None
     best_perm: list[int] | None = None
+    last_orbit: set[int] = set()
 
-    def place(position: int, placed: list[int], rows: list[int], remaining):
-        nonlocal best_rows, best_perm
+    def place(position: int):
+        nonlocal best_rows, best_perm, last_orbit
         if position == n:
             if best_rows is None or rows > best_rows:
                 best_rows = list(rows)
                 best_perm = list(placed)
+                last_orbit = {placed[-1]}
+            elif rows == best_rows:
+                last_orbit.add(placed[-1])
             return
-        target_color = min(colors[v] for v in remaining)
-        candidates = [v for v in remaining if colors[v] == target_color]
-        for v in candidates:
-            row = 0
-            for i, u in enumerate(placed):
-                if v in adj[u]:
-                    row |= 1 << i
-            rows.append(row)
-            prefix = rows
-            if best_rows is None or prefix >= best_rows[: len(prefix)]:
+        bit = 1 << position
+        for v in members[slot_color[position]]:
+            if used[v]:
+                continue
+            rows.append(row_of[v])
+            if best_rows is None or rows >= best_rows[: position + 1]:
+                used[v] = True
                 placed.append(v)
-                place(position + 1, placed, rows, remaining - {v})
+                for u in nbrs[v]:
+                    row_of[u] |= bit
+                place(position + 1)
+                for u in nbrs[v]:
+                    row_of[u] ^= bit
                 placed.pop()
+                used[v] = False
             rows.pop()
 
-    place(0, [], [], frozenset(range(n)))
+    place(0)
     if best_perm is None:
         raise RuntimeError("canonical labeling placed no complete vertex order")
-    inverse = [0] * n
-    for pos, v in enumerate(best_perm):
+    return best_perm, last_orbit
+
+
+def _relabel_in_order(g: Graph, order: list[int]) -> Graph:
+    """g with the vertex at position i of order renamed to i."""
+    inverse = [0] * g.n
+    for pos, v in enumerate(order):
         inverse[v] = pos
     return g.relabel(inverse)
 
 
-def certificate(g: Graph) -> tuple:
-    c = canonical_label(g)
-    return (c.n, c.edges)
+def canonical_label(g: Graph) -> Graph:
+    """Canonical representative of the isomorphism class of g: g relabeled
+    by the best vertex order of the degree-refined backtracking search."""
+    if g.n == 0:
+        return g
+    order, _ = _canonical_search(g, _refine_colors(g))
+    return _relabel_in_order(g, order)
 
 
 @lru_cache(maxsize=8)
 def _all_graphs_up_to_iso(n: int) -> tuple[Graph, ...]:
-    """Every graph on n vertices up to isomorphism, by vertex augmentation:
-    extend each (n-1)-vertex class representative with a new vertex joined to
-    every subset of the old vertices, then dedup by canonical form (each
-    candidate is labeled once; a canonical graph is its own certificate)."""
+    """Every graph on n vertices up to isomorphism, canonically labeled and
+    sorted by (m, edges), by canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).
+
+    A child of an (n-1)-vertex class representative P is P plus a new vertex
+    x joined to a neighbor set S.  It is accepted only if x lies in the
+    Aut(child)-orbit of the vertex that takes the last canonical position:
+    then the class of the child fixes the class of its parent, so no two
+    parents produce isomorphic children.  The last position always holds a
+    vertex of the top refined color, hence of maximum degree, so a child in
+    which x has a lower degree or color is rejected before any search.
+    Isomorphic accepted children come only from Aut(P)-equivalent neighbor
+    sets of one parent, so duplicates are removed per parent.
+    """
     if n == 0:
         return (Graph.from_edges(0, []),)
-    seen: set[Graph] = set()
-    for base in _all_graphs_up_to_iso(n - 1):
-        for mask in range(1 << (n - 1)):
-            edges = list(base.edges)
-            for v in range(n - 1):
-                if mask & (1 << v):
-                    edges.append((v, n - 1))
-            seen.add(canonical_label(Graph.from_edges(n, edges)))
-    return tuple(sorted(seen, key=lambda g: (g.m, g.edges)))
+    x = n - 1
+    out: list[Graph] = []
+    for parent in _all_graphs_up_to_iso(n - 1):
+        deg = parent.degrees()
+        top = max(deg, default=0)
+        at_top = sum(1 << v for v in range(x) if deg[v] == top)
+        children: set[Graph] = set()
+        for mask in range(1 << x):
+            size = mask.bit_count()
+            # x must have the child's maximum degree, which is top, or
+            # top + 1 where S meets a vertex of degree top
+            if size < top or (size == top and mask & at_top):
+                continue
+            joined = [(v, x) for v in range(x) if mask >> v & 1]
+            child = Graph.from_edges(n, parent.edges + tuple(joined))
+            colors = _refine_colors(child)
+            if colors[x] != max(colors):
+                continue
+            order, last_orbit = _canonical_search(child, colors)
+            if x in last_orbit:
+                children.add(_relabel_in_order(child, order))
+        out.extend(children)
+    return tuple(sorted(out, key=lambda g: (g.m, g.edges)))
 
 
 MAX_GENERATED_VERTICES = 7
 
 
 def builtin_generate(n: int) -> list[Graph]:
-    """All connected graphs on n vertices up to isomorphism, canonically
-    labeled; refuses n > 7 (use graph6 ingestion for larger censuses)."""
+    """All connected graphs on n vertices up to isomorphism, each as its
+    canonical form, sorted by (m, edges): the connected members of the
+    canonical-augmentation census.  Refuses n > 7 (use graph6 ingestion for
+    larger censuses)."""
     if not (1 <= n <= MAX_GENERATED_VERTICES):
         raise ValueError(
             f"builtin generator covers 1 <= n <= {MAX_GENERATED_VERTICES}; "
@@ -317,7 +367,11 @@ class ScreenResult:
 
 
 class ScreenError(RuntimeError):
-    """Fingerprinting a screened graph raised; the message names its input line."""
+    """Fingerprinting a screened graph raised, or a pool worker died; the
+    message names an input line."""
+
+
+_CHUNK = 8  # graphs per pool task
 
 
 def _fingerprint_task(args):
@@ -341,7 +395,9 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     input index), filtered, grouped by the configured invariant key, and all
     classes with at least two members are returned with pairwise reports.
     A graph whose fingerprint raises stops the screen with a ScreenError
-    naming its input line, whatever the worker count.
+    naming its input line, whatever the worker count.  A pool worker that
+    dies stops it with a ScreenError naming the first line of the earliest
+    chunk without a result.
     """
     graphs: list[tuple[int, str, Graph]] = []
     read = 0
@@ -372,8 +428,19 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
 
     tasks = [(lineno, g, cfg.order, cfg.kmax) for lineno, _, g in filtered]
     if cfg.jobs > 1 and len(tasks) > 1:
+        prints = []
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            prints = list(pool.map(_fingerprint_task, tasks, chunksize=8))
+            try:
+                for fp in pool.map(_fingerprint_task, tasks, chunksize=_CHUNK):
+                    prints.append(fp)
+            except BrokenProcessPool as exc:
+                # results arrive in input order, chunk by chunk, so the first
+                # missing one starts the earliest chunk still in flight
+                chunk = tasks[len(prints) : len(prints) + _CHUNK]
+                raise ScreenError(
+                    f"line {chunk[0][0]}: a pool worker died while lines "
+                    f"{chunk[0][0]}-{chunk[-1][0]} were in flight: {type(exc).__name__}: {exc}"
+                ) from exc
     else:
         prints = [_fingerprint_task(t) for t in tasks]
 

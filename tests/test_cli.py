@@ -1,12 +1,16 @@
 import argparse
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import edgesector
 from edgesector.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
+from edgesector.graphs import encode_graph6
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +196,28 @@ def test_screen_failing_fingerprint_exits_1_with_its_line(tmp_path, capsys, monk
     assert code == EXIT_CHECK_FAILED
     assert out == ""
     assert err == "error: line 2: ArithmeticError: no charpoly\n"
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched fingerprint only when forked",
+)
+def test_screen_dead_worker_exits_1_with_its_chunk(capsys, monkeypatch):
+    from edgesector import screen
+
+    first = encode_graph6(screen.builtin_generate(5)[0])
+    real = screen.fingerprint
+
+    def dies(g, order, kmax):
+        if encode_graph6(g) == first:
+            os._exit(3)
+        return real(g, order, kmax)
+
+    monkeypatch.setattr(screen, "fingerprint", dies)
+    code, out, err = run_cli(capsys, "screen", "--generate", "5", "--jobs", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err.startswith("error: line 1: a pool worker died while lines 1-8 were in flight: ")
 
 
 def test_screen_fingerprint_store_roundtrip(tmp_path, capsys):

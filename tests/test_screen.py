@@ -1,7 +1,9 @@
 import io
 import json
 import multiprocessing
+import os
 import random
+from itertools import permutations
 
 import pytest
 
@@ -12,7 +14,6 @@ from edgesector.screen import (
     ScreenError,
     builtin_generate,
     canonical_label,
-    certificate,
     read_fingerprints_jsonl,
     run_screen,
     verify_all,
@@ -79,6 +80,11 @@ def test_builtin_outputs_are_canonical_and_connected():
         assert canonical_label(g) == g
 
 
+def certificate(g: Graph) -> tuple:
+    c = canonical_label(g)
+    return (c.n, c.edges)
+
+
 def test_canonical_label_isomorphism_invariant():
     rng = random.Random(70)
     for _ in range(25):
@@ -86,6 +92,17 @@ def test_canonical_label_isomorphism_invariant():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert certificate(g) == certificate(g.relabel(perm))
+
+
+def test_canonical_search_returns_the_orbit_of_the_last_vertex():
+    rng = random.Random(72)
+    graphs = [corpus_graph(name) for name in ("C4", "star3", "K4")]
+    graphs += [random_connected_graph(rng, n_max=6) for _ in range(20)]
+    graphs += [Graph.from_edges(5, []), Graph.from_edges(6, [(0, 1), (2, 3)])]
+    for g in graphs:
+        order, last_orbit = screen._canonical_search(g, screen._refine_colors(g))
+        autos = [p for p in permutations(range(g.n)) if g.relabel(p) == g]
+        assert last_orbit == {p[order[-1]] for p in autos}
 
 
 def test_canonical_label_separates_nonisomorphic():
@@ -172,21 +189,32 @@ def test_screen_filters():
     assert kept(min_degree=3, max_degree=2) == []
 
 
-def test_builtin_generate_labels_each_candidate_once(monkeypatch):
-    calls = []
-    real = screen.canonical_label
+def test_builtin_generate_searches_only_candidates_past_the_cheap_rejects(monkeypatch):
+    searches, labels = [], []
+    real = screen._canonical_search
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
+    def counted(g, colors):
+        searches.append(g)
+        return real(g, colors)
 
-    monkeypatch.setattr(screen, "canonical_label", counted)
+    monkeypatch.setattr(screen, "_canonical_search", counted)
+    monkeypatch.setattr(screen, "canonical_label", labels.append)
     screen._all_graphs_up_to_iso.cache_clear()
     assert len(builtin_generate(5)) == 21
-    # the n-vertex candidates: every (n-1)-vertex class times every neighbor set
-    candidates = sum(len(screen._all_graphs_up_to_iso(n - 1)) << (n - 1) for n in range(1, 6))
-    assert candidates == 219
-    assert len(calls) == candidates
+    # candidates whose new vertex has the maximum degree and the top refined color
+    passing = 0
+    for n in range(1, 6):
+        for base in screen._all_graphs_up_to_iso(n - 1):
+            for mask in range(1 << (n - 1)):
+                joined = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
+                child = Graph.from_edges(n, base.edges + tuple(joined))
+                colors = screen._refine_colors(child)
+                if child.degrees()[-1] == child.max_degree() and colors[-1] == max(colors):
+                    passing += 1
+    assert passing == 88
+    # one search per such candidate, against 219 labelings of every candidate
+    assert len(searches) == passing < 219
+    assert labels == []
 
 
 def test_screen_parses_each_line_once(monkeypatch):
@@ -263,6 +291,32 @@ def test_screen_names_the_line_of_a_failing_fingerprint_in_a_worker(monkeypatch)
     lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
     monkeypatch.setattr(screen, "fingerprint", _fail_on(lines[3][1]))
     with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
+        run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+
+
+def _exit_on(g6: str):
+    """A fingerprint stand-in that kills its process on one graph."""
+
+    def fake(g, order, kmax):
+        if encode_graph6(g) == g6:
+            os._exit(3)
+        return fingerprint(g, order, kmax)
+
+    return fake
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched fingerprint only when forked",
+)
+def test_screen_names_the_chunk_of_a_dead_worker(monkeypatch):
+    # 21 graphs in chunks of 8: the worker dies in the first chunk, lines 10-17
+    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
+    monkeypatch.setattr(screen, "fingerprint", _exit_on(lines[3][1]))
+    with pytest.raises(
+        ScreenError,
+        match=r"^line 10: a pool worker died while lines 10-17 were in flight: BrokenProcessPool: ",
+    ):
         run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
 
 
