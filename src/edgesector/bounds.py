@@ -5,7 +5,8 @@ floating-point surface small: symmetric spectra come from cyclic Jacobi
 sweeps, and Spec(T) is found as the complex roots of the exact integer
 characteristic polynomial (already available from the zeta module) via a
 simultaneous Aberth-Ehrlich iteration, so every root carries a residual
-certificate against the exact coefficients.
+certificate against the exact coefficients.  The Hermitian-part check uses
+no floats: it compares exact integer characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -83,6 +84,19 @@ def spectral_radius(mat: Matrix, tol: float = 1e-10) -> float:
     return max((abs(x) for x in eig), default=0.0)
 
 
+def _peval(coeffs: list[float], z: complex) -> complex:
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _residual(coeffs: list[float], z: complex) -> float:
+    """|p(z)| / sum_k |a_k||z|^k for ascending float coefficients a_k."""
+    scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+    return abs(_peval(coeffs, z)) / max(scale, 1e-300)
+
+
 def _poly_roots(coeffs: list[float], tol: float, max_iter: int = 1000):
     """Aberth-Ehrlich simultaneous iteration for a monic float polynomial.
 
@@ -93,17 +107,6 @@ def _poly_roots(coeffs: list[float], tol: float, max_iter: int = 1000):
     if deg <= 0:
         return []
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-
-    def peval(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    def residual(z):
-        scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
-        return abs(peval(coeffs, z)) / max(scale, 1e-300)
-
     radius = 1.0 + max(abs(c) for c in coeffs[:-1]) if deg else 1.0
     zs = [
         radius * cmath.exp(2j * cmath.pi * (k + 0.25) / deg + 0.3j) for k in range(deg)
@@ -114,8 +117,8 @@ def _poly_roots(coeffs: list[float], tol: float, max_iter: int = 1000):
         moved = 0.0
         for j in range(deg):
             z = zs[j]
-            pv = peval(coeffs, z)
-            dv = peval(dcoeffs, z)
+            pv = _peval(coeffs, z)
+            dv = _peval(dcoeffs, z)
             if pv == 0:
                 continue
             if dv == 0:
@@ -134,7 +137,7 @@ def _poly_roots(coeffs: list[float], tol: float, max_iter: int = 1000):
             step = newton if denom == 0 else newton / denom
             zs[j] = z - step
             moved = max(moved, abs(step) / max(abs(z), 1.0))
-        worst = max(residual(z) for z in zs)
+        worst = max(_residual(coeffs, z) for z in zs)
         best = min(best, worst)
         if worst < tol and certified_at is None:
             certified_at = it
@@ -179,14 +182,6 @@ def hashimoto_spectrum(g: Graph, tol: float = DEFAULT_RESIDUAL_TOL) -> SpectrumE
     two_m = 2 * g.m
     # det(I - wT) is the reversal of charpoly(T); recover charpoly coefficients
     charpoly_coeffs = [det[two_m - k] for k in range(two_m + 1)]
-    scale_coeffs = [abs(float(c)) for c in charpoly_coeffs]
-
-    def residual(z):
-        acc = 0j
-        for c in reversed(charpoly_coeffs):
-            acc = acc * z + float(c)
-        scale = sum(a * abs(z) ** k for k, a in enumerate(scale_coeffs))
-        return abs(acc) / max(scale, 1e-300)
 
     distinct: list[tuple[complex, int]] = []
     if two_m:
@@ -205,7 +200,8 @@ def hashimoto_spectrum(g: Graph, tol: float = DEFAULT_RESIDUAL_TOL) -> SpectrumE
     eigenvalues: list[complex] = []
     for z, mult in distinct:
         eigenvalues.extend([z] * mult)
-    residuals = tuple(residual(z) for z in eigenvalues)
+    charpoly_floats = [float(c) for c in charpoly_coeffs]
+    residuals = tuple(_residual(charpoly_floats, z) for z in eigenvalues)
     clusters = tuple(
         sorted(distinct, key=lambda zm: (zm[0].real, zm[0].imag))
     )
@@ -324,21 +320,14 @@ def check_bounds(g: Graph, slack: float = DEFAULT_BOUND_SLACK) -> BoundReport:
     )
 
 
-def hermitian_part_spectrum_check(g: Graph, tol: float = DEFAULT_BOUND_SLACK) -> bool:
+def hermitian_part_spectrum_check(g: Graph) -> bool:
     """Spec((T + T^T)/2) must equal (1/2)Spec(L) union (-1/2)Spec(S).
 
     This is the block-diagonal collapse of the Hermitian part in the
-    reversal eigenbasis; compared entrywise after sorting, within tol.
+    reversal eigenbasis, checked exactly as the integer polynomial identity
+    charpoly(T + T^T) == charpoly(L) * charpoly(-S).
     """
     es = edge_space(g)
     t = build_hashimoto(es)
-    sym = (t + t.transpose()).map(lambda x: Fraction(x, 2))
-    h_eigs = sym_spectrum(sym)
     blocks = sector_blocks(es)
-    expected = sorted(
-        [x / 2 for x in sym_spectrum(blocks.L)]
-        + [-x / 2 for x in sym_spectrum(blocks.S)]
-    )
-    if len(h_eigs) != len(expected):
-        return False
-    return all(abs(a - b) <= tol for a, b in zip(h_eigs, expected))
+    return (t + t.transpose()).charpoly() == blocks.L.charpoly() * (-blocks.S).charpoly()

@@ -4,12 +4,13 @@ Entries are ints or fractions.Fraction (mixing is fine; integer matrices stay
 integer under the ring operations).  Everything is computed exactly: the
 characteristic polynomial is Berkowitz's division-free algorithm, so an
 integer matrix gives an integer polynomial without any rational arithmetic;
-rank and det eliminate over Fraction.
+rank and det share one fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 from .polynomials import Poly
 
@@ -144,9 +145,6 @@ class Matrix:
                 power = power * self
         return traces
 
-    def map(self, fn) -> "Matrix":
-        return Matrix([[fn(a) for a in r] for r in self._rows], ncols=self.ncols)
-
     def to_float_rows(self) -> list[list[float]]:
         return [[float(a) for a in r] for r in self._rows]
 
@@ -163,55 +161,18 @@ class Matrix:
     # -- eliminations ------------------------------------------------------
 
     def rank(self) -> int:
-        """Exact rank by fraction-preserving Gaussian elimination."""
-        m = [[Fraction(a) for a in r] for r in self._rows]
-        rank = 0
-        col = 0
-        nr, nc = self.nrows, self.ncols
-        while rank < nr and col < nc:
-            piv = next((i for i in range(rank, nr) if m[i][col] != 0), None)
-            if piv is None:
-                col += 1
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            prow = m[rank]
-            inv = 1 / prow[col]
-            for i in range(rank + 1, nr):
-                f = m[i][col] * inv
-                if f:
-                    mi = m[i]
-                    for j in range(col, nc):
-                        mi[j] -= f * prow[j]
-            rank += 1
-            col += 1
-        return rank
+        """Exact rank by fraction-free elimination."""
+        return _bareiss(self._rows, self.ncols)[0]
 
     def det(self):
-        """Exact determinant by Gaussian elimination with row swaps."""
+        """Exact determinant by fraction-free elimination with row swaps."""
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
-        n = self.nrows
-        m = [[Fraction(a) for a in r] for r in self._rows]
-        sign = 1
-        for col in range(n):
-            piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                sign = -sign
-            prow = m[col]
-            inv = 1 / prow[col]
-            for i in range(col + 1, n):
-                f = m[i][col] * inv
-                if f:
-                    mi = m[i]
-                    for j in range(col, n):
-                        mi[j] -= f * prow[j]
-        out = Fraction(sign)
-        for i in range(n):
-            out *= m[i][i]
-        return int(out) if out.denominator == 1 else out
+        rank, pivot, scale = _bareiss(self._rows, self.ncols)
+        if rank < self.nrows:
+            return 0
+        q, r = divmod(pivot, scale)
+        return q if r == 0 else Fraction(pivot, scale)
 
     # -- characteristic polynomial ------------------------------------------
 
@@ -253,6 +214,37 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self._rows!r})"
+
+
+def _bareiss(rows, ncols: int) -> tuple[int, int, int]:
+    """Bareiss's fraction-free elimination to row echelon form.
+
+    Rows are first scaled to integers by their denominators' lcm.  After k
+    pivots every entry is a (k+1)-minor of the scaled matrix, so each division
+    by the previous pivot is exact.  Returns (rank, signed last pivot, product
+    of the row scales); a square full-rank matrix has det = pivot / scale.
+    """
+    dens = [lcm(*(a.denominator for a in r)) for r in rows]
+    m = [[int(a * d) for a in r] for r, d in zip(rows, dens)]
+    nr = len(m)
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nr) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        prow = m[rank]
+        p = prow[col]
+        for i in range(rank + 1, nr):
+            mi = m[i]
+            f = mi[col]
+            for j in range(col + 1, ncols):
+                mi[j] = (p * mi[j] - f * prow[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign * prev, prod(dens)
 
 
 def det_resolvent(mat: Matrix, scale=1) -> Poly:

@@ -205,8 +205,7 @@ class Poly:
     def resolvent(self, dim: int, scale=1) -> "Poly":
         """det(I - w * scale * X) for a dim x dim matrix X whose charpoly is
         self: the reversal at dim with coefficient k times scale^k."""
-        p = self.reversal(at_degree=dim)
-        return Poly([c * scale**k for k, c in enumerate(p.coeffs)])
+        return rescale(self.reversal(at_degree=dim), scale)
 
     def shift(self, a) -> "Poly":
         """p(x + a), by Horner's rule in the ring of polynomials."""
@@ -463,7 +462,7 @@ class PowerSeries:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise PoleAtOriginError("series with zero constant term is not invertible")
-        inv0 = Fraction(1, 1) / Fraction(a0)
+        inv0 = _canon(Fraction(1, a0))  # an int when a0 is +-1
         out = [inv0]
         for k in range(1, self.order + 1):
             acc = 0
@@ -507,6 +506,12 @@ class PowerSeries:
 
     def __repr__(self):
         return f"PowerSeries({self.order}, {list(self.coeffs)!r})"
+
+
+def rescale(p, s):
+    """p(s x), coefficient k times s^k, for a Poly or a PowerSeries."""
+    cs = [c * s**k for k, c in enumerate(p.coeffs)]
+    return PowerSeries(p.order, cs) if isinstance(p, PowerSeries) else Poly(cs)
 
 
 def ratfunc_reduce(num: Poly, den: Poly) -> RatFunc:

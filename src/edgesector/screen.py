@@ -340,6 +340,10 @@ class ScreenConfig:
                 raise ValueError(f"unknown grouping key {key!r}; use {GROUPING_KEYS}")
         if self.order < 0 or self.kmax < 0:
             raise ValueError("series order and kmax must be nonnegative")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.max_pairs_per_class < 0:
+            raise ValueError(f"max pairs must be nonnegative, got {self.max_pairs_per_class}")
         if "hashimoto" not in self.keys and self.order < 8:
             raise ValueError("series order below 8 cannot report divergence orders")
 

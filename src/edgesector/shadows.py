@@ -24,7 +24,7 @@ from functools import lru_cache
 from .edge_space import OrientedEdgeSpace, edge_space, sector_blocks
 from .graphs import Graph, encode_graph6, is_connected, is_regular
 from .matrices import Matrix
-from .polynomials import Poly, PowerSeries, scalar_from_str
+from .polynomials import Poly, PowerSeries, rescale, scalar_from_str
 from .zeta import DEFAULT_ORDER, PairDivergence, ihara_det
 
 DEFAULT_KMAX = 2
@@ -174,6 +174,8 @@ class Fingerprint:
 
     @classmethod
     def from_json_dict(cls, rec: dict) -> "Fingerprint":
+        if not isinstance(rec, dict):
+            raise TypeError(f"record must be a JSON object, not {type(rec).__name__}")
         if rec.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported fingerprint schema {rec.get('schema')!r}")
         shadow_items = rec["shadows"]
@@ -216,10 +218,11 @@ def fingerprint(
     q, delta = _laplacians(g)
     charpoly_line = _sector_charpoly(q, g.m)
     det = ihara_det(g)
-    # det / det(I - (w/2) L) expands directly: the line factor has constant
-    # term 1, so no reduction of the rational function is needed
-    line = charpoly_line.resolvent(g.m, Fraction(1, 2))
-    series = PowerSeries.from_poly(det, order) * PowerSeries.from_poly(line, order).inverse()
+    # in u = w/2 both factors are integer polynomials with constant term 1, so
+    # the quotient is an integer series, written in w once at the end
+    det_u = rescale(PowerSeries.from_poly(det, order), 2)
+    line_u = PowerSeries.from_poly(charpoly_line.reversal(g.m), order)
+    series = rescale(det_u * line_u.inverse(), Fraction(1, 2))
     return Fingerprint(
         graph6=encode_graph6(g),
         n=g.n,

@@ -29,6 +29,7 @@ from .polynomials import (
     RatFunc,
     first_difference,
     ratfunc_reduce,
+    rescale,
     series_of,
 )
 
@@ -149,8 +150,8 @@ def schur_series_check(g: Graph, order: int) -> bool:
     a power series whose coefficients C_0 = I, C_1 = S and
     C_(j+2) = M^T L^j M are integer matrices.  Its determinant is taken by
     Gaussian elimination in the series ring (every pivot is 1 + O(u), so no
-    pivoting is needed and every entry stays an integer series).  Scaling
-    coefficient k by 2^-k turns det E into a series in w, which is compared
+    pivoting is needed and every entry, pivot inverses included, stays an
+    integer series).  Rescaling u = w/2 gives det E in w, which is compared
     with the correction series from the determinant quotient.
     """
     if order < 1:
@@ -172,7 +173,7 @@ def schur_series_check(g: Graph, order: int) -> bool:
     det = PowerSeries(order, [1])
     for col in range(m):
         pivot = mat[col][col]
-        if pivot.coeffs[0] == 0:
+        if pivot.coeffs[0] != 1:
             raise ArithmeticError("series pivot lost its unit constant term")
         det = det * pivot
         inv = pivot.inverse()
@@ -183,8 +184,7 @@ def schur_series_check(g: Graph, order: int) -> bool:
             mat[i] = [
                 mat[i][k] - factor * mat[col][k] for k in range(m)
             ]
-    in_w = PowerSeries(order, [Fraction(c, 2**k) for k, c in enumerate(det.coeffs)])
-    return in_w == correction_series(g, order)
+    return rescale(det, Fraction(1, 2)) == correction_series(g, order)
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def test_criterion_11_numerical_range_bounds():
         for entry in corpus():
             report = check_bounds(entry.graph, slack=1e-6)
             assert report.ok, (entry.name, report.violations)
-            assert hermitian_part_spectrum_check(entry.graph, tol=1e-6), entry.name
+            assert hermitian_part_spectrum_check(entry.graph), entry.name
         star = check_bounds(corpus_graph("star5"))
         assert abs(star.rho_L / 2 - 2.0) < 1e-6
         assert star.d_max - 1 == 4

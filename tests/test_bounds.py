@@ -1,10 +1,11 @@
 import cmath
+import dataclasses
 import random
 
 import pytest
 
 from edgesector.graphs import corpus, corpus_graph
-from edgesector.edge_space import edge_space, sector_blocks
+from edgesector.edge_space import build_hashimoto, edge_space, sector_blocks
 from edgesector.matrices import Matrix
 from edgesector.bounds import (
     check_bounds,
@@ -138,6 +139,39 @@ def test_sigma_consistency():
 def test_hermitian_part_split():
     for name in ["K3", "C5", "K4", "exB_G2", "star4", "paperH"]:
         assert hermitian_part_spectrum_check(corpus_graph(name))
+
+
+def float_hermitian_split(g, tol=1e-6) -> bool:
+    """Spec((T + T^T)/2) against (1/2)Spec(L) u (-1/2)Spec(S) by Jacobi
+    sweeps, within tol; the float oracle for the exact check."""
+    es = edge_space(g)
+    t = build_hashimoto(es)
+    h = [x / 2 for x in sym_spectrum(t + t.transpose())]
+    blocks = sector_blocks(es)
+    expected = sorted(
+        [x / 2 for x in sym_spectrum(blocks.L)] + [-x / 2 for x in sym_spectrum(blocks.S)]
+    )
+    return len(h) == len(expected) and all(abs(a - b) <= tol for a, b in zip(h, expected))
+
+
+def test_hermitian_part_split_matches_float_oracle():
+    for name in ["K3", "C5", "K4", "exB_G2", "star4", "paperH"]:
+        g = corpus_graph(name)
+        assert hermitian_part_spectrum_check(g) == float_hermitian_split(g), name
+
+
+@pytest.mark.parametrize("name", ["K3", "C5", "K4", "paperH"])
+def test_hermitian_part_split_detects_a_changed_signed_block(name, monkeypatch):
+    from edgesector import bounds
+
+    def perturbed(es):
+        blocks = sector_blocks(es)
+        rows = [list(r) for r in blocks.S.rows]
+        rows[0][1] += 1  # one entry only: S is no longer symmetric
+        return dataclasses.replace(blocks, S=Matrix(rows))
+
+    monkeypatch.setattr(bounds, "sector_blocks", perturbed)
+    assert not hermitian_part_spectrum_check(corpus_graph(name))
 
 
 def test_spectral_radius_values():

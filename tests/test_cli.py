@@ -150,6 +150,20 @@ def test_negative_order_exits_2(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_screen_bad_jobs_or_max_pairs_exits_2(capsys):
+    for argv in (
+        ["screen", "--generate", "4", "--key", "A", "--jobs", "0"],
+        ["screen", "--generate", "4", "--key", "A", "--max-pairs", "-1", "--json"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR, argv
+        assert err.startswith("error:"), argv
+        assert out == "", argv
+    code, out, _ = run_cli(capsys, "screen", "--generate", "4", "--key", "A", "--max-pairs", "0", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out.strip().splitlines()[-1])["summary"]["pairs_reported"] == 0
+
+
 def test_unknown_graph_exits_2(capsys):
     code, _, err = run_cli(capsys, "zeta", "no_such_graph")
     assert code == EXIT_INPUT_ERROR

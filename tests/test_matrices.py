@@ -62,6 +62,100 @@ def faddeev_leverrier(mat: Matrix) -> Poly:
     return Poly(coeffs)
 
 
+def fraction_rank(mat: Matrix) -> int:
+    """Rank by Gaussian elimination over Fraction; an oracle for Matrix.rank."""
+    m = [[Fraction(a) for a in r] for r in mat.rows]
+    rank = 0
+    col = 0
+    nr, nc = mat.nrows, mat.ncols
+    while rank < nr and col < nc:
+        piv = next((i for i in range(rank, nr) if m[i][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        prow = m[rank]
+        inv = 1 / prow[col]
+        for i in range(rank + 1, nr):
+            f = m[i][col] * inv
+            if f:
+                mi = m[i]
+                for j in range(col, nc):
+                    mi[j] -= f * prow[j]
+        rank += 1
+        col += 1
+    return rank
+
+
+def fraction_det(mat: Matrix):
+    """Determinant by Gaussian elimination over Fraction with row swaps; an
+    oracle for Matrix.det."""
+    n = mat.nrows
+    m = [[Fraction(a) for a in r] for r in mat.rows]
+    sign = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        prow = m[col]
+        inv = 1 / prow[col]
+        for i in range(col + 1, n):
+            f = m[i][col] * inv
+            if f:
+                mi = m[i]
+                for j in range(col, n):
+                    mi[j] -= f * prow[j]
+    out = Fraction(sign)
+    for i in range(n):
+        out *= m[i][i]
+    return int(out) if out.denominator == 1 else out
+
+
+def _elimination_inputs():
+    """Seeded integer and Fraction-entry matrices: square, wide, tall,
+    singular, 0x0, 1x1, sparse 0/1 and dense n = 16 with entries in +-50."""
+    rng = random.Random(17)
+    mats = [Matrix([]), Matrix([[0]]), Matrix([[-7]]), Matrix([[Fraction(-3, 4)]])]
+    mats += [Matrix.zeros(0, 3), Matrix([[]] * 3, ncols=0), Matrix.zeros(3, 5)]
+
+    def entry(kind):
+        if kind == "frac":
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if kind == "sparse":
+            return int(rng.random() < 0.3)
+        return rng.randint(-3, 3)
+
+    for kind in ("int", "frac", "sparse"):
+        for _ in range(40):
+            r = rng.randint(1, 8)
+            c = r if rng.random() < 0.5 else rng.randint(1, 8)
+            mats.append(Matrix([[entry(kind) for _ in range(c)] for _ in range(r)]))
+        for n in range(2, 8):  # singular: a row repeats, or is a combination
+            raw = [[entry(kind) for _ in range(n)] for _ in range(n)]
+            raw[-1] = [a + 2 * b for a, b in zip(raw[0], raw[1])]
+            mats.append(Matrix(raw))
+            mats.append(Matrix(raw).transpose())
+    for _ in range(2):  # dense, large entries
+        mats.append(Matrix([[rng.randint(-50, 50) for _ in range(16)] for _ in range(16)]))
+    return mats
+
+
+def test_det_and_rank_vs_fraction_elimination():
+    for m in _elimination_inputs():
+        assert m.rank() == fraction_rank(m), m
+        if m.is_square():
+            d = m.det()
+            assert d == fraction_det(m), m
+            assert type(d) is type(fraction_det(m)), m
+            if m.nrows and m.rank() < m.nrows:
+                assert d == 0
+    with pytest.raises(DimensionError):
+        Matrix([[1, 2]]).det()
+
+
 def test_charpoly_examples():
     assert Matrix.zeros(3, 3).charpoly() == Poly((0, 0, 0, 1))
     assert corpus_graph("K3").adjacency().charpoly() == Poly((-2, -3, 0, 1))

@@ -10,6 +10,7 @@ from edgesector.polynomials import (
     RatFunc,
     first_difference,
     ratfunc_reduce,
+    rescale,
     series_of,
 )
 
@@ -136,6 +137,46 @@ def test_series_inverse_roundtrip():
         coeffs = [1] + [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
         s = PowerSeries(6, coeffs)
         assert s * s.inverse() == PowerSeries(6, [1])
+
+
+def test_series_inverse_keeps_integer_series_integer(monkeypatch):
+    # the coefficients are computed as ints, not canonicalized from Fractions
+    raw = []
+    init = PowerSeries.__init__
+
+    def spy(self, order, coeffs):
+        coeffs = list(coeffs)
+        raw.extend(type(c) for c in coeffs)
+        init(self, order, coeffs)
+
+    monkeypatch.setattr(PowerSeries, "__init__", spy)
+    rng = random.Random(3)
+    for a0 in (1, -1) * 5:
+        coeffs = [a0] + [rng.randint(-50, 50) for _ in range(rng.randint(0, 12))]
+        s = PowerSeries(12, coeffs)
+        raw.clear()
+        inv = s.inverse()
+        assert set(raw) == {int}, coeffs
+        assert all(type(c) is int for c in inv.coeffs), coeffs
+        assert s * inv == PowerSeries(12, [1])
+    # any other constant term still inverts over the rationals
+    assert PowerSeries(2, [2, 1]).inverse() == PowerSeries(
+        2, [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8)]
+    )
+
+
+def test_rescale_roundtrip():
+    rng = random.Random(4)
+    for s in (2, -3, Fraction(1, 2), Fraction(-2, 5)):
+        for _ in range(5):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(8)]
+            p, series = Poly(coeffs), PowerSeries(7, coeffs)
+            assert rescale(rescale(p, s), 1 / Fraction(s)) == p
+            assert rescale(rescale(series, s), 1 / Fraction(s)) == series
+            assert rescale(p, s) == Poly([c * Fraction(s) ** k for k, c in enumerate(coeffs)])
+    assert rescale(Poly((1, 1, 1)), 2) == Poly((1, 2, 4))  # p(2x)
+    assert rescale(PowerSeries(3, [1, 1, 1, 1]), 2).coeffs == (1, 2, 4, 8)
+    assert rescale(Poly.zero(), 2) == Poly.zero()
 
 
 def test_square_free_decomposition():

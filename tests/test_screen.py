@@ -252,6 +252,12 @@ def test_screen_config_validation():
         ScreenConfig(keys=("hashimoto",), order=-1)
     with pytest.raises(ValueError):
         ScreenConfig(keys=("A",), kmax=-1)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            ScreenConfig(jobs=jobs)
+    with pytest.raises(ValueError, match="max pairs"):
+        ScreenConfig(max_pairs_per_class=-1)
+    assert ScreenConfig(max_pairs_per_class=0).max_pairs_per_class == 0
 
 
 def test_screen_deterministic_across_jobs():
@@ -348,6 +354,14 @@ def test_store_missing_field_names_its_line():
     del rec["shadows"]
     with pytest.raises(ValueError, match=r"fingerprint store line 1: KeyError: 'shadows'"):
         read_fingerprints_jsonl(io.StringIO(json.dumps(rec) + "\n"))
+
+
+@pytest.mark.parametrize("record", ["[1,2]", "5", "null", '"x"'])
+def test_store_non_object_record_names_its_line(record):
+    (line,) = _store_lines("K4")
+    store = io.StringIO(line + record + "\n")
+    with pytest.raises(ValueError, match=r"fingerprint store line 2: TypeError: .*JSON object"):
+        read_fingerprints_jsonl(store)
 
 
 def test_fingerprint_persistence_roundtrip_grouping():
