@@ -17,8 +17,9 @@ class PoleAtOriginError(ZeroDivisionError):
 
 
 def _canon(x):
-    # keep integer values as ints so integer polynomials stay integer
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # keep integer values as ints so integer polynomials stay integer; an
+    # exact type test, since isinstance on an int goes through the numbers ABC
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
 
