@@ -275,19 +275,20 @@ def cmd_screen(args) -> int:
     )
     if args.generate is not None:
         lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(args.generate))]
+        result = run_screen(lines, cfg)
     elif args.input == "-":
-        lines = list(read_graph6_lines(sys.stdin))
+        result = run_screen(read_graph6_lines(sys.stdin), cfg)
     else:
+        # run_screen reads the stream once, line by line
         with open(args.input, encoding="ascii") as fh:
-            lines = list(read_graph6_lines(fh))
-
-    result = run_screen(lines, cfg)
+            result = run_screen(read_graph6_lines(fh), cfg)
 
     if args.fingerprints_out:
         from .screen import write_fingerprints_jsonl
 
+        fps = result.fingerprints  # built here, so a failure leaves the store as it was
         with open(args.fingerprints_out, "a", encoding="ascii") as fh:
-            write_fingerprints_jsonl(result.fingerprints, fh)
+            write_fingerprints_jsonl(fps, fh)
 
     if args.json:
         for record in result.classes:

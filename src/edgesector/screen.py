@@ -1,4 +1,5 @@
-"""Census screening: ingest graph6 streams, fingerprint, group, and diff.
+"""Census screening: ingest graph6 streams, group by a cascade of exact
+invariants, fingerprint the classes, and diff their pairs.
 
 Groups are keyed by digests of exact coefficient strings (with full-string
 confirmation inside each digest bucket), so cospectrality grouping never
@@ -12,7 +13,9 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -36,6 +39,8 @@ from .shadows import (
     Fingerprint,
     PairReport,
     fingerprint,
+    invariant,
+    invariant_string,
     pair_report,
     regular_collapse_check,
     shadow_set,
@@ -50,6 +55,7 @@ from .zeta import (
     trivial_roots,
 )
 
+# cheapest first: the order of run_screen's cascade stages
 GROUPING_KEYS = ("A", "L", "S", "shadows", "hashimoto")
 
 
@@ -363,47 +369,141 @@ class ClassRecord:
         }
 
 
-@dataclass
-class ScreenResult:
-    classes: list[ClassRecord]
-    summary: dict = field(default_factory=dict)
-    fingerprints: list[Fingerprint] = field(default_factory=list)  # kept graphs, input order
-
-
 class ScreenError(RuntimeError):
-    """Fingerprinting a screened graph raised, or a pool worker died; the
+    """An invariant of a screened graph raised, or a pool worker died; the
     message names an input line."""
 
 
 _CHUNK = 8  # graphs per pool task
 
 
-def _fingerprint_task(args):
-    lineno, g, order, kmax = args
+def _screen_task(args):
+    """One graph's string for one stage of the key, or its fingerprint when
+    the stage is None."""
+    lineno, g, stage, order, kmax = args
     try:
-        return fingerprint(g, order, kmax)
+        if stage is None:
+            return fingerprint(g, order, kmax)
+        return invariant_string(invariant(g, stage, kmax))
     except Exception as exc:  # noqa: BLE001 - re-raised with its input line
         # raised inside a pool worker too, so jobs > 1 reports the same line
         raise ScreenError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
 
 
+def _tasks(kept, indices, stage, cfg) -> list[tuple]:
+    return [(kept[i][0], kept[i][2], stage, cfg.order, cfg.kmax) for i in indices]
+
+
+@contextmanager
+def _task_runner(jobs: int):
+    """Yield run(tasks), which returns _screen_task's results in task order.
+
+    With jobs > 1 and at least two tasks they run in one process pool,
+    opened on first need, shared by every later call and closed on exit;
+    otherwise they run in this process.  A worker that dies raises a
+    ScreenError naming the first line of the earliest chunk without a result.
+    """
+    pool = None
+
+    def run(tasks: list[tuple]) -> list:
+        nonlocal pool
+        if jobs < 2 or len(tasks) < 2:
+            return [_screen_task(t) for t in tasks]
+        if pool is None:
+            pool = ProcessPoolExecutor(max_workers=jobs)
+        results = []
+        try:
+            for result in pool.map(_screen_task, tasks, chunksize=_CHUNK):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            # results arrive in task order, chunk by chunk, so the first
+            # missing one starts the earliest chunk still in flight
+            chunk = tasks[len(results) : len(results) + _CHUNK]
+            raise ScreenError(
+                f"line {chunk[0][0]}: a pool worker died while lines "
+                f"{chunk[0][0]}-{chunk[-1][0]} were in flight: {type(exc).__name__}: {exc}"
+            ) from exc
+        return results
+
+    try:
+        yield run
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+class ScreenResult:
+    """The classes and summary of one screen.
+
+    stage_counts maps each stage of the key to the number of graphs
+    evaluated at it.  fingerprints lists the fingerprint of every kept graph
+    in input order; it is built on first read, with cfg.jobs workers,
+    reusing those of class members, and kept.
+    """
+
+    def __init__(self, classes, summary, stage_counts, kept, built, cfg):
+        self.classes: list[ClassRecord] = classes
+        self.summary: dict = summary
+        self.stage_counts: dict[str, int] = stage_counts
+        self._kept = kept  # (lineno, graph6, graph), input order
+        self._built = built  # index into _kept -> fingerprint
+        self._cfg = cfg
+        self._fingerprints: list[Fingerprint] | None = None
+
+    @property
+    def fingerprints(self) -> list[Fingerprint]:
+        if self._fingerprints is None:
+            missing = [i for i in range(len(self._kept)) if i not in self._built]
+            with _task_runner(self._cfg.jobs) as run:
+                self._built.update(zip(missing, run(_tasks(self._kept, missing, None, self._cfg))))
+            self._fingerprints = [self._built[i] for i in range(len(self._kept))]
+        return self._fingerprints
+
+
+def _joined_key(strings: dict[str, str], keys: tuple[str, ...]) -> str:
+    return "|".join(f"{k}={strings[k]}" for k in keys)
+
+
 def key_string_of(fp: Fingerprint, keys: tuple[str, ...]) -> str:
-    inv = fp.invariant_strings()
-    return "|".join(f"{k}={inv[k]}" for k in keys)
+    return _joined_key(fp.invariant_strings(), keys)
+
+
+def _kept_by_filters(g: Graph, cfg: ScreenConfig) -> bool:
+    if cfg.connected_only and not is_connected(g):
+        return False
+    if cfg.irregular_only and is_regular(g) is not None:
+        return False
+    degs = g.degree_multiset()
+    if cfg.min_degree is not None and (not degs or degs[-1] < cfg.min_degree):
+        return False
+    if cfg.max_degree is not None and (degs and degs[0] > cfg.max_degree):
+        return False
+    return True
 
 
 def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     """Screen an iterable of (lineno, graph6) pairs for cospectral classes.
 
-    Graphs are fingerprinted (optionally by a worker pool, re-sequenced by
-    input index), filtered, grouped by the configured invariant key, and all
-    classes with at least two members are returned with pairwise reports.
-    A graph whose fingerprint raises stops the screen with a ScreenError
-    naming its input line, whatever the worker count.  A pool worker that
-    dies stops it with a ScreenError naming the first line of the earliest
-    chunk without a result.
+    The lines are read once; the graphs that pass the filters are grouped by
+    the configured key in a cascade, one stage per key field, cheapest first
+    (GROUPING_KEYS order).  Each stage is evaluated only for graphs that
+    still share their string prefix with another graph: a graph alone at a
+    prefix of the key is alone for the whole key, so the classes are those
+    of a grouping by the full key.  Full fingerprints are built only for
+    members of classes with at least two members, which are returned in
+    order of their first member's line with pairwise reports.
+
+    A class digest is the first 16 hex digits of the SHA-256 of its key
+    string.  If two classes with at least two members share one, the later
+    takes "full:" + its key; a singleton's key is never built, so it takes
+    no part in that comparison.
+
+    A graph whose stage string or fingerprint raises stops the screen with a
+    ScreenError naming its input line, whatever the worker count.  A pool
+    worker that dies stops it with a ScreenError naming the first line of
+    the earliest chunk without a result.  One pool at most is opened.
     """
-    graphs: list[tuple[int, str, Graph]] = []
+    kept: list[tuple[int, str, Graph]] = []
     read = 0
     malformed = 0
     for lineno, text in lines:
@@ -415,64 +515,49 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
                 malformed += 1
                 continue
             raise Graph6Error(f"line {lineno}: {exc}") from exc
-        graphs.append((lineno, text, g))
+        if _kept_by_filters(g, cfg):
+            kept.append((lineno, text, g))
 
-    filtered = []
-    for lineno, text, g in graphs:
-        if cfg.connected_only and not is_connected(g):
-            continue
-        if cfg.irregular_only and is_regular(g) is not None:
-            continue
-        degs = g.degree_multiset()
-        if cfg.min_degree is not None and (not degs or degs[-1] < cfg.min_degree):
-            continue
-        if cfg.max_degree is not None and (degs and degs[0] > cfg.max_degree):
-            continue
-        filtered.append((lineno, text, g))
+    stages = [k for k in GROUPING_KEYS if k in cfg.keys]
+    prefix: list[tuple[str, ...]] = [()] * len(kept)  # stage strings so far
 
-    tasks = [(lineno, g, cfg.order, cfg.kmax) for lineno, _, g in filtered]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        prints = []
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            try:
-                for fp in pool.map(_fingerprint_task, tasks, chunksize=_CHUNK):
-                    prints.append(fp)
-            except BrokenProcessPool as exc:
-                # results arrive in input order, chunk by chunk, so the first
-                # missing one starts the earliest chunk still in flight
-                chunk = tasks[len(prints) : len(prints) + _CHUNK]
-                raise ScreenError(
-                    f"line {chunk[0][0]}: a pool worker died while lines "
-                    f"{chunk[0][0]}-{chunk[-1][0]} were in flight: {type(exc).__name__}: {exc}"
-                ) from exc
-    else:
-        prints = [_fingerprint_task(t) for t in tasks]
+    def shared(indices: list[int]) -> list[int]:
+        sizes = Counter(prefix[i] for i in indices)
+        return [i for i in indices if sizes[prefix[i]] > 1]
 
-    groups: dict[str, dict] = {}
-    for (lineno, text, _), fp in zip(filtered, prints):
-        key = key_string_of(fp, cfg.keys)
+    live = list(range(len(kept)))
+    stage_counts: dict[str, int] = {}
+    with _task_runner(cfg.jobs) as run:
+        for stage in stages:
+            live = shared(live)
+            stage_counts[stage] = len(live)
+            for i, text in zip(live, run(_tasks(kept, live, stage, cfg))):
+                prefix[i] += (text,)
+        live = shared(live)
+        built = dict(zip(live, run(_tasks(kept, live, None, cfg))))
+
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for i in live:
+        groups.setdefault(prefix[i], []).append(i)
+    digest_of: dict[tuple[str, ...], str] = {}
+    key_of_digest: dict[str, str] = {}
+    for strings in groups:
+        key = _joined_key(dict(zip(stages, strings)), cfg.keys)
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-        bucket = groups.setdefault(digest, {"key": key, "members": []})
-        if bucket["key"] != key:
-            # digest collision: fall back to the full string as the digest
+        if key_of_digest.setdefault(digest, key) != key:
             digest = "full:" + key
-            bucket = groups.setdefault(digest, {"key": key, "members": []})
-        bucket["members"].append((lineno, text, fp))
+        digest_of[strings] = digest
 
     classes: list[ClassRecord] = []
     separated = {"shadows": 0, "hashimoto": 0, "S": 0}
-    for digest in sorted(groups, key=lambda d: groups[d]["members"][0][0]):
-        bucket = groups[digest]
-        members = bucket["members"]
-        if len(members) < 2:
-            continue
+    for strings, members in sorted(groups.items(), key=lambda item: kept[item[1][0]][0]):
         pairs = []
-        for (_, _, f1), (_, _, f2) in combinations(members, 2):
+        for i, j in combinations(members, 2):
             if len(pairs) >= cfg.max_pairs_per_class:
                 break
             # from the fingerprints in hand: with jobs > 1 this process
             # never computed them, so compare() would compute them again
-            rep = pair_report(f1, f2)
+            rep = pair_report(built[i], built[j])
             pairs.append(rep)
             if not rep.agree.get("S", True):
                 separated["S"] += 1
@@ -482,8 +567,8 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
                 separated["hashimoto"] += 1
         classes.append(
             ClassRecord(
-                digest=digest,
-                members=tuple(t for _, t, _ in members),
+                digest=digest_of[strings],
+                members=tuple(kept[i][1] for i in members),
                 pairs=tuple(pairs),
             )
         )
@@ -491,14 +576,15 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     summary = {
         "read": read,
         "malformed_skipped": malformed,
-        "kept": len(filtered),
-        "classes_total": len(groups),
+        "kept": len(kept),
+        # every graph outside the classes is a class of its own
+        "classes_total": len(kept) - sum(len(m) - 1 for m in groups.values()),
         "classes_nontrivial": len(classes),
         "pairs_reported": sum(len(c.pairs) for c in classes),
         "pairs_separated_by": separated,
         "keys": list(cfg.keys),
     }
-    return ScreenResult(classes, summary, fingerprints=prints)
+    return ScreenResult(classes, summary, stage_counts, kept, built, cfg)
 
 
 def write_fingerprints_jsonl(fps, stream) -> None:

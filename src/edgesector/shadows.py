@@ -141,17 +141,14 @@ class Fingerprint:
 
     def invariant_strings(self) -> dict[str, str]:
         """Exact, byte-stable string per invariant; used for grouping keys."""
-        out = {
-            "A": ",".join(self.charpoly_adjacency.coeff_strings()),
-            "L": ",".join(self.charpoly_line.coeff_strings()),
-            "S": ",".join(self.charpoly_signed.coeff_strings()),
-            "hashimoto": ",".join(self.hashimoto_det.coeff_strings()),
-            "shadows": ";".join(
-                name + ":" + ",".join(p.coeff_strings())
-                for name, p in self.shadows.named()
-            ),
+        values = {
+            "A": self.charpoly_adjacency,
+            "L": self.charpoly_line,
+            "S": self.charpoly_signed,
+            "hashimoto": self.hashimoto_det,
+            "shadows": self.shadows,
         }
-        return out
+        return {key: invariant_string(value) for key, value in values.items()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -209,15 +206,38 @@ class Fingerprint:
         )
 
 
+def invariant(g: Graph, key: str, kmax: int = DEFAULT_KMAX) -> Poly | ShadowSet:
+    """The invariant one grouping key names, from the vertex-space kernel
+    that fingerprint uses for it: a polynomial for A, L, S and hashimoto, a
+    ShadowSet for shadows."""
+    if key == "A":
+        return g.adjacency().charpoly()
+    if key in ("L", "S"):
+        q, delta = _laplacians(g)
+        return _sector_charpoly(q if key == "L" else delta, g.m)
+    if key == "shadows":
+        return vertex_shadow_set(g, kmax)
+    if key == "hashimoto":
+        return ihara_det(g)
+    raise ValueError(f"unknown invariant key {key!r}")
+
+
+def invariant_string(value: Poly | ShadowSet) -> str:
+    """Exact, byte-stable string of one invariant, the unit of every
+    grouping key."""
+    if isinstance(value, ShadowSet):
+        return ";".join(name + ":" + ",".join(p.coeff_strings()) for name, p in value.named())
+    return ",".join(value.coeff_strings())
+
+
 @lru_cache(maxsize=4096)
 def fingerprint(
     g: Graph, order: int = DEFAULT_ORDER, kmax: int = DEFAULT_KMAX
 ) -> Fingerprint:
     """Deterministic exact fingerprint, computed from n x n vertex matrices
     (and the 2n x 2n Ihara companion); equal to the edge-space routes."""
-    q, delta = _laplacians(g)
-    charpoly_line = _sector_charpoly(q, g.m)
-    det = ihara_det(g)
+    charpoly_line = invariant(g, "L")
+    det = invariant(g, "hashimoto")
     # in u = w/2 both factors are integer polynomials with constant term 1, so
     # the quotient is an integer series, written in w once at the end
     det_u = rescale(PowerSeries.from_poly(det, order), 2)
@@ -228,10 +248,10 @@ def fingerprint(
         n=g.n,
         m=g.m,
         degrees=g.degree_multiset(),
-        charpoly_adjacency=g.adjacency().charpoly(),
+        charpoly_adjacency=invariant(g, "A"),
         charpoly_line=charpoly_line,
-        charpoly_signed=_sector_charpoly(delta, g.m),
-        shadows=vertex_shadow_set(g, kmax),
+        charpoly_signed=invariant(g, "S"),
+        shadows=invariant(g, "shadows", kmax),
         hashimoto_det=det,
         correction_order=order,
         correction_series=series,

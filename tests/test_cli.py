@@ -200,16 +200,39 @@ def test_screen_bad_input_exits_2(tmp_path, capsys):
 def test_screen_failing_fingerprint_exits_1_with_its_line(tmp_path, capsys, monkeypatch):
     from edgesector import screen
 
-    def broken(g, order, kmax):
+    def broken(g, key, kmax):
         raise ArithmeticError("no charpoly")
 
-    monkeypatch.setattr(screen, "fingerprint", broken)
-    census = tmp_path / "one.g6"
-    census.write_text(">>graph6<<\nBw\n")
+    # the per-key kernel runs first, on every graph that shares its bucket
+    monkeypatch.setattr(screen, "invariant", broken)
+    census = tmp_path / "two.g6"
+    census.write_text(">>graph6<<\nBw\nBW\n")
     code, out, err = run_cli(capsys, "screen", "--input", str(census))
     assert code == EXIT_CHECK_FAILED
     assert out == ""
     assert err == "error: line 2: ArithmeticError: no charpoly\n"
+
+
+def test_screen_fingerprints_out_exits_1_when_a_fingerprint_fails(tmp_path, capsys, monkeypatch):
+    from edgesector import screen
+
+    def broken(g, order, kmax):
+        raise ArithmeticError("no charpoly")
+
+    monkeypatch.setattr(screen, "fingerprint", broken)
+    census = tmp_path / "two.g6"
+    census.write_text(">>graph6<<\nBw\nBW\n")
+    store = tmp_path / "fps.jsonl"
+    # both graphs are alone on A, so only the store needs their fingerprints
+    code, out, _ = run_cli(capsys, "screen", "--input", str(census), "--key", "A")
+    assert code == EXIT_OK
+    code, out, err = run_cli(
+        capsys, "screen", "--input", str(census), "--key", "A", "--fingerprints-out", str(store)
+    )
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: line 2: ArithmeticError: no charpoly\n"
+    assert not store.exists()
 
 
 @pytest.mark.skipif(
@@ -220,14 +243,14 @@ def test_screen_dead_worker_exits_1_with_its_chunk(capsys, monkeypatch):
     from edgesector import screen
 
     first = encode_graph6(screen.builtin_generate(5)[0])
-    real = screen.fingerprint
+    real = screen.invariant
 
-    def dies(g, order, kmax):
+    def dies(g, key, kmax):
         if encode_graph6(g) == first:
             os._exit(3)
-        return real(g, order, kmax)
+        return real(g, key, kmax)
 
-    monkeypatch.setattr(screen, "fingerprint", dies)
+    monkeypatch.setattr(screen, "invariant", dies)
     code, out, err = run_cli(capsys, "screen", "--generate", "5", "--jobs", "2")
     assert code == EXIT_CHECK_FAILED
     assert out == ""

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from edgesector.graphs import Graph, Graph6Error, corpus_graph, encode_graph6
+from edgesector.graphs import Graph, Graph6Error, corpus, corpus_graph, encode_graph6
 from edgesector import screen
 from edgesector.screen import (
     ScreenConfig,
@@ -21,6 +21,11 @@ from edgesector.screen import (
 )
 from edgesector.shadows import fingerprint
 from conftest import random_connected_graph
+
+FORKED = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see a patched kernel only when forked",
+)
 
 
 def vertex_augmentation_oracle(n: int) -> tuple[Graph, ...]:
@@ -271,59 +276,209 @@ def test_screen_deterministic_across_jobs():
     assert out1.summary == out2.summary
 
 
-def _fail_on(g6: str):
-    """A fingerprint stand-in that raises on one graph."""
+def test_screen_reads_a_one_shot_stream_like_a_list():
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
+    lines += [(i + 30, encode_graph6(corpus_graph(n))) for i, n in enumerate(PAPER_PAIRS[0])]
+    cfg = ScreenConfig(keys=("A", "L", "S"))
+    listed = run_screen(lines, cfg)
+    streamed = run_screen((pair for pair in lines), cfg)
+    assert listed.classes
+    assert [c.to_json_dict() for c in streamed.classes] == [c.to_json_dict() for c in listed.classes]
+    assert streamed.summary == listed.summary
 
-    def fake(g, order, kmax):
+
+def test_screen_stage_counts_on_the_n7_census():
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(7))]
+    out = run_screen(lines, ScreenConfig(keys=("A", "L", "S"), jobs=1))
+    # 790 of the 853 graphs are alone on A, and every one is alone on A, L
+    assert out.stage_counts == {"A": 853, "L": 63, "S": 0}
+    assert out.summary["classes_total"] == 853
+    assert out.summary["classes_nontrivial"] == 0
+
+
+# the corpus's examples A and B: cospectral for A, L and S, separated by the shadows
+PAPER_PAIRS = [("exA_G1", "exA_H1"), ("exB_G2", "exB_H2")]
+ALL_KEYS = ("A", "L", "S", "shadows", "hashimoto")
+KEY_SUBSETS = [
+    tuple(k for bit, k in enumerate(ALL_KEYS) if mask >> bit & 1)
+    for mask in range(1, 1 << len(ALL_KEYS))
+] + [("hashimoto", "A")]
+
+
+def _oracle_lines():
+    graphs = [g for n in range(7) for g in screen._all_graphs_up_to_iso(n)]
+    graphs += [entry.graph for entry in corpus()]
+    return [(i + 1, encode_graph6(g)) for i, g in enumerate(graphs)]
+
+
+def grouping_oracle(lines, cfg):
+    """The screen without a cascade: fingerprint every graph, then group by
+    the full key string (the lines must parse and pass no filter)."""
+    import hashlib
+    from itertools import combinations
+
+    from edgesector.screen import key_string_of
+    from edgesector.shadows import pair_report
+
+    groups = {}
+    for lineno, text in lines:
+        fp = fingerprint(screen.parse_graph6(text), cfg.order, cfg.kmax)
+        key = key_string_of(fp, cfg.keys)
+        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+        groups.setdefault(digest, {"key": key, "members": []})["members"].append((lineno, fp))
+        assert groups[digest]["key"] == key, "digest collision"
+    classes, separated = [], {"shadows": 0, "hashimoto": 0, "S": 0}
+    for digest in sorted(groups, key=lambda d: groups[d]["members"][0][0]):
+        members = groups[digest]["members"]
+        if len(members) < 2:
+            continue
+        pairs = []
+        for (_, f1), (_, f2) in combinations(members, 2):
+            if len(pairs) >= cfg.max_pairs_per_class:
+                break
+            rep = pair_report(f1, f2)
+            pairs.append(rep)
+            separated["S"] += not rep.agree.get("S", True)
+            separated["shadows"] += not all(
+                v for k, v in rep.agree.items() if k.startswith("shadow_")
+            )
+            separated["hashimoto"] += not rep.agree.get("hashimoto", True)
+        classes.append(
+            screen.ClassRecord(digest, tuple(fp.graph6 for _, fp in members), tuple(pairs))
+        )
+    summary = {
+        "read": len(lines),
+        "malformed_skipped": 0,
+        "kept": len(lines),
+        "classes_total": len(groups),
+        "classes_nontrivial": len(classes),
+        "pairs_reported": sum(len(c.pairs) for c in classes),
+        "pairs_separated_by": separated,
+        "keys": list(cfg.keys),
+    }
+    return [c.to_json_dict() for c in classes], summary
+
+
+@pytest.mark.parametrize(
+    "keys,jobs",
+    [(keys, 1) for keys in KEY_SUBSETS]
+    + [(keys, 2) for keys in (ALL_KEYS, ("hashimoto", "A"))],
+    ids=lambda v: ",".join(v) if isinstance(v, tuple) else f"jobs{v}",
+)
+def test_cascade_matches_the_full_key_grouping(keys, jobs):
+    lines = _oracle_lines()
+    cfg = ScreenConfig(keys=keys, jobs=jobs)
+    out = run_screen(lines, cfg)
+    assert ([c.to_json_dict() for c in out.classes], out.summary) == grouping_oracle(lines, cfg)
+
+
+def test_full_key_cascade_reaches_the_shadows_stage_with_the_paper_pairs(monkeypatch):
+    evaluated = []
+    real = screen.invariant
+
+    def recorded(g, key, kmax):
+        evaluated.append((encode_graph6(g), key))
+        return real(g, key, kmax)
+
+    monkeypatch.setattr(screen, "invariant", recorded)
+    out = run_screen(_oracle_lines(), ScreenConfig(keys=ALL_KEYS))
+    assert out.stage_counts["A"] == len(_oracle_lines())
+    assert 0 < out.stage_counts["hashimoto"] <= out.stage_counts["shadows"] < out.stage_counts["A"]
+    for pair in PAPER_PAIRS:
+        for name in pair:
+            assert (encode_graph6(corpus_graph(name)), "shadows") in evaluated
+
+
+def test_cascade_fingerprints_each_class_member_once(monkeypatch):
+    calls = []
+
+    def counted(g, order, kmax):
+        calls.append(encode_graph6(g))
+        return fingerprint(g, order, kmax)
+
+    monkeypatch.setattr(screen, "fingerprint", counted)
+    out = run_screen(_oracle_lines(), ScreenConfig(keys=ALL_KEYS, jobs=1))
+    assert out.classes
+    assert sorted(calls) == sorted(g6 for c in out.classes for g6 in c.members)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_screen_fingerprints_are_every_kept_graph_in_input_order(jobs):
+    lines = _oracle_lines()
+    out = run_screen(lines, ScreenConfig(keys=("A", "L", "S"), jobs=jobs))
+    want = [fingerprint(screen.parse_graph6(text)) for _, text in lines]
+    assert out.fingerprints == want
+    assert out.fingerprints is out.fingerprints
+
+
+def _invariant_failing_on(g6: str):
+    """A stand-in for the per-key invariant kernel, which every screen runs
+    first, that raises on one graph."""
+    real = screen.invariant
+
+    def fake(g, key, kmax):
         if encode_graph6(g) == g6:
             raise ArithmeticError("charpoly went wrong")
-        return fingerprint(g, order, kmax)
+        return real(g, key, kmax)
 
     return fake
 
 
 def test_screen_names_the_line_of_a_failing_fingerprint(monkeypatch):
     lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
-    monkeypatch.setattr(screen, "fingerprint", _fail_on(lines[3][1]))
+    monkeypatch.setattr(screen, "invariant", _invariant_failing_on(lines[3][1]))
     with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
         run_screen(lines, ScreenConfig(keys=("A",)))
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool workers see the patched fingerprint only when forked",
-)
+@FORKED
 def test_screen_names_the_line_of_a_failing_fingerprint_in_a_worker(monkeypatch):
     lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
-    monkeypatch.setattr(screen, "fingerprint", _fail_on(lines[3][1]))
+    monkeypatch.setattr(screen, "invariant", _invariant_failing_on(lines[3][1]))
     with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
         run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
 
 
-def _exit_on(g6: str):
-    """A fingerprint stand-in that kills its process on one graph."""
+def _invariant_exiting_on(g6: str):
+    """A stand-in for the per-key invariant kernel that kills its process
+    on one graph."""
+    real = screen.invariant
 
-    def fake(g, order, kmax):
+    def fake(g, key, kmax):
         if encode_graph6(g) == g6:
             os._exit(3)
-        return fingerprint(g, order, kmax)
+        return real(g, key, kmax)
 
     return fake
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool workers see the patched fingerprint only when forked",
-)
+@FORKED
 def test_screen_names_the_chunk_of_a_dead_worker(monkeypatch):
     # 21 graphs in chunks of 8: the worker dies in the first chunk, lines 10-17
     lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
-    monkeypatch.setattr(screen, "fingerprint", _exit_on(lines[3][1]))
+    monkeypatch.setattr(screen, "invariant", _invariant_exiting_on(lines[3][1]))
     with pytest.raises(
         ScreenError,
         match=r"^line 10: a pool worker died while lines 10-17 were in flight: BrokenProcessPool: ",
     ):
         run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORKED)])
+def test_reading_fingerprints_names_the_line_of_a_failing_fingerprint(monkeypatch, jobs):
+    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
+
+    def fake(g, order, kmax):
+        if encode_graph6(g) == lines[3][1]:
+            raise ArithmeticError("charpoly went wrong")
+        return fingerprint(g, order, kmax)
+
+    monkeypatch.setattr(screen, "fingerprint", fake)
+    # every graph is alone on A, so the screen itself builds no fingerprint
+    out = run_screen(lines, ScreenConfig(keys=("A",), jobs=jobs))
+    assert out.classes == []
+    with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
+        out.fingerprints
 
 
 def test_pool_screen_reports_pairs_from_the_worker_fingerprints():
