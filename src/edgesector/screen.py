@@ -531,8 +531,8 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
         for stage in stages:
             live = shared(live)
             stage_counts[stage] = len(live)
-            for i, text in zip(live, run(_tasks(kept, live, stage, cfg))):
-                prefix[i] += (text,)
+            for i, string in zip(live, run(_tasks(kept, live, stage, cfg))):
+                prefix[i] += (string,)
         live = shared(live)
         built = dict(zip(live, run(_tasks(kept, live, None, cfg))))
 

@@ -224,7 +224,7 @@ def test_screen_fingerprints_out_exits_1_when_a_fingerprint_fails(tmp_path, caps
     census.write_text(">>graph6<<\nBw\nBW\n")
     store = tmp_path / "fps.jsonl"
     # both graphs are alone on A, so only the store needs their fingerprints
-    code, out, _ = run_cli(capsys, "screen", "--input", str(census), "--key", "A")
+    code, _, _ = run_cli(capsys, "screen", "--input", str(census), "--key", "A")
     assert code == EXIT_OK
     code, out, err = run_cli(
         capsys, "screen", "--input", str(census), "--key", "A", "--fingerprints-out", str(store)

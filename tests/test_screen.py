@@ -276,6 +276,15 @@ def test_screen_deterministic_across_jobs():
     assert out1.summary == out2.summary
 
 
+# the corpus's examples A and B: cospectral for A, L and S, separated by the shadows
+PAPER_PAIRS = [("exA_G1", "exA_H1"), ("exB_G2", "exB_H2")]
+ALL_KEYS = screen.GROUPING_KEYS
+KEY_SUBSETS = [
+    tuple(k for bit, k in enumerate(ALL_KEYS) if mask >> bit & 1)
+    for mask in range(1, 1 << len(ALL_KEYS))
+] + [("hashimoto", "A")]
+
+
 def test_screen_reads_a_one_shot_stream_like_a_list():
     lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
     lines += [(i + 30, encode_graph6(corpus_graph(n))) for i, n in enumerate(PAPER_PAIRS[0])]
@@ -294,15 +303,6 @@ def test_screen_stage_counts_on_the_n7_census():
     assert out.stage_counts == {"A": 853, "L": 63, "S": 0}
     assert out.summary["classes_total"] == 853
     assert out.summary["classes_nontrivial"] == 0
-
-
-# the corpus's examples A and B: cospectral for A, L and S, separated by the shadows
-PAPER_PAIRS = [("exA_G1", "exA_H1"), ("exB_G2", "exB_H2")]
-ALL_KEYS = ("A", "L", "S", "shadows", "hashimoto")
-KEY_SUBSETS = [
-    tuple(k for bit, k in enumerate(ALL_KEYS) if mask >> bit & 1)
-    for mask in range(1, 1 << len(ALL_KEYS))
-] + [("hashimoto", "A")]
 
 
 def _oracle_lines():
@@ -381,8 +381,9 @@ def test_full_key_cascade_reaches_the_shadows_stage_with_the_paper_pairs(monkeyp
         return real(g, key, kmax)
 
     monkeypatch.setattr(screen, "invariant", recorded)
-    out = run_screen(_oracle_lines(), ScreenConfig(keys=ALL_KEYS))
-    assert out.stage_counts["A"] == len(_oracle_lines())
+    lines = _oracle_lines()
+    out = run_screen(lines, ScreenConfig(keys=ALL_KEYS))
+    assert out.stage_counts["A"] == len(lines)
     assert 0 < out.stage_counts["hashimoto"] <= out.stage_counts["shadows"] < out.stage_counts["A"]
     for pair in PAPER_PAIRS:
         for name in pair:
