@@ -210,7 +210,10 @@ def hashimoto_spectrum(g: Graph, tol: float = DEFAULT_RESIDUAL_TOL) -> SpectrumE
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Numerical-range bounds for Spec(T) together with observed extremes."""
+    """Numerical-range bounds for Spec(T) together with observed extremes.
+
+    max_residual is the largest residual of the computed eigenvalues against
+    the exact charpoly; the JSON record leaves it out."""
 
     rho_L: float
     rho_S: float
@@ -224,6 +227,7 @@ class BoundReport:
     d_max: int
     slack: float
     violations: tuple[str, ...] = field(default=())
+    max_residual: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -317,6 +321,7 @@ def check_bounds(g: Graph, slack: float = DEFAULT_BOUND_SLACK) -> BoundReport:
         d_max=d_max,
         slack=slack,
         violations=tuple(violations),
+        max_residual=spec.max_residual,
     )
 
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .bounds import RootFindingError, check_bounds, hashimoto_spectrum
+from .bounds import DEFAULT_BOUND_SLACK, RootFindingError, check_bounds
 from .edge_space import edge_space, sector_blocks
 from .graphs import (
     Graph,
@@ -32,9 +32,10 @@ from .screen import (
     builtin_generate,
     run_screen,
     verify_all,
+    write_fingerprints_jsonl,
 )
-from .shadows import fingerprint, vertex_shadow_set
-from .zeta import factorize, trivial_roots
+from .shadows import DEFAULT_KMAX, fingerprint, vertex_shadow_set
+from .zeta import DEFAULT_ORDER, factorize, trivial_roots
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,12 +59,16 @@ def _resolve_graph(token: str) -> Graph:
         ) from exc
 
 
+_SCREEN_DEFAULTS = ScreenConfig()
+
 _FLAGS = {
-    "order": dict(type=int, default=12, help="series order (default 12)"),
-    "kmax": dict(type=int, default=2, help="highest mixed power (default 2)"),
+    "order": dict(type=int, default=DEFAULT_ORDER, help="series order (default %(default)s)"),
+    "kmax": dict(type=int, default=DEFAULT_KMAX, help="highest mixed power (default %(default)s)"),
     "json": dict(action="store_true", help="emit JSON instead of tables"),
-    "jobs": dict(type=int, default=1, help="parallel workers (default 1)"),
-    "tol": dict(type=float, default=1e-6, help="bound slack (default 1e-6)"),
+    "jobs": dict(type=int, default=_SCREEN_DEFAULTS.jobs,
+                 help="parallel workers (default %(default)s)"),
+    # %(default)s would print 1e-06
+    "tol": dict(type=float, default=DEFAULT_BOUND_SLACK, help="bound slack (default 1e-6)"),
 }
 
 
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="graph6 file, or - for stdin")
     p.add_argument("--generate", type=int, metavar="N",
                    help="use the builtin connected census on N <= 7 vertices")
-    p.add_argument("--key", default="A,L,S",
+    p.add_argument("--key", default=",".join(_SCREEN_DEFAULTS.keys),
                    help=f"comma-separated grouping key, subset of {','.join(GROUPING_KEYS)}")
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--irregular-only", action="store_true")
@@ -125,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip undecodable lines instead of failing")
     p.add_argument("--fingerprints-out", metavar="PATH",
                    help="append every fingerprint to PATH as JSONL")
-    p.add_argument("--max-pairs", type=int, default=10,
-                   help="pair reports per class (default 10)")
+    p.add_argument("--max-pairs", type=int, default=_SCREEN_DEFAULTS.max_pairs_per_class,
+                   help="pair reports per class (default %(default)s)")
     _flags(p, "order", "kmax", "json", "jobs")
 
     return parser
@@ -210,7 +215,6 @@ def cmd_bounds(args) -> int:
     g = _resolve_graph(args.graph)
     try:
         report = check_bounds(g, slack=args.tol)
-        spectrum = hashimoto_spectrum(g)
     except RootFindingError as exc:
         print(f"root finding failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -222,7 +226,7 @@ def cmd_bounds(args) -> int:
         print(f"sigma_max(M)/2= {report.sigma_max_M / 2:.6f}   im_max = {report.im_max:.6f}")
         print(f"sqrt(rho(Delta) rho(Q)) = {(report.rho_Delta * report.rho_Q) ** 0.5:.6f}")
         print(f"rho(T) = {report.rho_T:.6f}   d_max - 1 = {report.d_max - 1}")
-        print(f"max residual = {spectrum.max_residual:.2e}")
+        print(f"max residual = {report.max_residual:.2e}")
         for name, margin in report.margins().items():
             print(f"margin {name:20s} = {margin:+.6f}")
         for violation in report.violations:
@@ -284,8 +288,6 @@ def cmd_screen(args) -> int:
             result = run_screen(read_graph6_lines(fh), cfg)
 
     if args.fingerprints_out:
-        from .screen import write_fingerprints_jsonl
-
         fps = result.fingerprints  # built here, so a failure leaves the store as it was
         with open(args.fingerprints_out, "a", encoding="ascii") as fh:
             write_fingerprints_jsonl(fps, fh)

@@ -14,7 +14,6 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -374,7 +373,9 @@ class ScreenError(RuntimeError):
     message names an input line."""
 
 
-_CHUNK = 8  # graphs per pool task
+# graphs per pool task; a batch of at most this many runs in process, since
+# one chunk would run on one worker anyway
+_CHUNK = 8
 
 
 def _screen_task(args):
@@ -394,24 +395,16 @@ def _tasks(kept, indices, stage, cfg) -> list[tuple]:
     return [(kept[i][0], kept[i][2], stage, cfg.order, cfg.kmax) for i in indices]
 
 
-@contextmanager
-def _task_runner(jobs: int):
-    """Yield run(tasks), which returns _screen_task's results in task order.
-
-    With jobs > 1 and at least two tasks they run in one process pool,
-    opened on first need, shared by every later call and closed on exit;
-    otherwise they run in this process.  A worker that dies raises a
-    ScreenError naming the first line of the earliest chunk without a result.
-    """
-    pool = None
-
-    def run(tasks: list[tuple]) -> list:
-        nonlocal pool
-        if jobs < 2 or len(tasks) < 2:
-            return [_screen_task(t) for t in tasks]
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=jobs)
-        results = []
+def _map(tasks: list[tuple], jobs: int) -> list:
+    """_screen_task's results in task order: in this process when jobs is 1
+    or the batch fits in one chunk, which one worker would run alone;
+    otherwise in a pool of min(jobs, chunks) workers, closed before return.
+    A worker that dies raises a ScreenError naming the first line of the
+    earliest chunk without a result."""
+    if jobs == 1 or len(tasks) <= _CHUNK:
+        return [_screen_task(t) for t in tasks]
+    results = []
+    with ProcessPoolExecutor(max_workers=min(jobs, -(-len(tasks) // _CHUNK))) as pool:
         try:
             for result in pool.map(_screen_task, tasks, chunksize=_CHUNK):
                 results.append(result)
@@ -423,13 +416,7 @@ def _task_runner(jobs: int):
                 f"line {chunk[0][0]}: a pool worker died while lines "
                 f"{chunk[0][0]}-{chunk[-1][0]} were in flight: {type(exc).__name__}: {exc}"
             ) from exc
-        return results
-
-    try:
-        yield run
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    return results
 
 
 class ScreenResult:
@@ -437,7 +424,7 @@ class ScreenResult:
 
     stage_counts maps each stage of the key to the number of graphs
     evaluated at it.  fingerprints lists the fingerprint of every kept graph
-    in input order; it is built on first read, with cfg.jobs workers,
+    in input order; it is built on first read as one batch (see _map),
     reusing those of class members, and kept.
     """
 
@@ -454,8 +441,8 @@ class ScreenResult:
     def fingerprints(self) -> list[Fingerprint]:
         if self._fingerprints is None:
             missing = [i for i in range(len(self._kept)) if i not in self._built]
-            with _task_runner(self._cfg.jobs) as run:
-                self._built.update(zip(missing, run(_tasks(self._kept, missing, None, self._cfg))))
+            tasks = _tasks(self._kept, missing, None, self._cfg)
+            self._built.update(zip(missing, _map(tasks, self._cfg.jobs)))
             self._fingerprints = [self._built[i] for i in range(len(self._kept))]
         return self._fingerprints
 
@@ -501,7 +488,9 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     A graph whose stage string or fingerprint raises stops the screen with a
     ScreenError naming its input line, whatever the worker count.  A pool
     worker that dies stops it with a ScreenError naming the first line of
-    the earliest chunk without a result.  One pool at most is opened.
+    the earliest chunk without a result.  Each stage and the member
+    fingerprints are one batch each; a batch larger than one chunk runs in
+    a pool of its own, with at most cfg.jobs workers (see _map).
     """
     kept: list[tuple[int, str, Graph]] = []
     read = 0
@@ -527,14 +516,13 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
 
     live = list(range(len(kept)))
     stage_counts: dict[str, int] = {}
-    with _task_runner(cfg.jobs) as run:
-        for stage in stages:
-            live = shared(live)
-            stage_counts[stage] = len(live)
-            for i, string in zip(live, run(_tasks(kept, live, stage, cfg))):
-                prefix[i] += (string,)
+    for stage in stages:
         live = shared(live)
-        built = dict(zip(live, run(_tasks(kept, live, None, cfg))))
+        stage_counts[stage] = len(live)
+        for i, string in zip(live, _map(_tasks(kept, live, stage, cfg), cfg.jobs)):
+            prefix[i] += (string,)
+    live = shared(live)
+    built = dict(zip(live, _map(_tasks(kept, live, None, cfg), cfg.jobs)))
 
     groups: dict[tuple[str, ...], list[int]] = {}
     for i in live:

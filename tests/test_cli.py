@@ -80,6 +80,44 @@ def test_bounds_json(capsys):
     assert "margins" in rec
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_bounds_computes_the_spectrum_once(capsys, monkeypatch, json_flag):
+    from edgesector import bounds, cli
+
+    calls = []
+    real = bounds.hashimoto_spectrum
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "hashimoto_spectrum", counted)
+    # counts a spectrum the CLI might compute itself, too
+    monkeypatch.setattr(cli, "hashimoto_spectrum", counted, raising=False)
+    code, out, _ = run_cli(capsys, "bounds", "paperG", *json_flag)
+    assert code == EXIT_OK
+    assert ("max residual = " in out) != bool(json_flag)
+    assert len(calls) == 1
+
+
+def test_parser_defaults_are_the_library_defaults():
+    from edgesector.bounds import DEFAULT_BOUND_SLACK
+    from edgesector.screen import ScreenConfig
+    from edgesector.shadows import DEFAULT_KMAX
+    from edgesector.zeta import DEFAULT_ORDER
+
+    parser = build_parser()
+    cfg = ScreenConfig()
+    screen = parser.parse_args(["screen"])
+    assert (screen.order, screen.kmax, screen.jobs, screen.max_pairs) == (
+        cfg.order, cfg.kmax, cfg.jobs, cfg.max_pairs_per_class
+    )
+    assert screen.key == ",".join(cfg.keys)
+    assert parser.parse_args(["zeta", "K2"]).order == DEFAULT_ORDER
+    assert parser.parse_args(["shadows", "K2"]).kmax == DEFAULT_KMAX
+    assert parser.parse_args(["bounds", "K2"]).tol == DEFAULT_BOUND_SLACK
+
+
 def test_fingerprint(capsys):
     code, out, _ = run_cli(capsys, "fingerprint", "K2", "exA_G1")
     assert code == EXIT_OK

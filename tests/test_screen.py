@@ -28,6 +28,27 @@ FORKED = pytest.mark.skipif(
 )
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools the screen opens, in order, each recording its
+    worker count and whether it has been shut down."""
+    opened = []
+
+    class Recorded(screen.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            super().__init__(max_workers=max_workers, **kwargs)
+            self.max_workers = max_workers
+            self.shut_down = False
+            opened.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            self.shut_down = True
+
+    monkeypatch.setattr(screen, "ProcessPoolExecutor", Recorded)
+    return opened
+
+
 def vertex_augmentation_oracle(n: int) -> tuple[Graph, ...]:
     """Every graph on n vertices up to isomorphism, the slow way: extend each
     (n-1)-vertex class with a new vertex joined to every subset of the old
@@ -433,11 +454,13 @@ def test_screen_names_the_line_of_a_failing_fingerprint(monkeypatch):
 
 
 @FORKED
-def test_screen_names_the_line_of_a_failing_fingerprint_in_a_worker(monkeypatch):
-    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
+def test_screen_names_the_line_of_a_failing_fingerprint_in_a_worker(monkeypatch, pools):
+    # 21 graphs: more than one chunk, so the A stage runs in a pool
+    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
     monkeypatch.setattr(screen, "invariant", _invariant_failing_on(lines[3][1]))
     with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
         run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+    assert len(pools) == 1
 
 
 def _invariant_exiting_on(g6: str):
@@ -466,8 +489,9 @@ def test_screen_names_the_chunk_of_a_dead_worker(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORKED)])
-def test_reading_fingerprints_names_the_line_of_a_failing_fingerprint(monkeypatch, jobs):
-    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
+def test_reading_fingerprints_names_the_line_of_a_failing_fingerprint(monkeypatch, pools, jobs):
+    # 21 graphs: more than one chunk, so with jobs=2 the fingerprints run in a pool
+    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
 
     def fake(g, order, kmax):
         if encode_graph6(g) == lines[3][1]:
@@ -480,15 +504,61 @@ def test_reading_fingerprints_names_the_line_of_a_failing_fingerprint(monkeypatc
     assert out.classes == []
     with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
         out.fingerprints
+    # the A stage and the fingerprints: one pool each
+    assert len(pools) == (2 if jobs > 1 else 0)
 
 
 def test_pool_screen_reports_pairs_from_the_worker_fingerprints():
-    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
+    # 49 of the 112 graphs share their Ihara determinant: more than one chunk
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(6))]
     fingerprint.cache_clear()
     out = run_screen(lines, ScreenConfig(keys=("hashimoto",), jobs=2))
     assert out.summary["pairs_reported"] > 0
     # every fingerprint was computed in a worker; none again in this process
     assert fingerprint.cache_info().currsize == 0
+
+
+def test_a_screen_of_one_chunk_opens_no_pool(pools):
+    # 6 graphs and the example A pair, a class: every batch fits in one chunk
+    graphs = builtin_generate(4) + [corpus_graph(name) for name in PAPER_PAIRS[0]]
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(graphs)]
+    out = run_screen(lines, ScreenConfig(keys=("A", "L", "S"), jobs=2))
+    assert [c.members for c in out.classes] == [tuple(text for _, text in lines[-2:])]
+    assert pools == []
+
+
+def test_reading_fingerprints_of_one_chunk_opens_no_pool(pools):
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
+    out = run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+    assert len(out.fingerprints) == 6
+    assert pools == []
+
+
+@pytest.mark.parametrize("tasks,workers", [(9, 2), (16, 2), (17, 3)])
+def test_a_batch_opens_one_pool_of_at_most_one_worker_per_chunk(pools, tasks, workers):
+    # every connected 5-vertex graph is alone on A
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(5)[:tasks])]
+    out = run_screen(lines, ScreenConfig(keys=("A",), jobs=4))
+    assert out.stage_counts == {"A": tasks}
+    assert [p.max_workers for p in pools] == [workers]
+
+
+def test_every_pool_is_shut_down_before_its_batch_returns(monkeypatch, pools):
+    real = screen._map
+    left_open = []
+
+    def checked(tasks, jobs):
+        results = real(tasks, jobs)
+        left_open.extend(p for p in pools if not p.shut_down)
+        return results
+
+    monkeypatch.setattr(screen, "_map", checked)
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(6))]
+    out = run_screen(lines, ScreenConfig(keys=("hashimoto",), jobs=2))
+    out.fingerprints
+    # the stage, the 49 class members and the other 63 graphs
+    assert len(pools) == 3
+    assert left_open == []
 
 
 def _store_lines(*names):
