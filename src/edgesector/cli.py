@@ -26,7 +26,7 @@ from .graphs import (
     read_graph6_lines,
 )
 from .screen import (
-    GROUPING_KEYS,
+    MAX_GENERATED_VERTICES,
     ScreenConfig,
     ScreenError,
     builtin_generate,
@@ -34,7 +34,7 @@ from .screen import (
     verify_all,
     write_fingerprints_jsonl,
 )
-from .shadows import DEFAULT_KMAX, fingerprint, vertex_shadow_set
+from .shadows import DEFAULT_KMAX, GROUPING_KEYS, fingerprint, vertex_shadow_set
 from .zeta import DEFAULT_ORDER, factorize, trivial_roots
 
 EXIT_OK = 0
@@ -119,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("screen", help="group a census by exact invariants")
     p.add_argument("--input", default="-", help="graph6 file, or - for stdin")
     p.add_argument("--generate", type=int, metavar="N",
-                   help="use the builtin connected census on N <= 7 vertices")
+                   help="use the builtin connected census on "
+                        f"N <= {MAX_GENERATED_VERTICES} vertices")
     p.add_argument("--key", default=",".join(_SCREEN_DEFAULTS.keys),
                    help=f"comma-separated grouping key, subset of {','.join(GROUPING_KEYS)}")
     p.add_argument("--connected-only", action="store_true")
@@ -283,8 +284,8 @@ def cmd_screen(args) -> int:
     elif args.input == "-":
         result = run_screen(read_graph6_lines(sys.stdin), cfg)
     else:
-        # run_screen reads the stream once, line by line
-        with open(args.input, encoding="ascii") as fh:
+        # read once, line by line; a non-ASCII byte fails in parse_graph6 as U+FFFD
+        with open(args.input, encoding="ascii", errors="replace") as fh:
             result = run_screen(read_graph6_lines(fh), cfg)
 
     if args.fingerprints_out:

@@ -61,9 +61,6 @@ class Matrix:
     def __getitem__(self, i: int):
         return self._rows[i]
 
-    def entry(self, i: int, j: int):
-        return self._rows[i][j]
-
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 

@@ -1,10 +1,10 @@
 """Census screening: ingest graph6 streams, group by a cascade of exact
 invariants, fingerprint the classes, and diff their pairs.
 
-Groups are keyed by digests of exact coefficient strings (with full-string
-confirmation inside each digest bucket), so cospectrality grouping never
-depends on floating hashes.  Output is a pure function of the input order
-and the configuration; the worker count changes timing only.
+Groups are keyed by exact invariant values and named by digests of their
+coefficient strings (full strings confirm each digest bucket), so grouping
+never depends on floating hashes.  Output is a pure function of the input
+order and the configuration; the worker count changes timing only.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .graphs import Graph, Graph6Error, is_connected, is_regular, parse_graph6
 from .matrices import Matrix
 from .shadows import (
     DEFAULT_KMAX,
+    GROUPING_KEYS,
     Fingerprint,
     PairReport,
     fingerprint,
@@ -53,10 +54,6 @@ from .zeta import (
     schur_series_check,
     trivial_roots,
 )
-
-# cheapest first: the order of run_screen's cascade stages
-GROUPING_KEYS = ("A", "L", "S", "shadows", "hashimoto")
-
 
 # ---------------------------------------------------------------------------
 # canonical labeling and the builtin generator
@@ -205,8 +202,8 @@ MAX_GENERATED_VERTICES = 7
 def builtin_generate(n: int) -> list[Graph]:
     """All connected graphs on n vertices up to isomorphism, each as its
     canonical form, sorted by (m, edges): the connected members of the
-    canonical-augmentation census.  Refuses n > 7 (use graph6 ingestion for
-    larger censuses)."""
+    canonical-augmentation census.  Refuses n > MAX_GENERATED_VERTICES (use
+    graph6 ingestion for larger censuses)."""
     if not (1 <= n <= MAX_GENERATED_VERTICES):
         raise ValueError(
             f"builtin generator covers 1 <= n <= {MAX_GENERATED_VERTICES}; "
@@ -379,20 +376,21 @@ _CHUNK = 8
 
 
 def _screen_task(args):
-    """One graph's string for one stage of the key, or its fingerprint when
-    the stage is None."""
-    lineno, g, stage, order, kmax = args
+    """One graph's invariant for one stage of the key, or, when the stage is
+    None, its fingerprint built around the (key, invariant) pairs known."""
+    lineno, g, stage, order, kmax, known = args
     try:
         if stage is None:
-            return fingerprint(g, order, kmax)
-        return invariant_string(invariant(g, stage, kmax))
+            return fingerprint(g, order, kmax, known)
+        return invariant(g, stage, kmax)
     except Exception as exc:  # noqa: BLE001 - re-raised with its input line
         # raised inside a pool worker too, so jobs > 1 reports the same line
         raise ScreenError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
 
 
-def _tasks(kept, indices, stage, cfg) -> list[tuple]:
-    return [(kept[i][0], kept[i][2], stage, cfg.order, cfg.kmax) for i in indices]
+def _tasks(kept, indices, stage, cfg, prefix, stages=()) -> list[tuple]:
+    return [(kept[i][0], kept[i][2], stage, cfg.order, cfg.kmax, tuple(zip(stages, prefix[i])))
+            for i in indices]
 
 
 def _map(tasks: list[tuple], jobs: int) -> list:
@@ -424,15 +422,17 @@ class ScreenResult:
 
     stage_counts maps each stage of the key to the number of graphs
     evaluated at it.  fingerprints lists the fingerprint of every kept graph
-    in input order; it is built on first read as one batch (see _map),
-    reusing those of class members, and kept.
+    in input order; it is built on first read as one batch (see _map) from
+    the stage values, reusing those of class members, and kept.
     """
 
-    def __init__(self, classes, summary, stage_counts, kept, built, cfg):
+    def __init__(self, classes, summary, stage_counts, kept, stages, prefix, built, cfg):
         self.classes: list[ClassRecord] = classes
         self.summary: dict = summary
         self.stage_counts: dict[str, int] = stage_counts
         self._kept = kept  # (lineno, graph6, graph), input order
+        self._stages = stages
+        self._prefix = prefix  # per kept graph, its stage values
         self._built = built  # index into _kept -> fingerprint
         self._cfg = cfg
         self._fingerprints: list[Fingerprint] | None = None
@@ -441,18 +441,18 @@ class ScreenResult:
     def fingerprints(self) -> list[Fingerprint]:
         if self._fingerprints is None:
             missing = [i for i in range(len(self._kept)) if i not in self._built]
-            tasks = _tasks(self._kept, missing, None, self._cfg)
+            tasks = _tasks(self._kept, missing, None, self._cfg, self._prefix, self._stages)
             self._built.update(zip(missing, _map(tasks, self._cfg.jobs)))
             self._fingerprints = [self._built[i] for i in range(len(self._kept))]
         return self._fingerprints
 
 
-def _joined_key(strings: dict[str, str], keys: tuple[str, ...]) -> str:
-    return "|".join(f"{k}={strings[k]}" for k in keys)
+def _joined_key(values: dict, keys: tuple[str, ...]) -> str:
+    return "|".join(f"{k}={invariant_string(values[k])}" for k in keys)
 
 
 def key_string_of(fp: Fingerprint, keys: tuple[str, ...]) -> str:
-    return _joined_key(fp.invariant_strings(), keys)
+    return _joined_key(fp.invariants(), keys)
 
 
 def _kept_by_filters(g: Graph, cfg: ScreenConfig) -> bool:
@@ -474,18 +474,19 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     The lines are read once; the graphs that pass the filters are grouped by
     the configured key in a cascade, one stage per key field, cheapest first
     (GROUPING_KEYS order).  Each stage is evaluated only for graphs that
-    still share their string prefix with another graph: a graph alone at a
-    prefix of the key is alone for the whole key, so the classes are those
-    of a grouping by the full key.  Full fingerprints are built only for
-    members of classes with at least two members, which are returned in
-    order of their first member's line with pairwise reports.
+    still share their exact stage values with another graph: a graph alone
+    at a prefix of the key is alone for the whole key, so the classes are
+    those of a grouping by the full key.  Full fingerprints are built, from
+    the stage values, only for members of classes with at least two members,
+    which are returned in order of their first member's line with pairwise
+    reports; only their keys are written as strings.
 
     A class digest is the first 16 hex digits of the SHA-256 of its key
     string.  If two classes with at least two members share one, the later
     takes "full:" + its key; a singleton's key is never built, so it takes
     no part in that comparison.
 
-    A graph whose stage string or fingerprint raises stops the screen with a
+    A graph whose stage value or fingerprint raises stops the screen with a
     ScreenError naming its input line, whatever the worker count.  A pool
     worker that dies stops it with a ScreenError naming the first line of
     the earliest chunk without a result.  Each stage and the member
@@ -508,7 +509,7 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
             kept.append((lineno, text, g))
 
     stages = [k for k in GROUPING_KEYS if k in cfg.keys]
-    prefix: list[tuple[str, ...]] = [()] * len(kept)  # stage strings so far
+    prefix: list[tuple] = [()] * len(kept)  # stage values so far
 
     def shared(indices: list[int]) -> list[int]:
         sizes = Counter(prefix[i] for i in indices)
@@ -519,26 +520,26 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     for stage in stages:
         live = shared(live)
         stage_counts[stage] = len(live)
-        for i, string in zip(live, _map(_tasks(kept, live, stage, cfg), cfg.jobs)):
-            prefix[i] += (string,)
+        for i, value in zip(live, _map(_tasks(kept, live, stage, cfg, prefix), cfg.jobs)):
+            prefix[i] += (value,)
     live = shared(live)
-    built = dict(zip(live, _map(_tasks(kept, live, None, cfg), cfg.jobs)))
+    built = dict(zip(live, _map(_tasks(kept, live, None, cfg, prefix, stages), cfg.jobs)))
 
-    groups: dict[tuple[str, ...], list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i in live:
         groups.setdefault(prefix[i], []).append(i)
-    digest_of: dict[tuple[str, ...], str] = {}
+    digest_of: dict[tuple, str] = {}
     key_of_digest: dict[str, str] = {}
-    for strings in groups:
-        key = _joined_key(dict(zip(stages, strings)), cfg.keys)
+    for values in groups:
+        key = _joined_key(dict(zip(stages, values)), cfg.keys)
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         if key_of_digest.setdefault(digest, key) != key:
             digest = "full:" + key
-        digest_of[strings] = digest
+        digest_of[values] = digest
 
     classes: list[ClassRecord] = []
     separated = {"shadows": 0, "hashimoto": 0, "S": 0}
-    for strings, members in sorted(groups.items(), key=lambda item: kept[item[1][0]][0]):
+    for values, members in sorted(groups.items(), key=lambda item: kept[item[1][0]][0]):
         pairs = []
         for i, j in combinations(members, 2):
             if len(pairs) >= cfg.max_pairs_per_class:
@@ -555,7 +556,7 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
                 separated["hashimoto"] += 1
         classes.append(
             ClassRecord(
-                digest=digest_of[strings],
+                digest=digest_of[values],
                 members=tuple(kept[i][1] for i in members),
                 pairs=tuple(pairs),
             )
@@ -572,7 +573,7 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
         "pairs_separated_by": separated,
         "keys": list(cfg.keys),
     }
-    return ScreenResult(classes, summary, stage_counts, kept, built, cfg)
+    return ScreenResult(classes, summary, stage_counts, kept, stages, prefix, built, cfg)
 
 
 def write_fingerprints_jsonl(fps, stream) -> None:

@@ -118,6 +118,14 @@ def regular_collapse_check(g: Graph) -> bool:
     return _strip_zero_roots(mtm) == _strip_zero_roots(target.charpoly())
 
 
+def _field(rec: dict, name: str, kind: type):
+    """rec[name], which must be exactly a kind (so a bool is not an int)."""
+    value = rec[name]
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """The full exact invariant record of one graph (schema v1)."""
@@ -139,16 +147,15 @@ class Fingerprint:
         """det(I - (w/2) L), read back from charpoly_line."""
         return self.charpoly_line.resolvent(self.m, Fraction(1, 2))
 
-    def invariant_strings(self) -> dict[str, str]:
-        """Exact, byte-stable string per invariant; used for grouping keys."""
-        values = {
+    def invariants(self) -> dict[str, Poly | ShadowSet]:
+        """The invariant each grouping key names, as invariant() returns it."""
+        return {
             "A": self.charpoly_adjacency,
             "L": self.charpoly_line,
             "S": self.charpoly_signed,
             "hashimoto": self.hashimoto_det,
             "shadows": self.shadows,
         }
-        return {key: invariant_string(value) for key, value in values.items()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,15 +194,18 @@ class Fingerprint:
             mtm=Poly.from_coeff_strings(shadow_items["MtM"]),
             mtlkm=tuple(mtlkm),
         )
-        order = rec["correction_order"]
+        order = _field(rec, "correction_order", int)
+        degrees = _field(rec, "degrees", list)
+        if any(type(d) is not int for d in degrees):
+            raise TypeError(f"degrees must be a list of ints, not {degrees!r}")
         series = PowerSeries(
             order, [scalar_from_str(s) for s in rec["correction_series"]]
         )
         return cls(
-            graph6=rec["graph6"],
-            n=rec["n"],
-            m=rec["m"],
-            degrees=tuple(rec["degrees"]),
+            graph6=_field(rec, "graph6", str),
+            n=_field(rec, "n", int),
+            m=_field(rec, "m", int),
+            degrees=tuple(degrees),
             charpoly_adjacency=Poly.from_coeff_strings(rec["charpoly_adjacency"]),
             charpoly_line=Poly.from_coeff_strings(rec["charpoly_line"]),
             charpoly_signed=Poly.from_coeff_strings(rec["charpoly_signed"]),
@@ -204,6 +214,10 @@ class Fingerprint:
             correction_order=order,
             correction_series=series,
         )
+
+
+# cheapest first: the order of run_screen's cascade stages
+GROUPING_KEYS = ("A", "L", "S", "shadows", "hashimoto")
 
 
 def invariant(g: Graph, key: str, kmax: int = DEFAULT_KMAX) -> Poly | ShadowSet:
@@ -232,27 +246,29 @@ def invariant_string(value: Poly | ShadowSet) -> str:
 
 @lru_cache(maxsize=4096)
 def fingerprint(
-    g: Graph, order: int = DEFAULT_ORDER, kmax: int = DEFAULT_KMAX
+    g: Graph, order: int = DEFAULT_ORDER, kmax: int = DEFAULT_KMAX, known: tuple = ()
 ) -> Fingerprint:
-    """Deterministic exact fingerprint, computed from n x n vertex matrices
-    (and the 2n x 2n Ihara companion); equal to the edge-space routes."""
-    charpoly_line = invariant(g, "L")
-    det = invariant(g, "hashimoto")
+    """Exact fingerprint from the vertex-space kernels, equal to the edge-space
+    routes; the fields in known, (key, invariant) pairs at this kmax, are reused."""
+    values = dict(known)
+    for key in GROUPING_KEYS:
+        if key not in values:
+            values[key] = invariant(g, key, kmax)
     # in u = w/2 both factors are integer polynomials with constant term 1, so
     # the quotient is an integer series, written in w once at the end
-    det_u = rescale(PowerSeries.from_poly(det, order), 2)
-    line_u = PowerSeries.from_poly(charpoly_line.reversal(g.m), order)
+    det_u = rescale(PowerSeries.from_poly(values["hashimoto"], order), 2)
+    line_u = PowerSeries.from_poly(values["L"].reversal(g.m), order)
     series = rescale(det_u * line_u.inverse(), Fraction(1, 2))
     return Fingerprint(
         graph6=encode_graph6(g),
         n=g.n,
         m=g.m,
         degrees=g.degree_multiset(),
-        charpoly_adjacency=invariant(g, "A"),
-        charpoly_line=charpoly_line,
-        charpoly_signed=invariant(g, "S"),
-        shadows=invariant(g, "shadows", kmax),
-        hashimoto_det=det,
+        charpoly_adjacency=values["A"],
+        charpoly_line=values["L"],
+        charpoly_signed=values["S"],
+        shadows=values["shadows"],
+        hashimoto_det=values["hashimoto"],
         correction_order=order,
         correction_series=series,
     )

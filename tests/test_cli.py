@@ -254,7 +254,7 @@ def test_screen_failing_fingerprint_exits_1_with_its_line(tmp_path, capsys, monk
 def test_screen_fingerprints_out_exits_1_when_a_fingerprint_fails(tmp_path, capsys, monkeypatch):
     from edgesector import screen
 
-    def broken(g, order, kmax):
+    def broken(g, order, kmax, known=()):
         raise ArithmeticError("no charpoly")
 
     monkeypatch.setattr(screen, "fingerprint", broken)
@@ -308,6 +308,24 @@ def test_screen_fingerprint_store_roundtrip(tmp_path, capsys):
 
         fps = read_fingerprints_jsonl(fh)
     assert [fp.graph6 for fp in fps] == ["HCpfdrk", "HCrRRfw"]
+
+
+def test_screen_input_non_ascii_line_exits_2_with_its_line(tmp_path, capsys):
+    census = tmp_path / "accent.g6"
+    census.write_bytes(b"A_\nB\xc3\xa9\nBw\n")
+    code, out, err = run_cli(capsys, "screen", "--input", str(census))
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: line 2: ")
+
+
+def test_screen_input_skips_a_non_ascii_line(tmp_path, capsys):
+    census = tmp_path / "accent.g6"
+    census.write_bytes(b"A_\nB\xc3\xa9\nBw\n")
+    code, out, _ = run_cli(capsys, "screen", "--input", str(census), "--skip-malformed", "--json")
+    assert code == EXIT_OK
+    summary = json.loads(out.splitlines()[-1])["summary"]
+    assert (summary["read"], summary["malformed_skipped"], summary["kept"]) == (3, 1, 2)
 
 
 def test_screen_store_skips_malformed_lines(tmp_path, capsys):

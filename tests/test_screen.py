@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -414,14 +415,35 @@ def test_full_key_cascade_reaches_the_shadows_stage_with_the_paper_pairs(monkeyp
 def test_cascade_fingerprints_each_class_member_once(monkeypatch):
     calls = []
 
-    def counted(g, order, kmax):
+    def counted(g, order, kmax, known=()):
         calls.append(encode_graph6(g))
-        return fingerprint(g, order, kmax)
+        return fingerprint(g, order, kmax, known)
 
     monkeypatch.setattr(screen, "fingerprint", counted)
     out = run_screen(_oracle_lines(), ScreenConfig(keys=ALL_KEYS, jobs=1))
     assert out.classes
     assert sorted(calls) == sorted(g6 for c in out.classes for g6 in c.members)
+
+
+def test_screen_computes_each_invariant_once_per_graph(monkeypatch):
+    from edgesector import shadows
+
+    calls = Counter()
+    real = shadows.invariant
+
+    def counted(g, key, kmax=shadows.DEFAULT_KMAX):
+        calls[id(g), key] += 1
+        return real(g, key, kmax)
+
+    monkeypatch.setattr(screen, "invariant", counted)
+    monkeypatch.setattr(shadows, "invariant", counted)
+    fingerprint.cache_clear()
+    lines = _oracle_lines()
+    out = run_screen(lines, ScreenConfig(keys=ALL_KEYS, jobs=1))
+    assert len(out.fingerprints) == len(lines)
+    # the stages' values and the fingerprints' other fields, each once
+    assert len(calls) == len(lines) * len(ALL_KEYS)
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -493,10 +515,10 @@ def test_reading_fingerprints_names_the_line_of_a_failing_fingerprint(monkeypatc
     # 21 graphs: more than one chunk, so with jobs=2 the fingerprints run in a pool
     lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
 
-    def fake(g, order, kmax):
+    def fake(g, order, kmax, known=()):
         if encode_graph6(g) == lines[3][1]:
             raise ArithmeticError("charpoly went wrong")
-        return fingerprint(g, order, kmax)
+        return fingerprint(g, order, kmax, known)
 
     monkeypatch.setattr(screen, "fingerprint", fake)
     # every graph is alone on A, so the screen itself builds no fingerprint
@@ -587,6 +609,29 @@ def test_store_non_object_record_names_its_line(record):
     (line,) = _store_lines("K4")
     store = io.StringIO(line + record + "\n")
     with pytest.raises(ValueError, match=r"fingerprint store line 2: TypeError: .*JSON object"):
+        read_fingerprints_jsonl(store)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("graph6", 5),
+        ("n", "4"),
+        ("n", True),
+        ("m", 6.0),
+        ("correction_order", "12"),
+        ("correction_order", False),
+        ("degrees", "3333"),
+        ("degrees", [3, 3, 3, "3"]),
+        ("degrees", [3, 3, 3, True]),
+    ],
+)
+def test_store_field_of_a_wrong_type_names_its_line(field, value):
+    first, second = _store_lines("K4", "C6")
+    rec = json.loads(second)
+    rec[field] = value
+    store = io.StringIO(first + json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match=rf"fingerprint store line 2: TypeError: {field} must"):
         read_fingerprints_jsonl(store)
 
 

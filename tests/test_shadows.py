@@ -6,10 +6,13 @@ import pytest
 from edgesector.graphs import Graph, corpus, corpus_graph
 from edgesector.edge_space import edge_space, random_gauge, regauge, sector_blocks
 from edgesector.polynomials import Poly, first_difference
+from edgesector.screen import _all_graphs_up_to_iso
 from edgesector.shadows import (
+    GROUPING_KEYS,
     Fingerprint,
     compare,
     fingerprint,
+    invariant,
     regular_collapse_check,
     shadow_set,
 )
@@ -205,3 +208,16 @@ def test_shadow_noncollapse_on_irregular_pairs():
         fa = fingerprint(corpus_graph(a))
         fb = fingerprint(corpus_graph(b))
         assert first_shadow_difference(fa, fb) is not None
+
+
+def test_fingerprint_from_known_invariants_equals_fingerprint():
+    graphs = [entry.graph for entry in corpus()]
+    graphs += [g for n in range(6) for g in _all_graphs_up_to_iso(n)]
+    for g in graphs:
+        want = fingerprint(g, 12, 2)
+        values = {key: invariant(g, key, 2) for key in GROUPING_KEYS}
+        for mask in range(1, 1 << len(GROUPING_KEYS)):
+            known = tuple(
+                (key, values[key]) for bit, key in enumerate(GROUPING_KEYS) if mask >> bit & 1
+            )
+            assert fingerprint(g, 12, 2, known) == want, (g, known)
