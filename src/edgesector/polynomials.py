@@ -33,7 +33,12 @@ def scalar_str(x) -> str:
 
 
 def scalar_from_str(s: str):
-    return _canon(Fraction(s))
+    """The exact scalar of a string Fraction accepts, as an int when whole.
+    Most stored coefficients are whole, and int() parses them far faster."""
+    try:
+        return int(s)
+    except ValueError:
+        return _canon(Fraction(s))
 
 
 class Poly:

@@ -59,81 +59,141 @@ from .zeta import (
 # canonical labeling and the builtin generator
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    """Iterated neighbor-color refinement starting from degrees; the color
-    ids are canonical (derived from sorted invariant keys only).  Each round
-    sorts by the previous color first, so a higher degree never gets a lower
-    color."""
-    adj = g.neighbors()
-    colors = g.degrees()
-    for _ in range(g.n):
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(g.n)
-        ]
-        order = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [order[k] for k in keys]
-        if new == colors:
+@lru_cache(maxsize=1 << 10)  # holds every row of a graph on at most 10 vertices
+def _bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _adjacency_rows(n: int, edges) -> list[int]:
+    """Row v is the bitmask of v's neighbors."""
+    rows = [0] * n
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return rows
+
+
+def _refine_colors(rows: list[int]) -> list[int]:
+    """Iterated neighbor-color refinement of the graph with adjacency
+    bitmask rows, starting from degrees; the color ids are canonical
+    (derived from sorted invariant keys only).  Each round ranks the keys
+    (previous color, sorted neighbor colors), so a higher degree never gets
+    a lower color; a round that splits no cell, or leaves every vertex alone
+    in its cell, ends the refinement.
+
+    Each key is packed in one int: the previous color above the neighbor
+    colors' counts, one digit per color with color 0 the most significant,
+    negated.  Vertices of one previous color have one degree, and between
+    two sorted tuples of one length the smaller holds more of the first
+    color where their counts differ, so the ints sort as the tuples do.
+    """
+    n = len(rows)
+    nbrs = list(map(_bits, rows))
+    colors = [r.bit_count() for r in rows]
+    cells = len(set(colors))
+    digit = n.bit_length()  # a count is below n
+    for _ in range(n):
+        top = max(colors)
+        shift = digit * (top + 1)
+        weight = [1 << digit * (top - c) for c in colors].__getitem__
+        keys = [(c << shift) - sum(map(weight, nb)) for c, nb in zip(colors, nbrs)]
+        distinct = sorted(set(keys))
+        rank = {key: i for i, key in enumerate(distinct)}
+        colors = list(map(rank.__getitem__, keys))
+        if len(distinct) in (cells, n):
             break
-        colors = new
+        cells = len(distinct)
     return colors
 
 
-def _canonical_search(g: Graph, colors: list[int]) -> tuple[list[int], set[int]]:
-    """The backtracking search behind every canonical labeling of g.
+def _canonical_search(rows: list[int], colors: list[int]) -> tuple[list[int], set[int]]:
+    """The backtracking search behind every canonical labeling of the graph
+    with adjacency bitmask rows.
 
     Vertices are placed color class by color class (lowest refined color
     first), maximizing the packed adjacency bit string; branches that cannot
-    beat the current best prefix are cut, so every best order is reached.
+    beat the current best prefix are cut.  Twins, two vertices u, v of one
+    color with N(u) - {v} = N(v) - {u}, are swapped by an automorphism that
+    fixes every other vertex, so the subtrees below them are images of each
+    other and only the first unused member of each twin class is tried.
     Returns the first best order found (the vertex at each position) and the
     vertices that take the last position in some best order.  The best orders
-    are the first one composed with the automorphisms of g, so the second
-    value is the Aut(g)-orbit of the last vertex.
+    are the first one composed with the automorphisms of the graph, so the
+    second value is the Aut-orbit of the last vertex: the last vertices of
+    the best orders reached, closed under their twin classes.
     """
-    n = g.n
-    nbrs = g.neighbors()
-    slot_color = sorted(colors)  # the color placed at each position
+    n = len(rows)
+    nbrs = list(map(_bits, rows))
     members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(colors[v], []).append(v)
+    for v, c in enumerate(colors):
+        members.setdefault(c, []).append(v)
+    slot_members = [members[c] for c in sorted(colors)]  # candidates per position
+    # u, v are twins when their rows differ in nothing or in exactly u and v
+    # (same open or same closed neighborhood); twinship is an equivalence
+    # relation, so the pairs give the classes
+    twins = [1 << v for v in range(n)]
+    for cell in members.values():
+        for i, u in enumerate(cell):
+            for v in cell[i + 1 :]:
+                if rows[u] ^ rows[v] in (0, 1 << u | 1 << v):
+                    twins[u] |= 1 << v
+                    twins[v] |= 1 << u
+    # v is tried only once its lower twins are placed
+    lower = [t & ((1 << v) - 1) for v, t in enumerate(twins)]
     row_of = [0] * n  # row_of[v]: the positions of v's placed neighbors
-    used = [False] * n
+    used = 0
     placed: list[int] = []
-    rows: list[int] = []
-    best_rows: list[int] | None = None
-    best_perm: list[int] | None = None
-    last_orbit: set[int] = set()
+    path: list[int] = []
+    best_rows: list[int] = []
+    best_perm: list[int] = []
+    last: set[int] = set()
 
-    def place(position: int):
-        nonlocal best_rows, best_perm, last_orbit
+    def place(position: int, tied: bool) -> bool:
+        """Extend the placed prefix, which equals the best prefix when tied
+        and else beats it (or no best exists yet); True if a new best order
+        was found below."""
+        nonlocal used, best_rows, best_perm, last
         if position == n:
-            if best_rows is None or rows > best_rows:
-                best_rows = list(rows)
-                best_perm = list(placed)
-                last_orbit = {placed[-1]}
-            elif rows == best_rows:
-                last_orbit.add(placed[-1])
-            return
+            if tied:
+                last.add(placed[-1])
+                return False
+            best_rows, best_perm, last = list(path), list(placed), {placed[-1]}
+            return True
+        improved = False
         bit = 1 << position
-        for v in members[slot_color[position]]:
-            if used[v]:
+        for v in slot_members[position]:
+            if used >> v & 1 or used & lower[v] != lower[v]:
                 continue
-            rows.append(row_of[v])
-            if best_rows is None or rows >= best_rows[: position + 1]:
-                used[v] = True
-                placed.append(v)
-                for u in nbrs[v]:
-                    row_of[u] |= bit
-                place(position + 1)
-                for u in nbrs[v]:
-                    row_of[u] ^= bit
-                placed.pop()
-                used[v] = False
-            rows.pop()
+            row = row_of[v]
+            if tied and row < best_rows[position]:
+                continue
+            path.append(row)
+            used |= 1 << v
+            placed.append(v)
+            for u in nbrs[v]:
+                row_of[u] |= bit
+            if place(position + 1, tied and row == best_rows[position]):
+                # the prefix is now the best one's
+                improved = tied = True
+            for u in nbrs[v]:
+                row_of[u] ^= bit
+            placed.pop()
+            used ^= 1 << v
+            path.pop()
+        return improved
 
-    place(0)
-    if best_perm is None:
+    if not place(0, False):
         raise RuntimeError("canonical labeling placed no complete vertex order")
-    return best_perm, last_orbit
+    orbit = 0
+    for v in last:
+        orbit |= twins[v]
+    return best_perm, set(_bits(orbit))
 
 
 def _relabel_in_order(g: Graph, order: list[int]) -> Graph:
@@ -149,8 +209,50 @@ def canonical_label(g: Graph) -> Graph:
     by the best vertex order of the degree-refined backtracking search."""
     if g.n == 0:
         return g
-    order, _ = _canonical_search(g, _refine_colors(g))
+    rows = _adjacency_rows(g.n, g.edges)
+    order, _ = _canonical_search(rows, _refine_colors(rows))
     return _relabel_in_order(g, order)
+
+
+def _next_level(parents: list[tuple], n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The canonical edge tuples of the n-vertex classes, sorted by (m,
+    edges), from those of the (n-1)-vertex classes (see
+    _all_graphs_up_to_iso)."""
+    x = n - 1
+    by_size: list[list[int]] = [[] for _ in range(n)]  # neighbor sets of x, by size
+    for mask in range(1 << x):
+        by_size[mask.bit_count()].append(mask)
+    # one tuple per vertex pair, shared by every graph of the level
+    edge = [[(min(a, b), max(a, b)) for b in range(n)] for a in range(n)]
+    level = []
+    for parent in parents:
+        rows = _adjacency_rows(x, parent)
+        deg = [r.bit_count() for r in rows]
+        top = max(deg, default=0)
+        at_top = sum(1 << v for v in range(x) if deg[v] == top)
+        children: set[tuple[tuple[int, int], ...]] = set()
+        # x must have the child's maximum degree, which is top, or top + 1
+        # where S meets a vertex of degree top
+        for size in range(top, n):
+            for mask in by_size[size]:
+                if size == top and mask & at_top:
+                    continue
+                child = [r | (mask >> v & 1) << x for v, r in enumerate(rows)]
+                child.append(mask)
+                colors = _refine_colors(child)
+                if colors[x] != max(colors):
+                    continue
+                order, last_orbit = _canonical_search(child, colors)
+                if x in last_orbit:
+                    pos = [0] * n
+                    for p, v in enumerate(order):
+                        pos[v] = p
+                    edges = [edge[pos[a]][pos[b]] for a, b in parent]
+                    edges += [edge[pos[v]][pos[x]] for v in _bits(mask)]
+                    children.add(tuple(sorted(edges)))
+        level.extend(children)
+    level.sort(key=lambda edges: (len(edges), edges))
+    return level
 
 
 @lru_cache(maxsize=8)
@@ -167,33 +269,14 @@ def _all_graphs_up_to_iso(n: int) -> tuple[Graph, ...]:
     vertex of the top refined color, hence of maximum degree, so a child in
     which x has a lower degree or color is rejected before any search.
     Isomorphic accepted children come only from Aut(P)-equivalent neighbor
-    sets of one parent, so duplicates are removed per parent.
+    sets of one parent, so duplicates are removed per parent.  Candidates
+    are adjacency bitmask rows, and each level is a list of canonical edge
+    tuples; Graph objects are built for level n only.
     """
-    if n == 0:
-        return (Graph.from_edges(0, []),)
-    x = n - 1
-    out: list[Graph] = []
-    for parent in _all_graphs_up_to_iso(n - 1):
-        deg = parent.degrees()
-        top = max(deg, default=0)
-        at_top = sum(1 << v for v in range(x) if deg[v] == top)
-        children: set[Graph] = set()
-        for mask in range(1 << x):
-            size = mask.bit_count()
-            # x must have the child's maximum degree, which is top, or
-            # top + 1 where S meets a vertex of degree top
-            if size < top or (size == top and mask & at_top):
-                continue
-            joined = [(v, x) for v in range(x) if mask >> v & 1]
-            child = Graph.from_edges(n, parent.edges + tuple(joined))
-            colors = _refine_colors(child)
-            if colors[x] != max(colors):
-                continue
-            order, last_orbit = _canonical_search(child, colors)
-            if x in last_orbit:
-                children.add(_relabel_in_order(child, order))
-        out.extend(children)
-    return tuple(sorted(out, key=lambda g: (g.m, g.edges)))
+    level: list[tuple[tuple[int, int], ...]] = [()]
+    for k in range(1, n + 1):
+        level = _next_level(level, k)
+    return tuple(Graph(n, edges) for edges in level)
 
 
 MAX_GENERATED_VERTICES = 7

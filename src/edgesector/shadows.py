@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .edge_space import OrientedEdgeSpace, edge_space, sector_blocks
-from .graphs import Graph, encode_graph6, is_connected, is_regular
+from .graphs import Graph, encode_graph6, is_connected, is_regular, parse_graph6
 from .matrices import Matrix
 from .polynomials import Poly, PowerSeries, rescale, scalar_from_str
 from .zeta import DEFAULT_ORDER, PairDivergence, ihara_det
@@ -178,41 +178,52 @@ class Fingerprint:
 
     @classmethod
     def from_json_dict(cls, rec: dict) -> "Fingerprint":
+        """The fingerprint of one store record.  Raises TypeError for a field
+        of the wrong type, and ValueError when n, m or degrees disagree with
+        graph6, the correction series does not hold correction_order + 1
+        coefficients, or the shadow keys are not MMt, MtM, MtL1M .. MtLkM."""
         if not isinstance(rec, dict):
             raise TypeError(f"record must be a JSON object, not {type(rec).__name__}")
         if rec.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported fingerprint schema {rec.get('schema')!r}")
-        shadow_items = rec["shadows"]
-        mtlkm = []
-        k = 1
-        while f"MtL{k}M" in shadow_items:
-            mtlkm.append(Poly.from_coeff_strings(shadow_items[f"MtL{k}M"]))
-            k += 1
-        shadows = ShadowSet(
-            kmax=k - 1,
-            mmt=Poly.from_coeff_strings(shadow_items["MMt"]),
-            mtm=Poly.from_coeff_strings(shadow_items["MtM"]),
-            mtlkm=tuple(mtlkm),
-        )
+        graph6 = _field(rec, "graph6", str)
+        n, m = _field(rec, "n", int), _field(rec, "m", int)
         order = _field(rec, "correction_order", int)
-        degrees = _field(rec, "degrees", list)
+        degrees = tuple(_field(rec, "degrees", list))
         if any(type(d) is not int for d in degrees):
-            raise TypeError(f"degrees must be a list of ints, not {degrees!r}")
-        series = PowerSeries(
-            order, [scalar_from_str(s) for s in rec["correction_series"]]
-        )
+            raise TypeError(f"degrees must be a list of ints, not {list(degrees)!r}")
+        g = parse_graph6(graph6)
+        for name, stored, actual in (
+            ("n", n, g.n), ("m", m, g.m), ("degrees", degrees, g.degree_multiset())
+        ):
+            if stored != actual:
+                raise ValueError(f"{name} {stored} disagrees with graph6 {graph6!r}: {actual}")
+        coeffs = _field(rec, "correction_series", list)
+        if len(coeffs) != order + 1:
+            raise ValueError(
+                f"correction_series holds {len(coeffs)} coefficients, "
+                f"not correction_order + 1 = {order + 1}"
+            )
+        shadow_items = _field(rec, "shadows", dict)
+        kmax = 0
+        while f"MtL{kmax + 1}M" in shadow_items:
+            kmax += 1
+        names = ["MMt", "MtM"] + [f"MtL{k}M" for k in range(1, kmax + 1)]
+        if set(shadow_items) != set(names):
+            raise ValueError(f"shadow keys {sorted(shadow_items)} are not {names}")
+        polys = [Poly.from_coeff_strings(shadow_items[name]) for name in names]
         return cls(
-            graph6=_field(rec, "graph6", str),
-            n=_field(rec, "n", int),
-            m=_field(rec, "m", int),
-            degrees=tuple(degrees),
+            graph6=graph6,
+            n=n,
+            m=m,
+            degrees=degrees,
             charpoly_adjacency=Poly.from_coeff_strings(rec["charpoly_adjacency"]),
             charpoly_line=Poly.from_coeff_strings(rec["charpoly_line"]),
             charpoly_signed=Poly.from_coeff_strings(rec["charpoly_signed"]),
-            shadows=shadows,
+            shadows=ShadowSet(kmax, polys[0], polys[1], tuple(polys[2:])),
             hashimoto_det=Poly.from_coeff_strings(rec["hashimoto_det"]),
             correction_order=order,
-            correction_series=series,
+            correction_series=PowerSeries(order, [scalar_from_str(c) for c in coeffs]),
         )
 
 

@@ -10,7 +10,7 @@ import hashlib
 import pytest
 
 from edgesector.cli import EXIT_OK, main
-from edgesector.graphs import corpus, encode_graph6
+from edgesector.graphs import corpus, encode_graph6, is_connected
 from edgesector.screen import _all_graphs_up_to_iso, builtin_generate
 from edgesector.shadows import fingerprint
 
@@ -27,6 +27,10 @@ CORPUS_DIGESTS = {
 CENSUS6_DIGEST = "b3a7a9eb6bc27d0f74ae035d7a7df3ad3183bf0b78fd5ed108761e331b84596d"
 # all 1044 graphs on 7 vertices, disconnected ones included, in output order
 GENERATED7_DIGEST = "f9a7d1de9e3cf7e112738a7c605b3948cfba9652db8fba2de83f7167e72a1d11"
+# likewise the 12346 graphs on 8 and the 274668 on 9 vertices, both taken
+# from the generator that walked every best vertex order (no twin pruning)
+GENERATED8_DIGEST = "0c6a4c9a78f4717656b63f020f4efd9314d7c1e6cbe71ca5f98f24325de49473"
+GENERATED9_DIGEST = "4d6fefa6b9b385907eb20f435ce0a662a2b930e501c62dd4aa60fbde6b9a8fef"
 SCREEN6_DIGEST = "7920d12bee370648d07628b1d86e6ea330c64a44031fade472b6dd656c4884cb"
 # 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
 SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
@@ -48,6 +52,21 @@ def test_generator_up_to_seven():
     graphs = _all_graphs_up_to_iso(7)
     assert len(graphs) == 1044
     assert _digest(encode_graph6(g) for g in graphs) == GENERATED7_DIGEST
+
+
+def test_generator_on_eight_vertices():
+    graphs = _all_graphs_up_to_iso(8)
+    assert len(graphs) == 12346
+    assert sum(map(is_connected, graphs)) == 11117  # OEIS A001349
+    assert _digest(encode_graph6(g) for g in graphs) == GENERATED8_DIGEST
+
+
+@pytest.mark.slow
+def test_generator_on_nine_vertices():
+    graphs = _all_graphs_up_to_iso(9)
+    assert len(graphs) == 274668
+    assert sum(map(is_connected, graphs)) == 261080
+    assert _digest(encode_graph6(g) for g in graphs) == GENERATED9_DIGEST
 
 
 def test_screen_generate_six_full_key(capsys):

@@ -11,6 +11,8 @@ from edgesector.polynomials import (
     first_difference,
     ratfunc_reduce,
     rescale,
+    scalar_from_str,
+    scalar_str,
     series_of,
 )
 
@@ -24,6 +26,29 @@ def test_zero_poly_degree_sentinel():
 def test_trailing_zeros_trimmed():
     assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
     assert Poly((Fraction(4, 2),)).coeffs == (2,)  # canonicalized to int
+
+
+@pytest.mark.parametrize(
+    "text", ["0", "-12", "+3", " 7 ", "1_000", "3/6", "-4/2", "1.5", "2e3", "-0"]
+)
+def test_scalar_from_str_reads_what_fraction_reads(text):
+    value = scalar_from_str(text)
+    assert value == Fraction(text)
+    # whole values come back as ints, as Poly keeps them
+    assert type(value) is (int if Fraction(text).denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("text", ["", "x", "1/0x", "1//2", "_1"])
+def test_scalar_from_str_rejects_what_fraction_rejects(text):
+    with pytest.raises(ValueError):
+        Fraction(text)
+    with pytest.raises(ValueError):
+        scalar_from_str(text)
+
+
+def test_scalar_strings_round_trip():
+    for x in (0, -5, 12345678901234567890, Fraction(-7, 3), Fraction(1, 10**20)):
+        assert scalar_from_str(scalar_str(x)) == x
 
 
 def test_arithmetic_basics():

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import random
+import sys
 from collections import Counter
 from itertools import permutations
 
@@ -121,15 +122,112 @@ def test_canonical_label_isomorphism_invariant():
         assert certificate(g) == certificate(g.relabel(perm))
 
 
+def _search(g: Graph):
+    rows = screen._adjacency_rows(g.n, g.edges)
+    return screen._canonical_search(rows, screen._refine_colors(rows))
+
+
+def _cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+LAST_ORBIT_GRAPHS = {
+    # large twin classes
+    "7K1": Graph.from_edges(7, []),
+    "K1,5": Graph.from_edges(6, [(0, v) for v in range(1, 6)]),
+    "K3,3": Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    "K5+2K1": Graph.from_edges(7, [(a, b) for a in range(5) for b in range(a + 1, 5)]),
+    # symmetry that no twin swap generates
+    "C5": _cycle(5),
+    "C6": _cycle(6),
+    "C7": _cycle(7),
+    "K3xK2": Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                  (0, 3), (1, 4), (2, 5)]),
+}
+
+
 def test_canonical_search_returns_the_orbit_of_the_last_vertex():
     rng = random.Random(72)
     graphs = [corpus_graph(name) for name in ("C4", "star3", "K4")]
     graphs += [random_connected_graph(rng, n_max=6) for _ in range(20)]
     graphs += [Graph.from_edges(5, []), Graph.from_edges(6, [(0, 1), (2, 3)])]
+    graphs += LAST_ORBIT_GRAPHS.values()
     for g in graphs:
-        order, last_orbit = screen._canonical_search(g, screen._refine_colors(g))
-        autos = [p for p in permutations(range(g.n)) if g.relabel(p) == g]
+        order, last_orbit = _search(g)
+        edges = set(g.edges)
+        autos = [p for p in permutations(range(g.n))
+                 if {(min(p[a], p[b]), max(p[a], p[b])) for a, b in edges} == edges]
         assert last_orbit == {p[order[-1]] for p in autos}
+        # and order is a best order: no order placing the colors in the
+        # same sequence packs a larger adjacency bit string
+        colors = screen._refine_colors(screen._adjacency_rows(g.n, g.edges))
+        nbrs = g.neighbors()
+
+        def packed(order):
+            pos = {v: i for i, v in enumerate(order)}
+            return [sum(1 << pos[u] for u in nbrs[v] if pos[u] < i) for i, v in enumerate(order)]
+
+        slots = sorted(colors)
+        best = max(packed(p) for p in permutations(range(g.n))
+                   if [colors[v] for v in p] == slots)
+        assert packed(order) == best
+
+
+def refinement_oracle(g: Graph) -> list[int]:
+    """Neighbor-color refinement with tuple keys (previous color, sorted
+    neighbor colors), run until a round changes no color."""
+    adj = g.neighbors()
+    colors = g.degrees()
+    for _ in range(g.n):
+        keys = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(g.n)]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new = [rank[k] for k in keys]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def test_refinement_packs_its_keys_without_changing_a_color():
+    rng = random.Random(74)
+    graphs = [g for n in range(1, 7) for g in screen._all_graphs_up_to_iso(n)]
+    graphs += [random_connected_graph(rng, n_max=14, extra_max=20) for _ in range(200)]
+    graphs += LAST_ORBIT_GRAPHS.values()
+    for g in graphs:
+        assert screen._refine_colors(screen._adjacency_rows(g.n, g.edges)) == refinement_oracle(g)
+
+
+def _place_calls(run) -> list[int]:
+    """The position argument of every call of _canonical_search's place
+    while run() runs."""
+    place = next(c for c in screen._canonical_search.__code__.co_consts
+                 if getattr(c, "co_name", None) == "place")
+    positions = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is place:
+            positions.append(frame.f_locals["position"])
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return positions
+
+
+def test_the_edgeless_graph_reaches_one_leaf():
+    g = LAST_ORBIT_GRAPHS["7K1"]
+    positions = _place_calls(lambda: _search(g))
+    # every vertex is a twin of every other, so one branch per position
+    assert positions == list(range(8))
+    assert _search(g)[1] == set(range(7))
+
+
+def test_twin_pruning_fixes_the_place_calls_of_the_n7_census():
+    screen._all_graphs_up_to_iso.cache_clear()
+    # 123,576 calls before the search skipped twins
+    assert len(_place_calls(lambda: screen._all_graphs_up_to_iso(7))) == 27383
 
 
 def test_canonical_label_separates_nonisomorphic():
@@ -220,14 +318,15 @@ def test_builtin_generate_searches_only_candidates_past_the_cheap_rejects(monkey
     searches, labels = [], []
     real = screen._canonical_search
 
-    def counted(g, colors):
-        searches.append(g)
-        return real(g, colors)
+    def counted(rows, colors):
+        searches.append(rows)
+        return real(rows, colors)
 
     monkeypatch.setattr(screen, "_canonical_search", counted)
     monkeypatch.setattr(screen, "canonical_label", labels.append)
     screen._all_graphs_up_to_iso.cache_clear()
     assert len(builtin_generate(5)) == 21
+    searched = len(searches)
     # candidates whose new vertex has the maximum degree and the top refined color
     passing = 0
     for n in range(1, 6):
@@ -235,12 +334,12 @@ def test_builtin_generate_searches_only_candidates_past_the_cheap_rejects(monkey
             for mask in range(1 << (n - 1)):
                 joined = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
                 child = Graph.from_edges(n, base.edges + tuple(joined))
-                colors = screen._refine_colors(child)
+                colors = screen._refine_colors(screen._adjacency_rows(child.n, child.edges))
                 if child.degrees()[-1] == child.max_degree() and colors[-1] == max(colors):
                     passing += 1
     assert passing == 88
     # one search per such candidate, against 219 labelings of every candidate
-    assert len(searches) == passing < 219
+    assert searched == passing < 219
     assert labels == []
 
 
@@ -632,6 +731,43 @@ def test_store_field_of_a_wrong_type_names_its_line(field, value):
     rec[field] = value
     store = io.StringIO(first + json.dumps(rec) + "\n")
     with pytest.raises(ValueError, match=rf"fingerprint store line 2: TypeError: {field} must"):
+        read_fingerprints_jsonl(store)
+
+
+def _drop(key):
+    return lambda shadows: {k: v for k, v in shadows.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "field,corrupt,message",
+    [
+        ("n", lambda n: 99, r"n 99 disagrees with graph6 'C~': 4"),
+        ("m", lambda m: 5, r"m 5 disagrees with graph6 'C~': 6"),
+        ("degrees", lambda d: [3, 3, 3, 2],
+         r"degrees \(3, 3, 3, 2\) disagrees with graph6 'C~': \(3, 3, 3, 3\)"),
+        ("degrees", lambda d: [1], r"degrees \(1,\) disagrees with graph6 'C~': \(3, 3, 3, 3\)"),
+        ("graph6", lambda g6: "C^", r"m 6 disagrees with graph6 'C\^': 5"),
+        ("correction_series", lambda c: c[:3],
+         r"correction_series holds 3 coefficients, not correction_order \+ 1 = 13"),
+        ("correction_series", lambda c: c + ["0"],
+         r"correction_series holds 14 coefficients, not correction_order \+ 1 = 13"),
+        ("shadows", _drop("MtM"),
+         r"shadow keys \['MMt', 'MtL1M', 'MtL2M'\] are not \['MMt', 'MtM', 'MtL1M', 'MtL2M'\]"),
+        ("shadows", _drop("MtL1M"),
+         r"shadow keys \['MMt', 'MtL2M', 'MtM'\] are not \['MMt', 'MtM'\]"),
+        ("shadows", lambda sh: {**sh, "MtL4M": ["1"]},
+         r"shadow keys \['MMt', 'MtL1M', 'MtL2M', 'MtL4M', 'MtM'\] are not "
+         r"\['MMt', 'MtM', 'MtL1M', 'MtL2M'\]"),
+    ],
+    ids=["n", "m", "degrees", "degrees-length", "graph6", "series-short", "series-long",
+         "shadows-no-MtM", "shadows-gap", "shadows-extra"],
+)
+def test_store_record_that_disagrees_with_itself_names_its_line(field, corrupt, message):
+    first, second = _store_lines("C6", "K4")
+    rec = json.loads(second)
+    rec[field] = corrupt(rec[field])
+    store = io.StringIO(first + json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match=rf"fingerprint store line 2: ValueError: {message}"):
         read_fingerprints_jsonl(store)
 
 
