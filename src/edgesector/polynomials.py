@@ -26,6 +26,8 @@ def _canon(x):
 
 def scalar_str(x) -> str:
     """Canonical "num" or "num/den" string of an exact scalar."""
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
@@ -147,16 +149,6 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    # internal helper of shift()
-    def mul_x_minus(self, a) -> "Poly":
-        """(x - a) * self, cheaper than a general product."""
-        cs = self.coeffs
-        out = [0] * (len(cs) + 1)
-        for i, c in enumerate(cs):
-            out[i + 1] += c
-            out[i] -= a * c
-        return Poly(out)
-
     # -- division --------------------------------------------------------
 
     def divmod(self, other: "Poly"):
@@ -214,11 +206,15 @@ class Poly:
         return rescale(self.reversal(at_degree=dim), scale)
 
     def shift(self, a) -> "Poly":
-        """p(x + a), by Horner's rule in the ring of polynomials."""
-        out = Poly.zero()
+        """p(x + a), by Horner's rule in the ring of polynomials: the
+        accumulator, a coefficient list, becomes (x + a) * acc + c per step."""
+        acc: list = []
         for c in reversed(self.coeffs):
-            out = out.mul_x_minus(-a) + Poly((c,))
-        return out
+            acc = [0, *acc]
+            for i in range(len(acc) - 1):
+                acc[i] += a * acc[i + 1]
+            acc[0] += c
+        return Poly(acc)
 
     def times_x_power(self, k: int) -> "Poly":
         """x^k * self; for k < 0 the lowest -k coefficients must vanish."""

@@ -79,13 +79,17 @@ def _adjacency_rows(n: int, edges) -> list[int]:
     return rows
 
 
-def _refine_colors(rows: list[int]) -> list[int]:
+def _refine_colors(rows: list[int], top_vertex: int | None = None) -> list[int] | None:
     """Iterated neighbor-color refinement of the graph with adjacency
     bitmask rows, starting from degrees; the color ids are canonical
     (derived from sorted invariant keys only).  Each round ranks the keys
     (previous color, sorted neighbor colors), so a higher degree never gets
     a lower color; a round that splits no cell, or leaves every vertex alone
     in its cell, ends the refinement.
+
+    Given top_vertex, the refinement stops with None as soon as a round
+    leaves that vertex out of the top cell: the rounds keep the order of the
+    cells, so it cannot come back.
 
     Each key is packed in one int: the previous color above the neighbor
     colors' counts, one digit per color with color 0 the most significant,
@@ -106,6 +110,8 @@ def _refine_colors(rows: list[int]) -> list[int]:
         distinct = sorted(set(keys))
         rank = {key: i for i, key in enumerate(distinct)}
         colors = list(map(rank.__getitem__, keys))
+        if top_vertex is not None and colors[top_vertex] != len(distinct) - 1:
+            return None
         if len(distinct) in (cells, n):
             break
         cells = len(distinct)
@@ -239,8 +245,8 @@ def _next_level(parents: list[tuple], n: int) -> list[tuple[tuple[int, int], ...
                     continue
                 child = [r | (mask >> v & 1) << x for v, r in enumerate(rows)]
                 child.append(mask)
-                colors = _refine_colors(child)
-                if colors[x] != max(colors):
+                colors = _refine_colors(child, x)
+                if colors is None:
                     continue
                 order, last_orbit = _canonical_search(child, colors)
                 if x in last_orbit:

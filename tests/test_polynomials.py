@@ -56,7 +56,6 @@ def test_arithmetic_basics():
     assert p * p == Poly((1, 2, 1))
     assert p + Poly((-1, -1)) == Poly.zero()
     assert (p**3)(2) == 27
-    assert Poly((0, 1)).mul_x_minus(3) == Poly((0, -3, 1))
 
 
 def test_divmod_exact_and_gcd():
@@ -95,6 +94,14 @@ def test_shift_times_x_power_and_resolvent():
     p = Poly((3, -2, 0, 1))  # x^3 - 2x + 3
     assert p.shift(2) == Poly((7, 10, 6, 1))  # p(x + 2)
     assert p.shift(2).shift(-2) == p
+    rng = random.Random(12)
+    for a in (2, -3, Fraction(1, 2)):
+        for _ in range(10):
+            q = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))])
+            expect = Poly.zero()  # sum of c_k (x + a)^k
+            for k, c in enumerate(q.coeffs):
+                expect = expect + Poly((a, 1)) ** k * c
+            assert q.shift(a) == expect
     assert p.times_x_power(2) == Poly((0, 0, 3, -2, 0, 1))
     assert p.times_x_power(2).times_x_power(-2) == p
     with pytest.raises(ArithmeticError):

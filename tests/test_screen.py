@@ -194,7 +194,32 @@ def test_refinement_packs_its_keys_without_changing_a_color():
     graphs += [random_connected_graph(rng, n_max=14, extra_max=20) for _ in range(200)]
     graphs += LAST_ORBIT_GRAPHS.values()
     for g in graphs:
-        assert screen._refine_colors(screen._adjacency_rows(g.n, g.edges)) == refinement_oracle(g)
+        rows = screen._adjacency_rows(g.n, g.edges)
+        colors = refinement_oracle(g)
+        assert screen._refine_colors(rows) == colors
+        # a watched vertex gets the full result if it ends in the top cell
+        for v in range(g.n):
+            expect = colors if colors[v] == max(colors) else None
+            assert screen._refine_colors(rows, v) == expect
+
+
+def test_refinement_stops_once_the_watched_vertex_leaves_the_top_cell(monkeypatch):
+    rounds = []
+
+    def counted(keys):  # one sorted call per refinement round
+        rounds.append(keys)
+        return sorted(keys)
+
+    monkeypatch.setattr(screen, "sorted", counted, raising=False)
+    path = Graph.from_edges(9, [(v, v + 1) for v in range(8)])
+    rows = screen._adjacency_rows(path.n, path.edges)
+    # three rounds split the cells, one more splits none
+    assert screen._refine_colors(rows) == refinement_oracle(path)
+    assert len(rounds) == 4
+    rounds.clear()
+    # vertex 1 has degree 2 but a neighbor of degree 1: below the top cell after one round
+    assert screen._refine_colors(rows, 1) is None
+    assert len(rounds) == 1
 
 
 def _place_calls(run) -> list[int]:

@@ -5,11 +5,14 @@ import pytest
 
 from edgesector.graphs import Graph, corpus, corpus_graph
 from edgesector.edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
+from edgesector.matrices import Matrix
 from edgesector.polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
+from edgesector.screen import _all_graphs_up_to_iso
 from edgesector.zeta import (
     bass_det,
     factorize,
     hashimoto_det,
+    ihara_det,
     line_factor,
     log_trace_check,
     resolution_compare,
@@ -83,6 +86,46 @@ def test_bass_disconnected_multiplicative():
     two_triangles = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     assert bass_det(two_triangles) == hashimoto_det(two_triangles)
     assert hashimoto_det(two_triangles) == hashimoto_det(corpus_graph("K3")) ** 2
+
+
+def test_ihara_det_equals_bass_det_every_graph_to_n7():
+    # every class on at most 7 vertices, disconnected graphs, forests and
+    # isolated vertices included: the 2-core route against the Bass formula
+    # on the whole graph, which peels nothing
+    count = 0
+    for n in range(8):
+        for g in _all_graphs_up_to_iso(n):
+            assert ihara_det(g) == bass_det(g), (n, g.edges)
+            count += 1
+    assert count == 1253
+
+
+def test_ihara_det_equals_hashimoto_det_every_graph_to_n6():
+    for n in range(7):
+        for g in _all_graphs_up_to_iso(n):
+            assert ihara_det(g) == hashimoto_det(g), (n, g.edges)
+
+
+def test_ihara_det_takes_its_charpoly_on_the_2_core(monkeypatch):
+    g = corpus_graph("petersen")
+    n = g.n
+    # a pendant path of three vertices on vertex 0, and an isolated vertex
+    tailed = Graph.from_edges(n + 4, list(g.edges) + [(0, n), (n, n + 1), (n + 1, n + 2)])
+    forest = Graph.from_edges(9, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (6, 7)])
+    expect = hashimoto_det(g)
+    dims = []
+    charpoly = Matrix.charpoly
+
+    def recording(self):
+        dims.append(self.nrows)
+        return charpoly(self)
+
+    monkeypatch.setattr(Matrix, "charpoly", recording)
+    assert ihara_det(tailed) == expect
+    assert dims == [2 * n]
+    dims.clear()
+    assert ihara_det(forest) == Poly.one()
+    assert dims == []
 
 
 def test_factorize_paper_c6():
