@@ -1,4 +1,4 @@
-"""Golden digests of the byte output of fingerprint and screen.
+"""Golden digests of the byte output of fingerprint, screen, verify and zeta.
 
 Each digest is the SHA-256 of newline-joined output lines.  A refactor must
 leave every digest unchanged; a digest may change only with a fingerprint
@@ -10,7 +10,7 @@ import hashlib
 import pytest
 
 from edgesector.cli import EXIT_OK, main
-from edgesector.graphs import corpus, encode_graph6, is_connected
+from edgesector.graphs import corpus, corpus_names, encode_graph6, is_connected
 from edgesector.screen import _all_graphs_up_to_iso, builtin_generate
 from edgesector.shadows import fingerprint
 
@@ -31,6 +31,10 @@ GENERATED7_DIGEST = "f9a7d1de9e3cf7e112738a7c605b3948cfba9652db8fba2de83f7167e72
 # from the generator that walked every best vertex order (no twin pruning)
 GENERATED8_DIGEST = "0c6a4c9a78f4717656b63f020f4efd9314d7c1e6cbe71ca5f98f24325de49473"
 GENERATED9_DIGEST = "4d6fefa6b9b385907eb20f435ce0a662a2b930e501c62dd4aa60fbde6b9a8fef"
+# `verify <every corpus name> --json`: check names, order, results and details
+VERIFY_CORPUS_DIGEST = "7023f2e3eb96149a917ba7fccbb48ea2025f1e96675dc69068acc0e9abc943bd"
+# `zeta NAME --json` for each corpus name, in corpus order
+ZETA_CORPUS_DIGEST = "d3cf41249931d287900d55f9aef3e300499b109d83db1e55a5494b8f4c12d9ac"
 SCREEN6_DIGEST = "7920d12bee370648d07628b1d86e6ea330c64a44031fade472b6dd656c4884cb"
 # 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
 SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
@@ -81,3 +85,18 @@ def test_screen_generate_six_hashimoto_pairs(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert _digest(out.splitlines()) == SCREEN6_HASHIMOTO_DIGEST
+
+
+def test_verify_corpus_json(capsys):
+    code = main(["verify", *corpus_names(), "--json"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert _digest(out.splitlines()) == VERIFY_CORPUS_DIGEST
+
+
+def test_zeta_corpus_json(capsys):
+    lines = []
+    for name in corpus_names():
+        assert main(["zeta", name, "--json"]) == EXIT_OK
+        lines += capsys.readouterr().out.splitlines()
+    assert _digest(lines) == ZETA_CORPUS_DIGEST
