@@ -64,7 +64,9 @@ from .bounds import (
     hermitian_part_spectrum_check,
     sym_spectrum,
 )
-from .screen import ScreenConfig, builtin_generate, canonical_label, run_screen, verify_all
+from .census import builtin_generate, canonical_label
+from .screen import ScreenConfig, run_screen
+from .verify import verify_all
 
 __version__ = "0.1.0"
 

@@ -12,6 +12,7 @@ import json
 import sys
 
 from .bounds import DEFAULT_BOUND_SLACK, RootFindingError, check_bounds
+from .census import MAX_GENERATED_VERTICES, builtin_generate
 from .edge_space import edge_space, sector_blocks
 from .graphs import (
     Graph,
@@ -25,16 +26,9 @@ from .graphs import (
     parse_graph6,
     read_graph6_lines,
 )
-from .screen import (
-    MAX_GENERATED_VERTICES,
-    ScreenConfig,
-    ScreenError,
-    builtin_generate,
-    run_screen,
-    verify_all,
-    write_fingerprints_jsonl,
-)
+from .screen import ScreenConfig, ScreenError, run_screen, write_fingerprints_jsonl
 from .shadows import DEFAULT_KMAX, GROUPING_KEYS, fingerprint, vertex_shadow_set
+from .verify import verify_all
 from .zeta import DEFAULT_ORDER, factorize, trivial_roots
 
 EXIT_OK = 0

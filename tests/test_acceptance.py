@@ -18,7 +18,7 @@ from edgesector.graphs import (
 )
 from edgesector.edge_space import edge_space, random_gauge, regauge, sector_blocks, verify_sector_identity
 from edgesector.bounds import check_bounds, hashimoto_spectrum, hermitian_part_spectrum_check
-from edgesector.screen import builtin_generate
+from edgesector.census import builtin_generate
 from edgesector.shadows import fingerprint, regular_collapse_check, shadow_set
 from edgesector.zeta import (
     bass_det,

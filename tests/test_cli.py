@@ -278,9 +278,9 @@ def test_screen_fingerprints_out_exits_1_when_a_fingerprint_fails(tmp_path, caps
     reason="pool workers see the patched fingerprint only when forked",
 )
 def test_screen_dead_worker_exits_1_with_its_chunk(capsys, monkeypatch):
-    from edgesector import screen
+    from edgesector import census, screen
 
-    first = encode_graph6(screen.builtin_generate(5)[0])
+    first = encode_graph6(census.builtin_generate(5)[0])
     real = screen.invariant
 
     def dies(g, key, kmax):

@@ -11,7 +11,7 @@ import pytest
 
 from edgesector.cli import EXIT_OK, main
 from edgesector.graphs import corpus, corpus_names, encode_graph6, is_connected
-from edgesector.screen import _all_graphs_up_to_iso, builtin_generate
+from edgesector.census import _all_graphs_up_to_iso, builtin_generate
 from edgesector.shadows import fingerprint
 
 

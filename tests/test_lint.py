@@ -42,3 +42,23 @@ def test_only_the_cli_prints():
         and node.func.id == "print"
     ]
     assert found == [], "the library returns its results; cli.py prints them"
+
+
+def _relative_imports(module: str) -> dict[str, set[str]]:
+    """The names module.py takes from each sibling module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.setdefault(node.module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_the_screen_takes_no_battery_or_generator_code():
+    imports = _relative_imports("screen")
+    # the battery's oracles stay out of the screen
+    assert not {"bounds", "edge_space", "matrices"} & set(imports)
+    assert imports["zeta"] == {"DEFAULT_ORDER"}
+    # the two generator names the benchmark tracer wraps as screen.*
+    assert imports["census"] == {"builtin_generate", "canonical_label"}
+    assert set(_relative_imports("census")) == {"graphs"}

@@ -10,15 +10,13 @@ from itertools import permutations
 import pytest
 
 from edgesector.graphs import Graph, Graph6Error, corpus, corpus_graph, encode_graph6
-from edgesector import screen
+from edgesector import census, screen
+from edgesector.census import builtin_generate, canonical_label
 from edgesector.screen import (
     ScreenConfig,
     ScreenError,
-    builtin_generate,
-    canonical_label,
     read_fingerprints_jsonl,
     run_screen,
-    verify_all,
     write_fingerprints_jsonl,
 )
 from edgesector.shadows import fingerprint
@@ -51,6 +49,9 @@ def pools(monkeypatch):
     return opened
 
 
+# the census generator and canonical labeling (census.py)
+
+
 def vertex_augmentation_oracle(n: int) -> tuple[Graph, ...]:
     """Every graph on n vertices up to isomorphism, the slow way: extend each
     (n-1)-vertex class with a new vertex joined to every subset of the old
@@ -69,7 +70,7 @@ def vertex_augmentation_oracle(n: int) -> tuple[Graph, ...]:
 
 @pytest.mark.parametrize("n", range(7))
 def test_generator_matches_vertex_augmentation_oracle(n):
-    assert screen._all_graphs_up_to_iso(n) == vertex_augmentation_oracle(n)
+    assert census._all_graphs_up_to_iso(n) == vertex_augmentation_oracle(n)
 
 
 def test_builtin_counts():
@@ -123,8 +124,8 @@ def test_canonical_label_isomorphism_invariant():
 
 
 def _search(g: Graph):
-    rows = screen._adjacency_rows(g.n, g.edges)
-    return screen._canonical_search(rows, screen._refine_colors(rows))
+    rows = census._adjacency_rows(g.n, g.edges)
+    return census._canonical_search(rows, census._refine_colors(rows))
 
 
 def _cycle(n: int) -> Graph:
@@ -160,7 +161,7 @@ def test_canonical_search_returns_the_orbit_of_the_last_vertex():
         assert last_orbit == {p[order[-1]] for p in autos}
         # and order is a best order: no order placing the colors in the
         # same sequence packs a larger adjacency bit string
-        colors = screen._refine_colors(screen._adjacency_rows(g.n, g.edges))
+        colors = census._refine_colors(census._adjacency_rows(g.n, g.edges))
         nbrs = g.neighbors()
 
         def packed(order):
@@ -190,17 +191,17 @@ def refinement_oracle(g: Graph) -> list[int]:
 
 def test_refinement_packs_its_keys_without_changing_a_color():
     rng = random.Random(74)
-    graphs = [g for n in range(1, 7) for g in screen._all_graphs_up_to_iso(n)]
+    graphs = [g for n in range(1, 7) for g in census._all_graphs_up_to_iso(n)]
     graphs += [random_connected_graph(rng, n_max=14, extra_max=20) for _ in range(200)]
     graphs += LAST_ORBIT_GRAPHS.values()
     for g in graphs:
-        rows = screen._adjacency_rows(g.n, g.edges)
+        rows = census._adjacency_rows(g.n, g.edges)
         colors = refinement_oracle(g)
-        assert screen._refine_colors(rows) == colors
+        assert census._refine_colors(rows) == colors
         # a watched vertex gets the full result if it ends in the top cell
         for v in range(g.n):
             expect = colors if colors[v] == max(colors) else None
-            assert screen._refine_colors(rows, v) == expect
+            assert census._refine_colors(rows, v) == expect
 
 
 def test_refinement_stops_once_the_watched_vertex_leaves_the_top_cell(monkeypatch):
@@ -210,22 +211,22 @@ def test_refinement_stops_once_the_watched_vertex_leaves_the_top_cell(monkeypatc
         rounds.append(keys)
         return sorted(keys)
 
-    monkeypatch.setattr(screen, "sorted", counted, raising=False)
+    monkeypatch.setattr(census, "sorted", counted, raising=False)
     path = Graph.from_edges(9, [(v, v + 1) for v in range(8)])
-    rows = screen._adjacency_rows(path.n, path.edges)
+    rows = census._adjacency_rows(path.n, path.edges)
     # three rounds split the cells, one more splits none
-    assert screen._refine_colors(rows) == refinement_oracle(path)
+    assert census._refine_colors(rows) == refinement_oracle(path)
     assert len(rounds) == 4
     rounds.clear()
     # vertex 1 has degree 2 but a neighbor of degree 1: below the top cell after one round
-    assert screen._refine_colors(rows, 1) is None
+    assert census._refine_colors(rows, 1) is None
     assert len(rounds) == 1
 
 
 def _place_calls(run) -> list[int]:
     """The position argument of every call of _canonical_search's place
     while run() runs."""
-    place = next(c for c in screen._canonical_search.__code__.co_consts
+    place = next(c for c in census._canonical_search.__code__.co_consts
                  if getattr(c, "co_name", None) == "place")
     positions = []
 
@@ -250,14 +251,17 @@ def test_the_edgeless_graph_reaches_one_leaf():
 
 
 def test_twin_pruning_fixes_the_place_calls_of_the_n7_census():
-    screen._all_graphs_up_to_iso.cache_clear()
+    census._all_graphs_up_to_iso.cache_clear()
     # 123,576 calls before the search skipped twins
-    assert len(_place_calls(lambda: screen._all_graphs_up_to_iso(7))) == 27383
+    assert len(_place_calls(lambda: census._all_graphs_up_to_iso(7))) == 27383
 
 
 def test_canonical_label_separates_nonisomorphic():
     assert certificate(corpus_graph("C4")) != certificate(corpus_graph("star3"))
     assert certificate(corpus_graph("paperG")) != certificate(corpus_graph("paperH"))
+
+
+# the screen
 
 
 def test_screen_example_a():
@@ -341,25 +345,25 @@ def test_screen_filters():
 
 def test_builtin_generate_searches_only_candidates_past_the_cheap_rejects(monkeypatch):
     searches, labels = [], []
-    real = screen._canonical_search
+    real = census._canonical_search
 
     def counted(rows, colors):
         searches.append(rows)
         return real(rows, colors)
 
-    monkeypatch.setattr(screen, "_canonical_search", counted)
-    monkeypatch.setattr(screen, "canonical_label", labels.append)
-    screen._all_graphs_up_to_iso.cache_clear()
+    monkeypatch.setattr(census, "_canonical_search", counted)
+    monkeypatch.setattr(census, "canonical_label", labels.append)
+    census._all_graphs_up_to_iso.cache_clear()
     assert len(builtin_generate(5)) == 21
     searched = len(searches)
     # candidates whose new vertex has the maximum degree and the top refined color
     passing = 0
     for n in range(1, 6):
-        for base in screen._all_graphs_up_to_iso(n - 1):
+        for base in census._all_graphs_up_to_iso(n - 1):
             for mask in range(1 << (n - 1)):
                 joined = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
                 child = Graph.from_edges(n, base.edges + tuple(joined))
-                colors = screen._refine_colors(screen._adjacency_rows(child.n, child.edges))
+                colors = census._refine_colors(census._adjacency_rows(child.n, child.edges))
                 if child.degrees()[-1] == child.max_degree() and colors[-1] == max(colors):
                     passing += 1
     assert passing == 88
@@ -452,7 +456,7 @@ def test_screen_stage_counts_on_the_n7_census():
 
 
 def _oracle_lines():
-    graphs = [g for n in range(7) for g in screen._all_graphs_up_to_iso(n)]
+    graphs = [g for n in range(7) for g in census._all_graphs_up_to_iso(n)]
     graphs += [entry.graph for entry in corpus()]
     return [(i + 1, encode_graph6(g)) for i, g in enumerate(graphs)]
 
@@ -811,36 +815,3 @@ def test_fingerprint_persistence_roundtrip_grouping():
     original = [key_string_of(fp, keys) for fp in fps]
     restored = [key_string_of(fp, keys) for fp in back]
     assert original == restored
-
-
-def test_verify_all_corpus_samples():
-    for name in ["K2", "P3", "C4", "K4", "exB_G2"]:
-        results = verify_all(corpus_graph(name))
-        assert all(r.ok for r in results), [r for r in results if not r.ok]
-
-
-def test_verify_all_random():
-    rng = random.Random(71)
-    for _ in range(5):
-        g = random_connected_graph(rng, n_max=7)
-        results = verify_all(g)
-        assert all(r.ok for r in results), [r for r in results if not r.ok]
-
-
-def test_verify_all_covers_every_identity_family():
-    names = {r.name for r in verify_all(corpus_graph("C4"))}
-    for expected in [
-        "reversal_involution",
-        "shared_endpoint_splitting",
-        "sector_identity",
-        "bass_vs_hashimoto",
-        "factorization",
-        "schur_series",
-        "log_trace",
-        "trivial_roots",
-        "regular_collapse",
-        "gauge_invariance",
-        "spectral_bounds",
-        "hermitian_part_split",
-    ]:
-        assert expected in names

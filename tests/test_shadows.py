@@ -6,7 +6,7 @@ import pytest
 from edgesector.graphs import Graph, corpus, corpus_graph
 from edgesector.edge_space import edge_space, random_gauge, regauge, sector_blocks
 from edgesector.polynomials import Poly, first_difference
-from edgesector.screen import _all_graphs_up_to_iso
+from edgesector.census import _all_graphs_up_to_iso
 from edgesector.shadows import (
     GROUPING_KEYS,
     Fingerprint,

@@ -7,7 +7,7 @@ from edgesector.graphs import Graph, corpus, corpus_graph
 from edgesector.edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
 from edgesector.matrices import Matrix
 from edgesector.polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
-from edgesector.screen import _all_graphs_up_to_iso
+from edgesector.census import _all_graphs_up_to_iso
 from edgesector.zeta import (
     bass_det,
     factorize,
