@@ -126,6 +126,18 @@ def _field(rec: dict, name: str, kind: type):
     return value
 
 
+def _coeff_strings(name: str, value) -> list[str]:
+    """value, which must be a list of str: the stored coefficients of one
+    polynomial or series (a str is not read one character at a time, and a
+    number is not truncated)."""
+    if type(value) is not list:
+        raise TypeError(f"{name} must be a list of str, not {type(value).__name__}")
+    for c in value:
+        if type(c) is not str:
+            raise TypeError(f"{name} must be a list of str, not one holding {c!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """The full exact invariant record of one graph (schema v1)."""
@@ -179,9 +191,11 @@ class Fingerprint:
     @classmethod
     def from_json_dict(cls, rec: dict) -> "Fingerprint":
         """The fingerprint of one store record.  Raises TypeError for a field
-        of the wrong type, and ValueError when n, m or degrees disagree with
+        of the wrong type (every polynomial and the correction series must be
+        a list of str), and ValueError when n, m or degrees disagree with
         graph6, the correction series does not hold correction_order + 1
-        coefficients, or the shadow keys are not MMt, MtM, MtL1M .. MtLkM."""
+        coefficients, the shadow keys are not MMt, MtM, MtL1M .. MtLkM, or
+        MtM differs from MMt."""
         if not isinstance(rec, dict):
             raise TypeError(f"record must be a JSON object, not {type(rec).__name__}")
         if rec.get("schema") != SCHEMA_VERSION:
@@ -198,7 +212,7 @@ class Fingerprint:
         ):
             if stored != actual:
                 raise ValueError(f"{name} {stored} disagrees with graph6 {graph6!r}: {actual}")
-        coeffs = _field(rec, "correction_series", list)
+        coeffs = _coeff_strings("correction_series", rec["correction_series"])
         if len(coeffs) != order + 1:
             raise ValueError(
                 f"correction_series holds {len(coeffs)} coefficients, "
@@ -211,17 +225,24 @@ class Fingerprint:
         names = ["MMt", "MtM"] + [f"MtL{k}M" for k in range(1, kmax + 1)]
         if set(shadow_items) != set(names):
             raise ValueError(f"shadow keys {sorted(shadow_items)} are not {names}")
-        polys = [Poly.from_coeff_strings(shadow_items[name]) for name in names]
+        polys = [Poly.from_coeff_strings(_coeff_strings(f"shadow {name}", shadow_items[name]))
+                 for name in names]
+        if polys[1] != polys[0]:
+            raise ValueError("shadow MtM disagrees with MMt, whose charpoly it shares")
+
+        def poly(name: str) -> Poly:
+            return Poly.from_coeff_strings(_coeff_strings(name, rec[name]))
+
         return cls(
             graph6=graph6,
             n=n,
             m=m,
             degrees=degrees,
-            charpoly_adjacency=Poly.from_coeff_strings(rec["charpoly_adjacency"]),
-            charpoly_line=Poly.from_coeff_strings(rec["charpoly_line"]),
-            charpoly_signed=Poly.from_coeff_strings(rec["charpoly_signed"]),
+            charpoly_adjacency=poly("charpoly_adjacency"),
+            charpoly_line=poly("charpoly_line"),
+            charpoly_signed=poly("charpoly_signed"),
             shadows=ShadowSet(kmax, polys[0], polys[1], tuple(polys[2:])),
-            hashimoto_det=Poly.from_coeff_strings(rec["hashimoto_det"]),
+            hashimoto_det=poly("hashimoto_det"),
             correction_order=order,
             correction_series=PowerSeries(order, [scalar_from_str(c) for c in coeffs]),
         )

@@ -787,9 +787,11 @@ def _drop(key):
         ("shadows", lambda sh: {**sh, "MtL4M": ["1"]},
          r"shadow keys \['MMt', 'MtL1M', 'MtL2M', 'MtL4M', 'MtM'\] are not "
          r"\['MMt', 'MtM', 'MtL1M', 'MtL2M'\]"),
+        ("shadows", lambda sh: {**sh, "MtM": sh["MtM"][:-1] + ["2"]},
+         r"shadow MtM disagrees with MMt, whose charpoly it shares"),
     ],
     ids=["n", "m", "degrees", "degrees-length", "graph6", "series-short", "series-long",
-         "shadows-no-MtM", "shadows-gap", "shadows-extra"],
+         "shadows-no-MtM", "shadows-gap", "shadows-extra", "shadows-MtM-differs"],
 )
 def test_store_record_that_disagrees_with_itself_names_its_line(field, corrupt, message):
     first, second = _store_lines("C6", "K4")
@@ -797,6 +799,31 @@ def test_store_record_that_disagrees_with_itself_names_its_line(field, corrupt, 
     rec[field] = corrupt(rec[field])
     store = io.StringIO(first + json.dumps(rec) + "\n")
     with pytest.raises(ValueError, match=rf"fingerprint store line 2: ValueError: {message}"):
+        read_fingerprints_jsonl(store)
+
+
+@pytest.mark.parametrize(
+    "field,corrupt,message",
+    [
+        ("hashimoto_det", lambda p: "1", r"hashimoto_det must be a list of str, not str"),
+        ("shadows", lambda sh: {**sh, "MtL1M": "1"}, r"shadow MtL1M must be a list of str, not str"),
+        ("charpoly_adjacency", lambda p: [1.5, "2"],
+         r"charpoly_adjacency must be a list of str, not one holding 1\.5"),
+        ("correction_series", lambda c: [c[0], 2.9] + c[2:],
+         r"correction_series must be a list of str, not one holding 2\.9"),
+        ("charpoly_line", lambda p: [True] + p[1:],
+         r"charpoly_line must be a list of str, not one holding True"),
+    ],
+    ids=["string-poly", "string-shadow", "float-coefficient", "float-series", "bool-coefficient"],
+)
+def test_store_coefficient_that_is_not_a_string_names_its_line(field, corrupt, message):
+    # each record was read as a wrong polynomial: "1" as a list of characters,
+    # and a number through int()
+    first, second = _store_lines("C6", "K4")
+    rec = json.loads(second)
+    rec[field] = corrupt(rec[field])
+    store = io.StringIO(first + json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match=rf"fingerprint store line 2: TypeError: {message}$"):
         read_fingerprints_jsonl(store)
 
 
