@@ -275,11 +275,12 @@ def cmd_screen(args) -> int:
     if args.generate is not None:
         lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(args.generate))]
         result = run_screen(lines, cfg)
-    elif args.input == "-":
-        result = run_screen(read_graph6_lines(sys.stdin), cfg)
     else:
-        # read once, line by line; a non-ASCII byte fails in parse_graph6 as U+FFFD
-        with open(args.input, encoding="ascii", errors="replace") as fh:
+        # stdin and a file are read alike: once, line by line, with a
+        # non-ASCII byte failing in parse_graph6 as U+FFFD
+        stdin = args.input == "-"
+        source = sys.stdin.fileno() if stdin else args.input
+        with open(source, encoding="ascii", errors="replace", closefd=not stdin) as fh:
             result = run_screen(read_graph6_lines(fh), cfg)
 
     if args.fingerprints_out:

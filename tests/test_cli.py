@@ -328,6 +328,27 @@ def test_screen_input_skips_a_non_ascii_line(tmp_path, capsys):
     assert (summary["read"], summary["malformed_skipped"], summary["kept"]) == (3, 1, 2)
 
 
+@pytest.mark.parametrize("skip", [False, True])
+def test_screen_stdin_reads_a_non_ascii_line_like_a_file(skip):
+    # a strict UTF-8 stdin must not fail on decoding before any line is read
+    src = str(Path(edgesector.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    argv = ["screen", "--json"] + (["--skip-malformed"] if skip else [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "edgesector.cli", *argv],
+        input=b"A_\n\xff\nBw\n", capture_output=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8:strict"),
+    )
+    if skip:
+        assert proc.returncode == EXIT_OK, proc.stderr
+        summary = json.loads(proc.stdout.splitlines()[-1])["summary"]
+        assert (summary["read"], summary["malformed_skipped"], summary["kept"]) == (3, 1, 2)
+    else:
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: line 2: ")
+
+
 def test_screen_store_skips_malformed_lines(tmp_path, capsys):
     census = tmp_path / "mixed.g6"
     census.write_text("A_\nnot-a-graph!!!\nBw\n")
