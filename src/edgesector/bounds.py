@@ -22,7 +22,11 @@ from .matrices import Matrix
 from .polynomials import Poly
 from .zeta import hashimoto_det
 
-DEFAULT_RESIDUAL_TOL = 1e-8
+# Jacobi sweeps stop below this off-diagonal Frobenius norm
+JACOBI_TOL = 1e-10
+# every root of Spec(T) is certified to this residual, within ABERTH_MAX_ITER sweeps
+RESIDUAL_TOL = 1e-8
+ABERTH_MAX_ITER = 1000
 DEFAULT_BOUND_SLACK = 1e-6
 
 
@@ -34,12 +38,13 @@ class RootFindingError(RuntimeError):
         self.best_residual = best_residual
 
 
-def sym_spectrum(mat: Matrix, tol: float = 1e-10) -> list[float]:
+def sym_spectrum(mat: Matrix) -> list[float]:
     """Eigenvalues of an exactly-symmetric matrix by cyclic Jacobi sweeps.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below tol; the
-    eigenvalue sum is checked against the exact trace.
+    Sweeps run until the off-diagonal Frobenius norm drops below JACOBI_TOL;
+    the eigenvalue sum is checked against the exact trace.
     """
+    tol = JACOBI_TOL
     if not mat.is_symmetric():
         raise ValueError("sym_spectrum needs a symmetric matrix")
     n = mat.nrows
@@ -79,8 +84,8 @@ def sym_spectrum(mat: Matrix, tol: float = 1e-10) -> list[float]:
     return eig
 
 
-def spectral_radius(mat: Matrix, tol: float = 1e-10) -> float:
-    eig = sym_spectrum(mat, tol)
+def spectral_radius(mat: Matrix) -> float:
+    eig = sym_spectrum(mat)
     return max((abs(x) for x in eig), default=0.0)
 
 
@@ -97,12 +102,13 @@ def _residual(coeffs: list[float], z: complex) -> float:
     return abs(_peval(coeffs, z)) / max(scale, 1e-300)
 
 
-def _poly_roots(coeffs: list[float], tol: float, max_iter: int = 1000):
+def _poly_roots(coeffs: list[float]):
     """Aberth-Ehrlich simultaneous iteration for a monic float polynomial.
 
     Returns the roots once every |p(z)| / sum_k |a_k||z|^k residual is below
-    tol; raises RootFindingError with the best residual otherwise.
+    RESIDUAL_TOL; raises RootFindingError with the best residual otherwise.
     """
+    tol = RESIDUAL_TOL
     deg = len(coeffs) - 1
     if deg <= 0:
         return []
@@ -113,7 +119,7 @@ def _poly_roots(coeffs: list[float], tol: float, max_iter: int = 1000):
     ]
     best = float("inf")
     certified_at = None
-    for it in range(max_iter):
+    for it in range(ABERTH_MAX_ITER):
         moved = 0.0
         for j in range(deg):
             z = zs[j]
@@ -161,14 +167,13 @@ class SpectrumEstimate:
     eigenvalues: tuple[complex, ...]
     residuals: tuple[float, ...]
     clusters: tuple[tuple[complex, int], ...]
-    tol: float
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals, default=0.0)
 
 
-def hashimoto_spectrum(g: Graph, tol: float = DEFAULT_RESIDUAL_TOL) -> SpectrumEstimate:
+def hashimoto_spectrum(g: Graph) -> SpectrumEstimate:
     """All 2m complex eigenvalues of T, from the exact charpoly of T.
 
     Hashimoto spectra carry heavy exact multiplicities (trivial roots alone
@@ -194,7 +199,7 @@ def hashimoto_spectrum(g: Graph, tol: float = DEFAULT_RESIDUAL_TOL) -> SpectrumE
             if len(coeffs) > 1:
                 lead = Fraction(coeffs[-1])
                 floats = [float(Fraction(c) / lead) for c in coeffs]
-                for z in _poly_roots(floats, tol):
+                for z in _poly_roots(floats):
                     distinct.append((z, mult))
 
     eigenvalues: list[complex] = []
@@ -205,7 +210,7 @@ def hashimoto_spectrum(g: Graph, tol: float = DEFAULT_RESIDUAL_TOL) -> SpectrumE
     clusters = tuple(
         sorted(distinct, key=lambda zm: (zm[0].real, zm[0].imag))
     )
-    return SpectrumEstimate(tuple(eigenvalues), residuals, clusters, tol)
+    return SpectrumEstimate(tuple(eigenvalues), residuals, clusters)
 
 
 @dataclass(frozen=True)

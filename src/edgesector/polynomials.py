@@ -384,15 +384,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den == Poly.one()
 
-    def zero_order_at(self, a) -> int:
-        """Vanishing order at x = a; negative at a pole (num, den coprime)."""
-        if self.num.is_zero():
-            raise ValueError("zero rational function")
-        up = self.num.root_order(a)
-        if up:
-            return up
-        return -self.den.root_order(a)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatFunc)

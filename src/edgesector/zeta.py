@@ -264,12 +264,13 @@ def trivial_roots(g: Graph) -> TrivialRootReport:
     ker_d = g.m - d.rank()
     ker_absd = g.m - absd.rank()
     line = line_factor(g)
-    correction = factorize(g).correction
+    line_at_plus1 = line.root_order(1)
     return TrivialRootReport(
         m_minus_n=g.m - g.n,
         ord_line_at_minus1=line.root_order(-1),
-        ord_line_at_plus1=line.root_order(1),
-        ord_correction_at_plus1=correction.zero_order_at(1),
+        ord_line_at_plus1=line_at_plus1,
+        # C = det / line, so no reduction of C is needed for its order
+        ord_correction_at_plus1=hashimoto_det(g).root_order(1) - line_at_plus1,
         ker_dim_D=ker_d,
         ker_dim_absD=ker_absd,
         bipartite=is_bipartite(g),

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from edgesector.graphs import Graph, corpus, corpus_graph
+from edgesector.graphs import Graph, corpus, corpus_graph, is_connected
 from edgesector.edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
 from edgesector.matrices import Matrix
 from edgesector.polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
-from edgesector.census import _all_graphs_up_to_iso
+from edgesector.census import _all_graphs_up_to_iso, builtin_generate
 from edgesector.zeta import (
     bass_det,
     factorize,
@@ -236,6 +236,18 @@ def test_trivial_roots_petersen_rational_order_drop():
     assert rep.ord_line_at_plus1 == 5
     assert rep.ord_correction_at_plus1 == 1
     assert rep.ok()
+
+
+def test_trivial_roots_take_the_correction_order_from_det_and_line():
+    # against the reduced C = num/den, coprime, so one of them is nonzero at 1
+    rng = random.Random(35)
+    graphs = [e.graph for e in corpus() if is_connected(e.graph)]
+    graphs += [g for n in range(1, 6) for g in builtin_generate(n)]
+    graphs += [random_connected_graph(rng) for _ in range(25)]
+    for g in graphs:
+        c = factorize(g).correction
+        want = c.num.root_order(1) - c.den.root_order(1)
+        assert trivial_roots(g).ord_correction_at_plus1 == want
 
 
 def test_trivial_roots_requires_connected():
