@@ -128,8 +128,8 @@ def _field(rec: dict, name: str, kind: type):
 
 def _coeff_strings(name: str, value) -> list[str]:
     """value, which must be a list of str: the stored coefficients of one
-    polynomial or series (a str is not read one character at a time, and a
-    number is not truncated)."""
+    polynomial or series.  Poly.from_coeff_strings would read a str one
+    character at a time and a number through int(), a wrong polynomial."""
     if type(value) is not list:
         raise TypeError(f"{name} must be a list of str, not {type(value).__name__}")
     for c in value:
@@ -225,24 +225,24 @@ class Fingerprint:
         names = ["MMt", "MtM"] + [f"MtL{k}M" for k in range(1, kmax + 1)]
         if set(shadow_items) != set(names):
             raise ValueError(f"shadow keys {sorted(shadow_items)} are not {names}")
-        polys = [Poly.from_coeff_strings(_coeff_strings(f"shadow {name}", shadow_items[name]))
-                 for name in names]
-        if polys[1] != polys[0]:
+        # every writer stores the one charpoly of M M^T and M^T M under both
+        if shadow_items["MtM"] != shadow_items["MMt"]:
             raise ValueError("shadow MtM disagrees with MMt, whose charpoly it shares")
 
-        def poly(name: str) -> Poly:
-            return Poly.from_coeff_strings(_coeff_strings(name, rec[name]))
+        def poly(name: str, value) -> Poly:
+            return Poly.from_coeff_strings(_coeff_strings(name, value))
 
+        polys = [poly(f"shadow {name}", shadow_items[name]) for name in names if name != "MtM"]
         return cls(
             graph6=graph6,
             n=n,
             m=m,
             degrees=degrees,
-            charpoly_adjacency=poly("charpoly_adjacency"),
-            charpoly_line=poly("charpoly_line"),
-            charpoly_signed=poly("charpoly_signed"),
-            shadows=ShadowSet(kmax, polys[0], polys[1], tuple(polys[2:])),
-            hashimoto_det=poly("hashimoto_det"),
+            charpoly_adjacency=poly("charpoly_adjacency", rec["charpoly_adjacency"]),
+            charpoly_line=poly("charpoly_line", rec["charpoly_line"]),
+            charpoly_signed=poly("charpoly_signed", rec["charpoly_signed"]),
+            shadows=ShadowSet(kmax, polys[0], polys[0], tuple(polys[1:])),
+            hashimoto_det=poly("hashimoto_det", rec["hashimoto_det"]),
             correction_order=order,
             correction_series=PowerSeries(order, [scalar_from_str(c) for c in coeffs]),
         )

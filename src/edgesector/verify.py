@@ -1,15 +1,7 @@
-"""The identity battery: every structural identity of the paper, run on one
-graph.
-
-verify_all checks the edge-space constructions (reversal, shared-endpoint
-splitting, incidence Laplacians, the sector block form and the +/- basis),
-the Ihara determinant against Bass's formula, its factorization through
-the line-graph sector, the Schur-complement and log-trace forms of the
-correction series, the trivial roots, the regular collapse, gauge
-invariance of the mixed shadows, the numerical-range bounds and the
-Hermitian-part split.  Failures are returned as data, not raised.  The
-edge-space matrices here are the independent oracles of the vertex-space
-kernels that fingerprints use.
+"""The identity battery: every structural identity of the paper, checked on
+one graph through the edge-space oracles (block form, Bass, factorization,
+Schur complement, log-trace, trivial roots, gauge invariance, bounds).
+verify_all returns failures as data instead of raising them.
 """
 
 from __future__ import annotations

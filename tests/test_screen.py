@@ -817,8 +817,8 @@ def test_store_record_that_disagrees_with_itself_names_its_line(field, corrupt, 
     ids=["string-poly", "string-shadow", "float-coefficient", "float-series", "bool-coefficient"],
 )
 def test_store_coefficient_that_is_not_a_string_names_its_line(field, corrupt, message):
-    # each record was read as a wrong polynomial: "1" as a list of characters,
-    # and a number through int()
+    # each would otherwise parse as a wrong polynomial: "1" as a list of
+    # characters, a number through int()
     first, second = _store_lines("C6", "K4")
     rec = json.loads(second)
     rec[field] = corrupt(rec[field])
