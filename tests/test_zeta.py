@@ -239,7 +239,7 @@ def test_trivial_roots_petersen_rational_order_drop():
 
 
 def test_trivial_roots_take_the_correction_order_from_det_and_line():
-    # against the reduced C = num/den, coprime, so one of them is nonzero at 1
+    # against the reduced C = num/den: coprime, so at most one vanishes at 1
     rng = random.Random(35)
     graphs = [e.graph for e in corpus() if is_connected(e.graph)]
     graphs += [g for n in range(1, 6) for g in builtin_generate(n)]
