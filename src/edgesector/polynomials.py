@@ -24,6 +24,33 @@ def _canon(x):
     return x
 
 
+def _quo(a, b):
+    """a / b exactly: an int when both are ints and b divides a, else the
+    reduced Fraction (an int again when it is whole)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _canon(Fraction(a, b))
+
+
+def _pseudo_remainder(a, b) -> list:
+    """lc(b)^(deg a - deg b + 1) * a mod b for integer coefficient tuples
+    (ascending, deg a >= deg b): one multiplication by lc(b) per step keeps
+    every quotient coefficient an integer."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = r.pop()
+        if lb != 1:
+            r = [lb * c for c in r]
+        if top:
+            for i in range(db):
+                r[k + i] -= top * b[i]
+    return r
+
+
 def scalar_str(x) -> str:
     """Canonical "num" or "num/den" string of an exact scalar."""
     if type(x) is int:
@@ -152,25 +179,25 @@ class Poly:
     # -- division --------------------------------------------------------
 
     def divmod(self, other: "Poly"):
-        """Exact polynomial division over the rationals: (quotient, remainder)."""
+        """Exact polynomial division over the rationals: (quotient, remainder).
+
+        Each quotient coefficient is one division by the divisor's leading
+        coefficient, an int whenever that division is exact, so an integer
+        polynomial divided by one with a unit (or dividing) lead meets no
+        Fraction."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        r = [Fraction(c) for c in self.coeffs]
-        b = [Fraction(c) for c in other.coeffs]
+        r = list(self.coeffs)
+        b = other.coeffs
         db = len(b) - 1
         lb = b[-1]
-        q = [Fraction(0)] * max(len(r) - db, 0)
-        while len(r) - 1 >= db and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < db:
-                break
-            k = len(r) - 1 - db
-            f = r[-1] / lb
-            q[k] = f
-            for i in range(db + 1):
-                r[k + i] -= f * b[i]
-            r.pop()
+        q = [0] * max(len(r) - db, 0)
+        for k in range(len(q) - 1, -1, -1):
+            f = _quo(r.pop(), lb)  # the top coefficient, cancelled exactly
+            if f:
+                q[k] = f
+                for i in range(db):
+                    r[k + i] -= f * b[i]
         return Poly(q), Poly(r)
 
     def exact_div(self, other: "Poly") -> "Poly":
@@ -185,8 +212,8 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = Fraction(self.leading())
-        return Poly([Fraction(c) / lead for c in self.coeffs])
+        lead = self.leading()
+        return Poly([_quo(c, lead) for c in self.coeffs])
 
     def reversal(self, at_degree: int | None = None) -> "Poly":
         """w^d * p(1/w) for d = at_degree (default: the degree of p)."""
@@ -265,7 +292,11 @@ class Poly:
         return Poly([c // g for c in ints])
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Primitive integer gcd via a primitive-part remainder sequence."""
+        """Primitive integer gcd with positive leading coefficient, by a
+        primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each
+        remainder is lc(b)^(deg a - deg b + 1) * a mod b, an integer
+        polynomial, cut to its primitive part.  That normal form of the gcd
+        is unique, so no Fraction is needed to reach it."""
         a, b = self.primitive_int(), other.primitive_int()
         if a.is_zero():
             return b
@@ -274,8 +305,7 @@ class Poly:
         if a.degree() < b.degree():
             a, b = b, a
         while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, (r.primitive_int() if not r.is_zero() else Poly.zero())
+            a, b = b, Poly(_pseudo_remainder(a.coeffs, b.coeffs)).primitive_int()
         return a
 
     def square_free_decomposition(self) -> list[tuple["Poly", int]]:
@@ -308,20 +338,24 @@ class Poly:
 
     @classmethod
     def interpolate(cls, points) -> "Poly":
-        """Exact Newton interpolation through (x, y) pairs with distinct x."""
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
-        n = len(pts)
-        coef = [y for _, y in pts]
-        xs = [x for x, _ in pts]
+        """Exact Newton interpolation through (x, y) pairs with distinct x.
+
+        The divided differences divide through _quo, so integer data at
+        integer points sampled from an integer polynomial stay ints; the
+        Newton form is then expanded by Horner's rule."""
+        xs = [x for x, _ in points]
+        coef = [y for _, y in points]
+        n = len(coef)
         for j in range(1, n):
             for i in range(n - 1, j - 1, -1):
-                coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-        poly = cls.zero()
-        basis = cls.one()
-        for i in range(n):
-            poly = poly + basis.scale(coef[i])
-            basis = basis * cls((-xs[i], 1))
-        return poly
+                coef[i] = _quo(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+        acc: list = []  # (x - xs[i]) * acc + coef[i], from the top down
+        for x, c in zip(reversed(xs), reversed(coef)):
+            acc = [0, *acc]
+            for i in range(len(acc) - 1):
+                acc[i] -= x * acc[i + 1]
+            acc[0] += c
+        return cls(acc)
 
     # -- presentation ------------------------------------------------------
 
@@ -376,8 +410,8 @@ class RatFunc:
         if g.degree() and g.degree() > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        lead = Fraction(den.leading())
-        num = Poly([Fraction(c) / lead for c in num.coeffs])
+        lead = den.leading()
+        num = Poly([_quo(c, lead) for c in num.coeffs])
         den = den.monic()
         return cls(num, den)
 
@@ -438,14 +472,7 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            out = [0] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a:
-                    for j in range(n + 1 - i):
-                        b = other.coeffs[j]
-                        if b:
-                            out[i + j] += a * b
-            return PowerSeries(n, out)
+            return PowerSeries(n, truncated_product(self.coeffs, other.coeffs, n))
         return PowerSeries(self.order, [c * other for c in self.coeffs])
 
     def __rmul__(self, other):
@@ -499,6 +526,16 @@ class PowerSeries:
 
     def __repr__(self):
         return f"PowerSeries({self.order}, {list(self.coeffs)!r})"
+
+
+def truncated_product(a, b, order: int) -> list:
+    """Coefficients 0..order of the product of two coefficient sequences."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i], start=i):
+                out[j] += x * y
+    return out
 
 
 def rescale(p, s):

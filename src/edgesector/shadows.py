@@ -195,7 +195,12 @@ class Fingerprint:
         a list of str), and ValueError when n, m or degrees disagree with
         graph6, the correction series does not hold correction_order + 1
         coefficients, the shadow keys are not MMt, MtM, MtL1M .. MtLkM, or
-        MtM differs from MMt."""
+        MtM differs from MMt.  It also raises ValueError for a cut-off or
+        otherwise impossible polynomial: one stored with a trailing zero,
+        charpoly_adjacency not monic of degree n, charpoly_line,
+        charpoly_signed or a shadow not monic of degree m, hashimoto_det
+        without constant term 1 or of degree above 2m, or a correction series
+        whose constant term is not 1."""
         if not isinstance(rec, dict):
             raise TypeError(f"record must be a JSON object, not {type(rec).__name__}")
         if rec.get("schema") != SCHEMA_VERSION:
@@ -230,21 +235,41 @@ class Fingerprint:
             raise ValueError("shadow MtM disagrees with MMt, whose charpoly it shares")
 
         def poly(name: str, value) -> Poly:
-            return Poly.from_coeff_strings(_coeff_strings(name, value))
+            p = Poly.from_coeff_strings(_coeff_strings(name, value))
+            # a writer stores no trailing zero, so one is a cut-off polynomial
+            if len(p.coeffs) != len(value):
+                raise ValueError(f"{name} ends in a zero coefficient")
+            return p
 
-        polys = [poly(f"shadow {name}", shadow_items[name]) for name in names if name != "MtM"]
+        def charpoly(name: str, value, degree: int) -> Poly:
+            p = poly(name, value)
+            if p.degree() != degree or p.leading() != 1:
+                raise ValueError(f"{name} is not monic of degree {degree}")
+            return p
+
+        polys = [
+            charpoly(f"shadow {name}", shadow_items[name], m) for name in names if name != "MtM"
+        ]
+        det = poly("hashimoto_det", rec["hashimoto_det"])
+        if det[0] != 1 or det.degree() > 2 * m:
+            raise ValueError(
+                f"hashimoto_det does not have constant term 1 and degree at most 2m = {2 * m}"
+            )
+        series = PowerSeries(order, [scalar_from_str(c) for c in coeffs])
+        if series[0] != 1:
+            raise ValueError("correction_series does not have constant term 1")
         return cls(
             graph6=graph6,
             n=n,
             m=m,
             degrees=degrees,
-            charpoly_adjacency=poly("charpoly_adjacency", rec["charpoly_adjacency"]),
-            charpoly_line=poly("charpoly_line", rec["charpoly_line"]),
-            charpoly_signed=poly("charpoly_signed", rec["charpoly_signed"]),
+            charpoly_adjacency=charpoly("charpoly_adjacency", rec["charpoly_adjacency"], n),
+            charpoly_line=charpoly("charpoly_line", rec["charpoly_line"], m),
+            charpoly_signed=charpoly("charpoly_signed", rec["charpoly_signed"], m),
             shadows=ShadowSet(kmax, polys[0], polys[0], tuple(polys[1:])),
-            hashimoto_det=poly("hashimoto_det", rec["hashimoto_det"]),
+            hashimoto_det=det,
             correction_order=order,
-            correction_series=PowerSeries(order, [scalar_from_str(c) for c in coeffs]),
+            correction_series=series,
         )
 
 

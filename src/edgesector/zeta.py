@@ -32,6 +32,7 @@ from .polynomials import (
     ratfunc_reduce,
     rescale,
     series_of,
+    truncated_product,
 )
 
 DEFAULT_ORDER = 12
@@ -185,10 +186,11 @@ def schur_series_check(g: Graph, order: int) -> bool:
 
     a power series whose coefficients C_0 = I, C_1 = S and
     C_(j+2) = M^T L^j M are integer matrices.  Its determinant is taken by
-    Gaussian elimination in the series ring (every pivot is 1 + O(u), so no
-    pivoting is needed and every entry, pivot inverses included, stays an
-    integer series).  Rescaling u = w/2 gives det E in w, which is compared
-    with the correction series from the determinant quotient.
+    Gaussian elimination in the series ring, each entry a plain list of
+    integer coefficients (every pivot is 1 + O(u), so no pivoting is needed
+    and every entry, pivot inverses included, stays an integer series).
+    Rescaling u = w/2 gives det E in w, which is compared with the
+    correction series from the determinant quotient.
     """
     if order < 1:
         raise ValueError("series order must be at least 1")
@@ -200,27 +202,30 @@ def schur_series_check(g: Graph, order: int) -> bool:
     for _ in range(order - 1):
         coeffs.append(mt * lm)
         lm = blocks.L * lm
-    mat = [
-        [PowerSeries(order, [c[i][k] for c in coeffs]) for k in range(m)]
-        for i in range(m)
-    ]
+    mat = [[[c[i][k] for c in coeffs] for k in range(m)] for i in range(m)]
 
-    # determinant by elimination; the matrix is I + O(u) throughout
-    det = PowerSeries(order, [1])
+    # determinant by elimination; the matrix is I + O(u) throughout, and only
+    # the entries right of the pivot column still feed a later pivot
+    det = [1] + [0] * order
     for col in range(m):
-        pivot = mat[col][col]
-        if pivot.coeffs[0] != 1:
+        prow = mat[col]
+        pivot = prow[col]
+        if pivot[0] != 1:
             raise ArithmeticError("series pivot lost its unit constant term")
-        det = det * pivot
-        inv = pivot.inverse()
+        det = truncated_product(det, pivot, order)
+        inv = PowerSeries(order, pivot).inverse().coeffs
         for i in range(col + 1, m):
-            factor = mat[i][col] * inv
-            if all(c == 0 for c in factor.coeffs):
+            row = mat[i]
+            if not any(row[col]):
                 continue
-            mat[i] = [
-                mat[i][k] - factor * mat[col][k] for k in range(m)
-            ]
-    return rescale(det, Fraction(1, 2)) == correction_series(g, order)
+            factor = truncated_product(row[col], inv, order)
+            for k in range(col + 1, m):
+                if any(prow[k]):
+                    row[k] = [
+                        x - y
+                        for x, y in zip(row[k], truncated_product(factor, prow[k], order))
+                    ]
+    return rescale(PowerSeries(order, det), Fraction(1, 2)) == correction_series(g, order)
 
 
 @dataclass(frozen=True)

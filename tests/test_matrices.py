@@ -5,8 +5,9 @@ import pytest
 
 from edgesector.graphs import corpus_graph
 from edgesector.edge_space import build_hashimoto, edge_space
-from edgesector.matrices import DimensionError, Matrix, det_resolvent
+from edgesector.matrices import DimensionError, Matrix, _is_dense, det_resolvent
 from edgesector.polynomials import Poly, series_of, ratfunc_reduce, PowerSeries
+from edgesector.zeta import _ihara_companion
 
 
 def naive_polymatrix_det(rows):
@@ -42,6 +43,15 @@ def resolvent_oracle(mat, scale=1):
     return naive_polymatrix_det(rows)
 
 
+def naive_product(a: Matrix, b: Matrix) -> Matrix:
+    """Row-by-column product with no zero skipping; the oracle for __mul__."""
+    cols = [[row[j] for row in b.rows] for j in range(b.ncols)]
+    return Matrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows],
+        ncols=b.ncols,
+    )
+
+
 def faddeev_leverrier(mat: Matrix) -> Poly:
     """Characteristic polynomial by the Faddeev-LeVerrier recursion.
 
@@ -54,8 +64,10 @@ def faddeev_leverrier(mat: Matrix) -> Poly:
     coeffs[n] = Fraction(1)
     mk = Matrix.identity(n)
     for k in range(1, n + 1):
-        mk = mat * mk
+        mk = naive_product(mat, mk)
         c = -Fraction(mk.trace()) / k
+        if c.denominator == 1:  # integer input keeps integer work
+            c = c.numerator
         coeffs[n - k] = c
         if k < n:
             mk = mk + Matrix.identity(n).scaled(c)
@@ -188,11 +200,42 @@ def test_charpoly_vs_faddeev_leverrier():
             for _ in range(n)
         ]
         mats.append(Matrix(rows))
+    sparse = []  # 0/1 fills on both sides of the dense-loop rule
+    for n in range(2, 13):
+        for fill in (0.15, 0.35, 0.6, 0.9):
+            sparse.append(Matrix([[int(rng.random() < fill) for _ in range(n)] for _ in range(n)]))
+    assert {_is_dense(m.rows, m.ncols) for m in sparse} == {False, True}
+    mats += sparse
+    for name in ("K3", "C5", "K4", "star4", "exA_G1"):  # the sparse operators
+        g = corpus_graph(name)
+        mats += [build_hashimoto(edge_space(g)), _ihara_companion(g)[0]]
     for m in mats:
         p = m.charpoly()
         assert p == faddeev_leverrier(m)
         if all(isinstance(a, int) for row in m.rows for a in row):
             assert p.is_integer()
+
+
+def test_mul_vs_naive_product():
+    rng = random.Random(12)
+    pairs = [(Matrix.zeros(3, 0), Matrix.zeros(0, 2)), (Matrix.zeros(0, 3), Matrix.zeros(3, 4))]
+    for _ in range(40):
+        r, k, c = (rng.randint(1, 9) for _ in range(3))
+        fill = rng.choice((0.1, 0.3, 0.5, 0.8, 1.0))
+
+        def entry():
+            if rng.random() >= fill:
+                return 0
+            return rng.choice((1, -1, rng.randint(-9, 9), Fraction(rng.randint(-5, 5), 3)))
+
+        a = Matrix([[entry() for _ in range(k)] for _ in range(r)], ncols=k)
+        b = Matrix([[entry() for _ in range(c)] for _ in range(k)], ncols=c)
+        pairs.append((a, b))
+    assert {_is_dense(a.rows, a.ncols) for a, _ in pairs} == {False, True}
+    for a, b in pairs:
+        product = a * b
+        assert product == naive_product(a, b)
+        assert (product.nrows, product.ncols) == (a.nrows, b.ncols)
 
 
 def test_charpoly_rational_entries():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from edgesector.edge_space import build_hashimoto, edge_space
+from edgesector.graphs import corpus
 from edgesector.polynomials import (
     PoleAtOriginError,
     Poly,
@@ -67,6 +69,132 @@ def test_divmod_exact_and_gcd():
     assert g == Poly((-1, 1))
 
 
+def fraction_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division with every coefficient a Fraction; the oracle for divmod."""
+    r = [Fraction(c) for c in a.coeffs]
+    d = [Fraction(c) for c in b.coeffs]
+    q = [Fraction(0)] * max(len(r) - len(d) + 1, 0)
+    while len(r) >= len(d) and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(d):
+            break
+        k = len(r) - len(d)
+        f = r[-1] / d[-1]
+        q[k] = f
+        for i, c in enumerate(d):
+            r[k + i] -= f * c
+        r.pop()
+    return Poly(q), Poly(r)
+
+
+def fraction_gcd(a: Poly, b: Poly) -> Poly:
+    """Remainder sequence over Fraction, each remainder cut to its primitive
+    part; the oracle for the pseudo-remainder gcd."""
+    a, b = a.primitive_int(), b.primitive_int()
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    if a.degree() < b.degree():
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, fraction_divmod(a, b)[1].primitive_int()
+    return a
+
+
+def fraction_square_free(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm on the Fraction oracles above."""
+
+    def exact(a, b):
+        q, r = fraction_divmod(a, b)
+        assert r.is_zero()
+        return q
+
+    p = p.primitive_int()
+    if p.degree() == 0:
+        return []
+    d = p.derivative()
+    g = fraction_gcd(p, d)
+    if g.degree() == 0:
+        return [(p, 1)]
+    w, z = exact(p, g), exact(d, g) - exact(p, g).derivative()
+    out = []
+    for i in range(1, p.degree() + 2):
+        if w.degree() == 0:
+            break
+        f = fraction_gcd(w, z)
+        if f.degree() > 0:
+            out.append((f, i))
+            w, z = exact(w, f), exact(z, f)
+        z = z - w.derivative()
+    return out
+
+
+def test_square_free_split_of_every_corpus_hashimoto_charpoly():
+    # the exact factors hashimoto_spectrum hands to the float root finder
+    for entry in corpus():
+        p = build_hashimoto(edge_space(entry.graph)).charpoly()
+        assert p.square_free_decomposition() == fraction_square_free(p), entry.name
+
+
+def _random_factor(rng, rational=False):
+    coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+    coeffs.append(rng.choice((-3, -2, -1, 1, 2, 5)))  # negative and non-unit leads
+    if rational:
+        coeffs = [Fraction(c, rng.randint(1, 6)) for c in coeffs]
+    return Poly(coeffs)
+
+
+def test_divmod_and_gcd_vs_fraction_oracles():
+    rng = random.Random(14)
+    for trial in range(120):
+        rational = trial % 4 == 0
+        common = Poly.one()
+        for _ in range(rng.randint(0, 2)):
+            common = common * _random_factor(rng, rational) ** rng.randint(1, 2)
+        a = common * _random_factor(rng, rational) * _random_factor(rng)
+        b = common * _random_factor(rng, rational)
+        if trial % 10 == 0:
+            b = Poly.zero()
+        g = a.gcd(b)
+        assert g == fraction_gcd(a, b) == b.gcd(a)
+        assert g.is_integer() and g.leading() > 0
+        if not b.is_zero():
+            assert a.divmod(b) == fraction_divmod(a, b)
+            q, r = a.divmod(b)
+            assert q * b + r == a
+            assert a.exact_div(g) * g == a and b.exact_div(g) * g == b
+    assert Poly((1, 0, 1)).divmod(Poly((0, 2))) == (Poly((0, Fraction(1, 2))), Poly((1,)))
+
+
+def test_integer_division_gcd_and_interpolation_stay_integer(monkeypatch):
+    # the coefficients are computed as ints, not canonicalized from Fractions
+    raw = []
+    init = Poly.__init__
+
+    def spy(self, coeffs=()):
+        coeffs = list(coeffs)
+        raw.extend(type(c) for c in coeffs)
+        init(self, coeffs)
+
+    monkeypatch.setattr(Poly, "__init__", spy)
+    rng = random.Random(15)
+    for _ in range(20):
+        common = _random_factor(rng) ** rng.randint(1, 3)
+        a = common * _random_factor(rng) * _random_factor(rng)
+        b = common * _random_factor(rng)
+        raw.clear()
+        g = a.gcd(b)
+        q, r = a.divmod(Poly([*a.coeffs[:2], 1]))  # a monic divisor
+        p = a * b
+        interpolated = Poly.interpolate([(x, p(x)) for x in range(-3, len(p.coeffs))])
+        parts = p.square_free_decomposition()
+        assert set(raw) == {int}
+        assert interpolated == p and g == fraction_gcd(a, b)
+        assert all(type(c) is int for f, _ in parts for c in f.coeffs)
+
+
 def test_root_order():
     p = Poly((1, -1)) ** 2 * Poly((1, 1))  # (1-w)^2 (1+w)
     assert p.root_order(1) == 2
@@ -118,6 +246,14 @@ def test_interpolation_matches_poly():
         p = Poly(coeffs)
         pts = [(x, p(x)) for x in range(6)]
         assert Poly.interpolate(pts) == p
+    for _ in range(20):  # integer data at integer points: int coefficients
+        p = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))])
+        xs = rng.sample(range(-10, 10), len(p.coeffs) + rng.randint(0, 2))
+        q = Poly.interpolate([(x, p(x)) for x in xs])
+        assert q == p
+        assert all(type(c) is int for c in q.coeffs)
+    assert Poly.interpolate([(0, 0), (2, 1)]) == Poly((0, Fraction(1, 2)))
+    assert Poly.interpolate([]) == Poly.zero()
 
 
 def test_ratfunc_reduce_constant():

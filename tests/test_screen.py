@@ -789,9 +789,24 @@ def _drop(key):
          r"\['MMt', 'MtM', 'MtL1M', 'MtL2M'\]"),
         ("shadows", lambda sh: {**sh, "MtM": sh["MtM"][:-1] + ["2"]},
          r"shadow MtM disagrees with MMt, whose charpoly it shares"),
+        # cut-off polynomials, each read back at the parent as another one
+        ("charpoly_adjacency", lambda p: ["1"], r"charpoly_adjacency is not monic of degree 4"),
+        ("charpoly_line", lambda p: p[:5], r"charpoly_line is not monic of degree 6"),
+        ("charpoly_signed", lambda p: p[:-1] + ["2"], r"charpoly_signed is not monic of degree 6"),
+        ("shadows", lambda sh: {**sh, "MMt": sh["MMt"][:6], "MtM": sh["MtM"][:6]},
+         r"shadow MMt is not monic of degree 6"),
+        ("hashimoto_det", lambda p: ["1", "0", "0"], r"hashimoto_det ends in a zero coefficient"),
+        ("hashimoto_det", lambda p: p[1:],
+         r"hashimoto_det does not have constant term 1 and degree at most 2m = 12"),
+        ("hashimoto_det", lambda p: p + ["1"],
+         r"hashimoto_det does not have constant term 1 and degree at most 2m = 12"),
+        ("correction_series", lambda c: ["0"] + c[1:],
+         r"correction_series does not have constant term 1"),
     ],
     ids=["n", "m", "degrees", "degrees-length", "graph6", "series-short", "series-long",
-         "shadows-no-MtM", "shadows-gap", "shadows-extra", "shadows-MtM-differs"],
+         "shadows-no-MtM", "shadows-gap", "shadows-extra", "shadows-MtM-differs",
+         "A-cut", "L-cut", "S-not-monic", "shadow-cut", "det-trailing-zero", "det-no-unit",
+         "det-too-long", "series-no-unit"],
 )
 def test_store_record_that_disagrees_with_itself_names_its_line(field, corrupt, message):
     first, second = _store_lines("C6", "K4")

@@ -205,6 +205,19 @@ def test_schur_rejects_bad_order():
         schur_series_check(corpus_graph("K3"), 0)
 
 
+def test_schur_series_guards_its_unit_pivots(monkeypatch):
+    import edgesector.zeta as zeta
+
+    class TwiceIdentity(Matrix):
+        @classmethod
+        def identity(cls, n):
+            return Matrix.identity(n).scaled(2)
+
+    monkeypatch.setattr(zeta, "Matrix", TwiceIdentity)
+    with pytest.raises(ArithmeticError, match="series pivot lost its unit constant term"):
+        schur_series_check(corpus_graph("K3"), 4)
+
+
 def test_trivial_roots_examples():
     rep = trivial_roots(corpus_graph("C4"))
     assert rep.ker_dim_absD == 1 and rep.ker_dim_D == 1
