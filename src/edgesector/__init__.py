@@ -21,7 +21,7 @@ from .graphs import (
     parse_graph6,
     vertex_triple_multiset,
 )
-from .matrices import Matrix, det_resolvent
+from .matrices import Matrix
 from .polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
 from .edge_space import (
     OrientedEdgeSpace,
@@ -94,7 +94,6 @@ __all__ = [
     "corpus",
     "corpus_graph",
     "corpus_names",
-    "det_resolvent",
     "edge_space",
     "encode_graph6",
     "factorize",

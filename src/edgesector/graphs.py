@@ -35,15 +35,21 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("negative vertex count")
-        prev = None
-        for a, b in self.edges:
+        # a list is unhashable, so every cached entry point would fail on it
+        if type(self.edges) is not tuple:
+            raise TypeError("Graph edges must be a tuple of tuples; use Graph.from_edges")
+        prev = ()  # sorts before every edge
+        for e in self.edges:
+            if type(e) is not tuple:
+                raise TypeError(f"Graph edge {e!r} is not a tuple; use Graph.from_edges")
+            a, b = e
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
             if a >= b:
                 raise ValueError(f"edge ({a},{b}) not in a<b form")
-            if prev is not None and (a, b) <= prev:
+            if e <= prev:
                 raise ValueError("edge list not strictly sorted")
-            prev = (a, b)
+            prev = e
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -269,14 +269,3 @@ def _bareiss(rows, ncols: int) -> tuple[int, int, int]:
         rank += 1
     return rank, sign * prev, prod(dens)
 
-
-def det_resolvent(mat: Matrix, scale=1) -> Poly:
-    """det(I - w * scale * mat) as an exact polynomial in w.
-
-    The degree-reversal of charpoly(mat) with coefficient k multiplied by
-    scale^k, so the charpoly kernel runs on the unscaled (integer) matrix;
-    the constant term is always 1.
-    """
-    if not mat.is_square():
-        raise DimensionError("resolvent determinant of a non-square matrix")
-    return mat.charpoly().resolvent(mat.nrows, scale)

@@ -134,14 +134,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return Poly.zero()
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return Poly(out)
+            return Poly(truncated_product(a, b, len(a) + len(b) - 2))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -209,12 +202,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return Poly([_quo(c, lead) for c in self.coeffs])
-
     def reversal(self, at_degree: int | None = None) -> "Poly":
         """w^d * p(1/w) for d = at_degree (default: the degree of p)."""
         if self.is_zero():
@@ -233,15 +220,8 @@ class Poly:
         return rescale(self.reversal(at_degree=dim), scale)
 
     def shift(self, a) -> "Poly":
-        """p(x + a), by Horner's rule in the ring of polynomials: the
-        accumulator, a coefficient list, becomes (x + a) * acc + c per step."""
-        acc: list = []
-        for c in reversed(self.coeffs):
-            acc = [0, *acc]
-            for i in range(len(acc) - 1):
-                acc[i] += a * acc[i + 1]
-            acc[0] += c
-        return Poly(acc)
+        """p(x + a): the coefficients as a Newton form whose nodes are all -a."""
+        return Poly(_newton_expand([-a] * len(self.coeffs), self.coeffs))
 
     def times_x_power(self, k: int) -> "Poly":
         """x^k * self; for k < 0 the lowest -k coefficients must vanish."""
@@ -252,25 +232,15 @@ class Poly:
         return Poly(self.coeffs[-k:])
 
     def root_order(self, a) -> int:
-        """Largest k with (x - a)^k dividing self, by repeated synthetic division."""
+        """Largest k with (x - a)^k dividing self, by repeated division by x - a."""
         if self.is_zero():
             raise ValueError("zero polynomial has infinite root order")
-        order = 0
-        cur = list(self.coeffs)
+        order, p, factor = 0, self, Poly((-a, 1))
         while True:
-            # synthetic division of cur by (x - a)
-            quot = [0] * (len(cur) - 1)
-            acc = 0
-            for k in range(len(cur) - 1, 0, -1):
-                acc = cur[k] + a * acc
-                quot[k - 1] = acc
-            rem = cur[0] + a * acc
-            if rem != 0 or len(cur) == 1:
+            q, r = p.divmod(factor)
+            if not r.is_zero():
                 return order
-            order += 1
-            cur = quot
-            if not cur:
-                return order
+            order, p = order + 1, q
 
     # -- integer normal forms ---------------------------------------------
 
@@ -342,20 +312,14 @@ class Poly:
 
         The divided differences divide through _quo, so integer data at
         integer points sampled from an integer polynomial stay ints; the
-        Newton form is then expanded by Horner's rule."""
+        Newton form is then expanded by _newton_expand."""
         xs = [x for x, _ in points]
         coef = [y for _, y in points]
         n = len(coef)
         for j in range(1, n):
             for i in range(n - 1, j - 1, -1):
                 coef[i] = _quo(coef[i] - coef[i - 1], xs[i] - xs[i - j])
-        acc: list = []  # (x - xs[i]) * acc + coef[i], from the top down
-        for x, c in zip(reversed(xs), reversed(coef)):
-            acc = [0, *acc]
-            for i in range(len(acc) - 1):
-                acc[i] -= x * acc[i + 1]
-            acc[0] += c
-        return cls(acc)
+        return cls(_newton_expand(xs, coef))
 
     # -- presentation ------------------------------------------------------
 
@@ -411,8 +375,7 @@ class RatFunc:
             num = num.exact_div(g)
             den = den.exact_div(g)
         lead = den.leading()
-        num = Poly([_quo(c, lead) for c in num.coeffs])
-        den = den.monic()
+        num, den = (Poly([_quo(c, lead) for c in p.coeffs]) for p in (num, den))
         return cls(num, den)
 
     def is_polynomial(self) -> bool:
@@ -536,6 +499,19 @@ def truncated_product(a, b, order: int) -> list:
             for j, y in enumerate(b[: order + 1 - i], start=i):
                 out[j] += x * y
     return out
+
+
+def _newton_expand(nodes, coefs) -> list:
+    """Coefficients of sum_i coefs[i] * prod_{j<i} (x - nodes[j]), by Horner's
+    rule in the ring of polynomials: from the top down the accumulator, a
+    coefficient list, becomes (x - nodes[i]) * acc + coefs[i] in place."""
+    acc: list = []
+    for x, c in zip(reversed(nodes), reversed(coefs)):
+        prev = c  # new acc[k] = acc[k - 1] - x * acc[k], with acc[-1] read as c
+        for k, a in enumerate(acc):
+            acc[k], prev = prev - x * a, a
+        acc.append(prev)
+    return acc
 
 
 def rescale(p, s):

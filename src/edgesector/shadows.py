@@ -36,12 +36,11 @@ class ShadowSet:
     """Characteristic polynomials of the gauge-invariant mixed products."""
 
     kmax: int
-    mmt: Poly                      # charpoly of M M^T
-    mtm: Poly                      # charpoly of M^T M
+    mmt: Poly                      # charpoly of M M^T, equal to that of M^T M
     mtlkm: tuple[Poly, ...]        # charpoly of M^T L^k M, k = 1..kmax
 
     def named(self) -> list[tuple[str, Poly]]:
-        out = [("MMt", self.mmt), ("MtM", self.mtm)]
+        out = [("MMt", self.mmt), ("MtM", self.mmt)]
         out.extend((f"MtL{k}M", p) for k, p in enumerate(self.mtlkm, start=1))
         return out
 
@@ -61,7 +60,7 @@ def shadow_set(es: OrientedEdgeSpace, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     for _ in range(kmax):
         powers.append((mt * lk * m).charpoly())
         lk = lk * line
-    return ShadowSet(kmax, mmt, mmt, tuple(powers))
+    return ShadowSet(kmax, mmt, tuple(powers))
 
 
 def _laplacians(g: Graph) -> tuple[Matrix, Matrix]:
@@ -86,7 +85,7 @@ def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     for _ in range(kmax + 1):
         polys.append((qk * delta).charpoly().times_x_power(g.m - g.n))
         qk = qk * q_minus_2
-    return ShadowSet(kmax, polys[0], polys[0], tuple(polys[1:]))
+    return ShadowSet(kmax, polys[0], tuple(polys[1:]))
 
 
 def _sector_charpoly(vertex: Matrix, m: int) -> Poly:
@@ -266,7 +265,7 @@ class Fingerprint:
             charpoly_adjacency=charpoly("charpoly_adjacency", rec["charpoly_adjacency"], n),
             charpoly_line=charpoly("charpoly_line", rec["charpoly_line"], m),
             charpoly_signed=charpoly("charpoly_signed", rec["charpoly_signed"], m),
-            shadows=ShadowSet(kmax, polys[0], polys[0], tuple(polys[1:])),
+            shadows=ShadowSet(kmax, polys[0], tuple(polys[1:])),
             hashimoto_det=det,
             correction_order=order,
             correction_series=series,

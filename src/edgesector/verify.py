@@ -106,7 +106,7 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
     # production fills MtM from the MMt charpoly; the AB/BA lemma is checked here
     check(
         "mixed_products_cospectral",
-        lambda: ((mt * m).charpoly() == base_shadows.mtm, "charpoly(M^t M) = charpoly(M M^t)"),
+        lambda: ((mt * m).charpoly() == base_shadows.mmt, "charpoly(M^t M) = charpoly(M M^t)"),
     )
 
     rng = random.Random(seed)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
 from .graphs import Graph, is_bipartite, is_connected
-from .matrices import Matrix, det_resolvent
+from .matrices import Matrix
 from .polynomials import (
     Poly,
     PowerSeries,
@@ -42,7 +42,7 @@ DEFAULT_ORDER = 12
 def hashimoto_det(g: Graph) -> Poly:
     """det(I - wT), an integer polynomial with constant term 1."""
     t = build_hashimoto(edge_space(g))
-    p = det_resolvent(t)
+    p = t.charpoly().resolvent(t.nrows)
     if not (p.is_integer() and p[0] == 1):
         raise ArithmeticError("det(I - wT) is not an integer polynomial with constant term 1")
     return p
@@ -52,7 +52,7 @@ def hashimoto_det(g: Graph) -> Poly:
 def line_factor(g: Graph) -> Poly:
     """det(I - (w/2) L); dyadic rational coefficients, constant term 1."""
     blocks = sector_blocks(edge_space(g))
-    return det_resolvent(blocks.L, Fraction(1, 2))
+    return blocks.L.charpoly().resolvent(blocks.L.nrows, Fraction(1, 2))
 
 
 def _vertex_space_det(g: Graph) -> Poly:
@@ -147,7 +147,7 @@ def ihara_det(g: Graph) -> Poly:
     k, excess = _ihara_companion(g)
     if k.nrows == 0:
         return Poly.one()
-    return _bass_prefactor(det_resolvent(k), excess)
+    return _bass_prefactor(k.charpoly().resolvent(k.nrows), excess)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Golden digests of the byte output of fingerprint, screen, verify and zeta.
+"""Golden digests of the byte output of fingerprint, screen, verify, zeta and
+bounds.
 
 Each digest is the SHA-256 of newline-joined output lines.  A refactor must
 leave every digest unchanged; a digest may change only with a fingerprint
@@ -35,6 +36,9 @@ GENERATED9_DIGEST = "4d6fefa6b9b385907eb20f435ce0a662a2b930e501c62dd4aa60fbde6b9
 VERIFY_CORPUS_DIGEST = "7023f2e3eb96149a917ba7fccbb48ea2025f1e96675dc69068acc0e9abc943bd"
 # `zeta NAME --json` for each corpus name, in corpus order
 ZETA_CORPUS_DIGEST = "d3cf41249931d287900d55f9aef3e300499b109d83db1e55a5494b8f4c12d9ac"
+# `bounds NAME --json` and `bounds NAME` for each corpus name, in corpus order
+BOUNDS_CORPUS_JSON_DIGEST = "4b047728f9cc561be8b4fa99d0d64cee49cc50123f01d447fcc005114d193d3d"
+BOUNDS_CORPUS_TEXT_DIGEST = "e20e88023a5005109bea75a997503c24f37202e8f956f4790e016b7284b002fe"
 SCREEN6_DIGEST = "7920d12bee370648d07628b1d86e6ea330c64a44031fade472b6dd656c4884cb"
 # 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
 SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
@@ -100,3 +104,14 @@ def test_zeta_corpus_json(capsys):
         assert main(["zeta", name, "--json"]) == EXIT_OK
         lines += capsys.readouterr().out.splitlines()
     assert _digest(lines) == ZETA_CORPUS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "flags,expect", [(["--json"], BOUNDS_CORPUS_JSON_DIGEST), ([], BOUNDS_CORPUS_TEXT_DIGEST)]
+)
+def test_bounds_corpus(capsys, flags, expect):
+    lines = []
+    for name in corpus_names():
+        assert main(["bounds", name, *flags]) == EXIT_OK
+        lines += capsys.readouterr().out.splitlines()
+    assert _digest(lines) == expect

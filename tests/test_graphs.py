@@ -26,6 +26,11 @@ def test_graph_validation():
         Graph(2, ((0, 3),))  # out of range
     with pytest.raises(ValueError):
         Graph(3, ((1, 0),))  # not a < b
+    for edges in (((0, 2), (0, 1)), ((0, 1), (0, 1))):  # unsorted, repeated
+        with pytest.raises(ValueError, match="not strictly sorted"):
+            Graph(3, edges)
+    with pytest.raises(TypeError, match="Graph.from_edges"):
+        Graph(3, [(0, 1), (1, 2)])  # a list: unhashable, so uncacheable
     g = Graph.from_edges(3, [(2, 0), (0, 1), (0, 2)])  # dedup + sort
     assert g.edges == ((0, 1), (0, 2))
 

@@ -200,6 +200,10 @@ def test_root_order():
     assert p.root_order(1) == 2
     assert p.root_order(-1) == 1
     assert Poly.one().root_order(5) == 0
+    assert Poly((Fraction(-3, 4),)).root_order(0) == 0  # a nonzero constant
+    q = Poly((-1, 2)) ** 3 * Poly((1, 1))  # (2w - 1)^3 (w + 1)
+    assert q.root_order(Fraction(1, 2)) == 3
+    assert q.root_order(Fraction(-1, 2)) == 0
     with pytest.raises(ValueError):
         Poly.zero().root_order(0)
 
@@ -222,6 +226,9 @@ def test_shift_times_x_power_and_resolvent():
     p = Poly((3, -2, 0, 1))  # x^3 - 2x + 3
     assert p.shift(2) == Poly((7, 10, 6, 1))  # p(x + 2)
     assert p.shift(2).shift(-2) == p
+    assert p.shift(Fraction(1, 2)) == Poly((Fraction(17, 8), Fraction(-5, 4), Fraction(3, 2), 1))
+    assert Poly.zero().shift(5) == Poly.zero()
+    assert Poly((4,)).shift(Fraction(-7, 3)) == Poly((4,))
     rng = random.Random(12)
     for a in (2, -3, Fraction(1, 2)):
         for _ in range(10):
@@ -253,6 +260,11 @@ def test_interpolation_matches_poly():
         assert q == p
         assert all(type(c) is int for c in q.coeffs)
     assert Poly.interpolate([(0, 0), (2, 1)]) == Poly((0, Fraction(1, 2)))
+    # a product whose factors have zero inner coefficients
+    p = Poly((1, 0, 0, 1)) * Poly((2, 0, 0, 0, -1))
+    assert p == Poly((2, 0, 0, 2, -1, 0, 0, -1))
+    assert Poly.interpolate([(x, p(x)) for x in range(-4, 4)]) == p
+    assert p * Poly.zero() == Poly.zero() == Poly.zero() * p
     assert Poly.interpolate([]) == Poly.zero()
 
 

@@ -32,7 +32,7 @@ def edge_fingerprint(g: Graph, order: int, kmax: int) -> Fingerprint:
     es = edge_space(g)
     blocks = sector_blocks(es)
     mixed = shadow_set(es, kmax)
-    mtm = (blocks.M.transpose() * blocks.M).charpoly()
+    assert (blocks.M.transpose() * blocks.M).charpoly() == mixed.mmt
     return Fingerprint(
         graph6=encode_graph6(g),
         n=g.n,
@@ -41,7 +41,7 @@ def edge_fingerprint(g: Graph, order: int, kmax: int) -> Fingerprint:
         charpoly_adjacency=g.adjacency().charpoly(),
         charpoly_line=blocks.L.charpoly(),
         charpoly_signed=blocks.S.charpoly(),
-        shadows=ShadowSet(kmax, mixed.mmt, mtm, mixed.mtlkm),
+        shadows=ShadowSet(kmax, mixed.mmt, mixed.mtlkm),
         hashimoto_det=hashimoto_det(g),
         correction_order=order,
         correction_series=factorize(g, order).correction_series,
@@ -59,7 +59,7 @@ def truncated(fp: Fingerprint, order: int, kmax: int) -> Fingerprint:
         charpoly_adjacency=fp.charpoly_adjacency,
         charpoly_line=fp.charpoly_line,
         charpoly_signed=fp.charpoly_signed,
-        shadows=ShadowSet(kmax, s.mmt, s.mtm, s.mtlkm[:kmax]),
+        shadows=ShadowSet(kmax, s.mmt, s.mtlkm[:kmax]),
         hashimoto_det=fp.hashimoto_det,
         correction_order=order,
         correction_series=PowerSeries(order, fp.correction_series.coeffs[: order + 1]),

@@ -387,7 +387,7 @@ def test_resolution_principle_random_line_cospectral_free():
 def test_hashimoto_det_rejects_bad_resolvent(monkeypatch, bad):
     import edgesector.zeta as zeta
 
-    monkeypatch.setattr(zeta, "det_resolvent", lambda mat: bad)
+    monkeypatch.setattr(zeta.Poly, "resolvent", lambda p, dim, scale=1: bad)
     with pytest.raises(ArithmeticError):
         zeta.hashimoto_det.__wrapped__(corpus_graph("K3"))  # bypass the cache
 
