@@ -42,7 +42,9 @@ def sym_spectrum(mat: Matrix) -> list[float]:
     """Eigenvalues of an exactly-symmetric matrix by cyclic Jacobi sweeps.
 
     Sweeps run until the off-diagonal Frobenius norm drops below JACOBI_TOL;
-    the eigenvalue sum is checked against the exact trace.
+    the eigenvalue sum is checked against the exact trace.  `bounds` prints
+    these floats, so the sequence of float operations is pinned bit for bit
+    against a reference copy of the loop in tests/test_bounds.py.
     """
     tol = JACOBI_TOL
     if not mat.is_symmetric():
@@ -51,29 +53,32 @@ def sym_spectrum(mat: Matrix) -> list[float]:
     if n == 0:
         return []
     a = mat.to_float_rows()
+    skip = tol / max(n * n, 1)
     for _ in range(100):
         off = sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
         if off < tol:
             break
         for p in range(n - 1):
+            ap = a[p]
             for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) < tol / max(n * n, 1):
+                apq = ap[q]
+                if abs(apq) < skip:
                     continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                aq = a[q]
+                theta = (aq[q] - ap[p]) / (2.0 * apq)
                 t = (1.0 if theta >= 0 else -1.0) / (
                     abs(theta) + sqrt(theta * theta + 1.0)
                 )
                 c = 1.0 / sqrt(t * t + 1.0)
                 s = t * c
+                for row in a:
+                    akp, akq = row[p], row[q]
+                    row[p] = c * akp - s * akq
+                    row[q] = s * akp + c * akq
                 for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
+                    apk, aqk = ap[k], aq[k]
+                    ap[k] = c * apk - s * aqk
+                    aq[k] = s * apk + c * aqk
     else:
         raise RootFindingError("Jacobi sweeps did not converge", off)
     eig = sorted(a[i][i] for i in range(n))
@@ -98,7 +103,8 @@ def _peval(coeffs: list[float], z: complex) -> complex:
 
 def _residual(coeffs: list[float], z: complex) -> float:
     """|p(z)| / sum_k |a_k||z|^k for ascending float coefficients a_k."""
-    scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+    r = abs(z)
+    scale = sum(abs(c) * r**k for k, c in enumerate(coeffs))
     return abs(_peval(coeffs, z)) / max(scale, 1e-300)
 
 

@@ -147,7 +147,8 @@ class Matrix:
         for _ in range(kmax):
             traces.append(power.trace())
             if len(traces) < kmax:
-                power = power * self
+                # T^k as T T^(k-1): a sparse T then adds rows of the power
+                power = self * power
         return traces
 
     def to_float_rows(self) -> list[list[float]]:
@@ -189,21 +190,32 @@ class Matrix:
         leading (r+1)x(r+1) block is the Toeplitz column
         [1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C] convolved with that of
         the leading r x r block A_r, where R and C are row and column r cut to
-        A_r and a is entry (r, r).  The mat-vecs take their loop from the
-        matrix's fill (_is_dense): a dense matrix dots the row prefixes of
-        A_r with map(mul), O(n^4) in all, while a sparse operator walks the
-        nonzeros of A_r, O(n * nnz) per block.
+        A_r and a is entry (r, r).  The mat-vecs take one of three loops from
+        the matrix itself: a dense matrix (_is_dense) dots the row prefixes of
+        A_r with map(mul), O(n^4) in all; a sparse operator walks the
+        nonzeros of A_r, O(n * nnz) per block; and a sparse operator whose
+        nonzeros all equal 1 (T, T + T^T, L, A) keeps their column indices
+        and sums v at them, with no product at all.
         """
         if not self.is_square():
             raise DimensionError("characteristic polynomial of a non-square matrix")
         rows = self._rows
         dense = _is_dense(rows, self.ncols)
-        block: list[list[tuple[int, object]]] = []  # sparse: nonzeros of A_r, by row
+        unit = not dense and set(chain.from_iterable(rows)) <= {0, 1}
+        # sparse: the nonzeros of A_r by row, as column indices when unit
+        # and as (column, entry) pairs otherwise
+        block: list[list] = []
         coeffs = [1]  # charpoly of A_r, descending degree
         for r, row in enumerate(rows):
-            across = row[:r] if dense else [(j, a) for j, a in enumerate(row[:r]) if a]
+            if dense:
+                across = row[:r]
+            elif unit:
+                across = [j for j in range(r) if row[j]]
+            else:
+                across = [(j, a) for j, a in enumerate(row[:r]) if a]
             t = [1, -row[r]]
-            if any(across):
+            # a unit index list may be [0], so sparse lists are tested for length
+            if any(across) if dense else across:
                 v = [rows[i][r] for i in range(r)]
                 if dense:
                     prefixes = [rows[i][:r] for i in range(r)]
@@ -211,6 +223,11 @@ class Matrix:
                         if k:
                             v = [sum(map(mul, p, v)) for p in prefixes]
                         t.append(-sum(map(mul, across, v)))
+                elif unit:
+                    for k in range(r):
+                        if k:
+                            v = [sum(map(v.__getitem__, idx)) for idx in block]
+                        t.append(-sum(map(v.__getitem__, across)))
                 else:
                     for k in range(r):
                         if k:
@@ -221,8 +238,10 @@ class Matrix:
             if not dense:
                 for i, nz in enumerate(block):
                     if rows[i][r]:
-                        nz.append((r, rows[i][r]))
-                block.append(across + ([(r, row[r])] if row[r] else []))
+                        nz.append(r if unit else (r, rows[i][r]))
+                if row[r]:
+                    across.append(r if unit else (r, row[r]))
+                block.append(across)
         return Poly(coeffs[::-1])
 
     def __repr__(self):
@@ -235,7 +254,9 @@ def _is_dense(rows, ncols: int) -> bool:
     nonzeros in Python.  Over the matrices verify meets on the corpus
     (Python 3.11), whole-row dots take charpolys 1.3x and products 1.5-1.8x
     faster on the dense m x m shadow products, and are 0.1-0.6x as fast on
-    the sparse operators (T, the 2-core companion K, A of a sparse graph)."""
+    the sparse operators (T, the 2-core companion K, A of a sparse graph).
+    Below this fill, charpoly's walk is a third loop when every nonzero is 1
+    (T, T + T^T, L, A but not K): it sums v at column indices, no products."""
     return 2 * sum(map(bool, chain.from_iterable(rows))) >= len(rows) * ncols
 
 

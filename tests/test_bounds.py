@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
 import random
+from fractions import Fraction
+from math import sqrt
 
 import pytest
 
@@ -8,6 +10,7 @@ from edgesector.graphs import corpus, corpus_graph
 from edgesector.edge_space import build_hashimoto, edge_space, sector_blocks
 from edgesector.matrices import Matrix
 from edgesector.bounds import (
+    _residual,
     check_bounds,
     hashimoto_spectrum,
     hermitian_part_spectrum_check,
@@ -178,3 +181,89 @@ def test_spectral_radius_values():
     g = corpus_graph("K4")
     assert close(spectral_radius(g.adjacency()), 3.0, 1e-9)
     assert close(spectral_radius(g.degree_matrix() - g.adjacency()), 4.0, 1e-9)
+
+
+def reference_jacobi(mat: Matrix) -> list[float]:
+    """The cyclic Jacobi loop of sym_spectrum as first written, one float
+    operation at a time; sym_spectrum must return exactly these floats,
+    because `bounds` prints them."""
+    tol = 1e-10
+    n = mat.nrows
+    a = [[float(x) for x in r] for r in mat.rows]
+    for _ in range(100):
+        off = sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
+        if off < tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) < tol / max(n * n, 1):
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = (1.0 if theta >= 0 else -1.0) / (
+                    abs(theta) + sqrt(theta * theta + 1.0)
+                )
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c
+                for k in range(n):
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - s * akq
+                    a[k][q] = s * akp + c * akq
+                for k in range(n):
+                    apk, aqk = a[p][k], a[q][k]
+                    a[p][k] = c * apk - s * aqk
+                    a[q][k] = s * apk + c * aqk
+    return sorted(a[i][i] for i in range(n))
+
+
+def reference_residual(coeffs, z) -> float:
+    """_residual as first written, |z| recomputed in every term."""
+    scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return abs(acc) / max(scale, 1e-300)
+
+
+def test_jacobi_floats_match_the_reference_loop_bit_for_bit():
+    rng = random.Random(62)
+    mats = []
+    for n in range(1, 13):
+        for rational in (False, True):
+            raw = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    x = rng.randint(-4, 4)
+                    if rational:
+                        x = Fraction(x, rng.randint(1, 5))
+                    raw[i][j] = raw[j][i] = x
+            mats.append(Matrix(raw))
+    for entry in corpus():  # what check_bounds feeds it
+        g = entry.graph
+        blocks = sector_blocks(edge_space(g))
+        mats += [
+            blocks.L,
+            blocks.S,
+            blocks.M.transpose() * blocks.M,
+            g.degree_matrix() - g.adjacency(),
+            g.degree_matrix() + g.adjacency(),
+        ]
+    for m in mats:
+        assert sym_spectrum(m) == reference_jacobi(m)
+
+
+def test_residual_floats_match_the_reference_bit_for_bit():
+    rng = random.Random(63)
+    cases = []
+    for _ in range(200):
+        coeffs = [rng.uniform(-9, 9) for _ in range(rng.randint(1, 12))]
+        z = complex(rng.gauss(0, 2), rng.gauss(0, 2))
+        cases.append((coeffs, z))
+    for name in ("K4", "C5", "exA_G1", "petersen"):
+        g = corpus_graph(name)
+        s = hashimoto_spectrum(g)
+        coeffs = [float(c) for c in build_hashimoto(edge_space(g)).charpoly().coeffs]
+        cases += [(coeffs, z) for z in s.eigenvalues]
+    cases += [([1.0, -2.0, 1.0], 0j), ([0.0], 1 + 1j)]
+    for coeffs, z in cases:
+        assert _residual(coeffs, z) == reference_residual(coeffs, z)

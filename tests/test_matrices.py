@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from edgesector.graphs import corpus_graph
-from edgesector.edge_space import build_hashimoto, edge_space
+from edgesector.edge_space import build_hashimoto, edge_space, sector_blocks
 from edgesector.matrices import DimensionError, Matrix, _is_dense
 from edgesector.polynomials import Poly, series_of, ratfunc_reduce, PowerSeries
 from edgesector.zeta import _ihara_companion
@@ -206,9 +206,24 @@ def test_charpoly_vs_faddeev_leverrier():
             sparse.append(Matrix([[int(rng.random() < fill) for _ in range(n)] for _ in range(n)]))
     assert {_is_dense(m.rows, m.ncols) for m in sparse} == {False, True}
     mats += sparse
+    for n in range(3, 13):  # sparse 0/1, one nonzero changed: off and on the unit loop
+        for x in (2, -1, Fraction(1, 2), Fraction(1)):
+            raw = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
+            nonzeros = [(i, j) for i in range(n) for j in range(n) if raw[i][j]]
+            i, j = rng.choice(nonzeros or [(0, 0)])
+            raw[i][j] = x
+            mats.append(Matrix(raw))
     for name in ("K3", "C5", "K4", "star4", "exA_G1"):  # the sparse operators
         g = corpus_graph(name)
-        mats += [build_hashimoto(edge_space(g)), _ihara_companion(g)[0]]
+        es = edge_space(g)
+        t = build_hashimoto(es)
+        mats += [t, t + t.transpose(), sector_blocks(es).L, _ihara_companion(g)[0]]
+    sparse_kinds = {
+        all(a in (0, 1) for row in m.rows for a in row)
+        for m in mats
+        if not _is_dense(m.rows, m.ncols)
+    }
+    assert sparse_kinds == {False, True}  # the unit loop and the (column, entry) loop
     for m in mats:
         p = m.charpoly()
         assert p == faddeev_leverrier(m)
@@ -359,3 +374,19 @@ def test_dimension_errors():
 def test_power_traces():
     a = corpus_graph("K3").adjacency()
     assert a.power_traces(3) == [0, 6, 6]  # tr A, tr A^2 = 2m, tr A^3 = 6 triangles
+    rng = random.Random(14)
+    mats = [
+        build_hashimoto(edge_space(corpus_graph("exA_G1"))),  # sparse 0/1, not symmetric
+        Matrix([[rng.randint(-4, 4) for _ in range(7)] for _ in range(7)]),
+        Matrix(
+            [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(5)]
+        ),
+    ]
+    assert not mats[0].is_symmetric() and not _is_dense(mats[0].rows, mats[0].ncols)
+    assert _is_dense(mats[1].rows, mats[1].ncols)
+    for m in mats:
+        power, expect = m, []
+        for _ in range(6):
+            expect.append(power.trace())
+            power = naive_product(power, m)
+        assert m.power_traces(6) == expect

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from edgesector.edge_space import build_hashimoto, edge_space
+from edgesector import polynomials
 from edgesector.graphs import corpus
 from edgesector.polynomials import (
     PoleAtOriginError,
@@ -53,11 +54,32 @@ def test_scalar_strings_round_trip():
         assert scalar_from_str(scalar_str(x)) == x
 
 
-def test_arithmetic_basics():
+def test_arithmetic_basics(monkeypatch):
     p = Poly((1, 1))
     assert p * p == Poly((1, 2, 1))
     assert p + Poly((-1, -1)) == Poly.zero()
     assert (p**3)(2) == 27
+    q = Poly((1, 0, -1))
+    powers = [Poly.one()]
+    for _ in range(8):
+        powers.append(powers[-1] * q)
+    products = []
+    real = polynomials.truncated_product
+
+    def counted(*args):
+        products.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polynomials, "truncated_product", counted)
+    # one product per squaring and per set bit of k past the first
+    for k, needed in enumerate((0, 0, 1, 2, 2, 3, 3, 4, 3)):
+        products.clear()
+        assert q**k == powers[k]
+        assert len(products) == needed, k
+    assert Poly.zero() ** 0 == Poly.one()
+    assert Poly.zero() ** 1 == Poly.zero() and Poly.zero() ** 5 == Poly.zero()
+    with pytest.raises(ValueError):
+        q ** -1
 
 
 def test_divmod_exact_and_gcd():
