@@ -26,6 +26,12 @@ CORPUS_DIGESTS = {
     (16, 3): "ef10ee90a246667f483b596105b91c1c22d556fa1cb55337f220392476712673",
 }
 CENSUS6_DIGEST = "b3a7a9eb6bc27d0f74ae035d7a7df3ad3183bf0b78fd5ed108761e331b84596d"
+# The two below hash bytes as written to a file, each line newline-ended.
+# The fingerprint(g).to_jsonl() lines of the 853 connected 7-vertex graphs
+CENSUS7_FILE_DIGEST = "44917217ac451ecd31f0cb5825eb24e7a076d63febf6cea81635c9dd94040c03"
+# the stdout of `screen --generate 7 --key A,L,S --json`, the census7 path;
+# CI checks the same digest under python -O
+SCREEN7_STDOUT_DIGEST = "dfa5e86b4254d15eb0925bb1c1cd3232d51119bc000f5403098b15c4cf3476b2"
 # all 1044 graphs on 7 vertices, disconnected ones included, in output order
 GENERATED7_DIGEST = "f9a7d1de9e3cf7e112738a7c605b3948cfba9652db8fba2de83f7167e72a1d11"
 # likewise the 12346 graphs on 8 and the 274668 on 9 vertices, both taken
@@ -56,6 +62,13 @@ def test_census_up_to_six_fingerprints():
     assert _digest(fingerprint(g).to_jsonl() for g in graphs) == CENSUS6_DIGEST
 
 
+def test_census_seven_fingerprints():
+    graphs = builtin_generate(7)
+    assert len(graphs) == 853  # OEIS A001349
+    text = "".join(fingerprint(g).to_jsonl() + "\n" for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS7_FILE_DIGEST
+
+
 def test_generator_up_to_seven():
     graphs = _all_graphs_up_to_iso(7)
     assert len(graphs) == 1044
@@ -82,6 +95,13 @@ def test_screen_generate_six_full_key(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert _digest(out.splitlines()) == SCREEN6_DIGEST
+
+
+def test_screen_generate_seven_census_key(capsys):
+    code = main(["screen", "--generate", "7", "--key", "A,L,S", "--json"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SCREEN7_STDOUT_DIGEST
 
 
 def test_screen_generate_six_hashimoto_pairs(capsys):
