@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, compress
 
 from .matrices import Matrix
 
@@ -123,19 +124,28 @@ class Graph:
 # graph6 codec (undirected flavor only; sparse6 / digraph6 are rejected)
 
 _G6_MIN, _G6_MAX = 63, 126
+# each graph6 character's 6 bits, most significant first
+_G6_BITS = {chr(_G6_MIN + v): tuple((v >> s) & 1 for s in (5, 4, 3, 2, 1, 0)) for v in range(64)}
 
 
 def _g6_bits(data: str, start: int, count: int) -> list[int]:
-    bits = []
-    for off, ch in enumerate(data):
-        c = ord(ch)
-        if not (_G6_MIN <= c <= _G6_MAX):
-            raise Graph6Error(f"character {ch!r} outside graph6 range", start + off)
-        v = c - 63
-        bits.extend((v >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
+    try:
+        bits = list(chain.from_iterable(map(_G6_BITS.__getitem__, data)))
+    except KeyError:
+        off = next(i for i, ch in enumerate(data) if ch not in _G6_BITS)
+        raise Graph6Error(f"character {data[off]!r} outside graph6 range", start + off) from None
     if len(bits) < count:
         raise Graph6Error("graph6 string truncated", start + len(data))
     return bits
+
+
+def _g6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pair of each graph6 bit, in bit order: (0,1), (0,2), (1,2), (0,3), ..."""
+    return tuple([(i, j) for j in range(1, n) for i in range(j)])
+
+
+# the one-character sizes, n <= 62, keep their pairs: at most 1891 each
+_g6_short_pairs = lru_cache(maxsize=None)(_g6_pairs)
 
 
 def parse_graph6(line: str) -> Graph:
@@ -183,14 +193,8 @@ def parse_graph6(line: str) -> Graph:
     bits = _g6_bits(body, body_at, nbits)
     if any(bits[nbits:]):
         raise Graph6Error("nonzero padding bits", body_at + nchars - 1)
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph.from_edges(n, edges)
+    pairs = _g6_short_pairs(n) if n <= 62 else _g6_pairs(n)
+    return Graph(n, tuple(sorted(compress(pairs, bits))))
 
 
 def encode_graph6(g: Graph) -> str:

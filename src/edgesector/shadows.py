@@ -82,9 +82,10 @@ def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     q_minus_2 = q - Matrix.identity(g.n).scaled(2)
     polys = []
     qk = q  # Q (Q - 2I)^k, carried forward
-    for _ in range(kmax + 1):
+    for k in range(kmax + 1):
+        if k:
+            qk = qk * q_minus_2
         polys.append((qk * delta).charpoly().times_x_power(g.m - g.n))
-        qk = qk * q_minus_2
     return ShadowSet(kmax, polys[0], tuple(polys[1:]))
 
 

@@ -16,6 +16,7 @@ from edgesector.graphs import (
     read_graph6_lines,
     vertex_triple_multiset,
 )
+from edgesector.census import _all_graphs_up_to_iso
 from conftest import random_connected_graph
 
 
@@ -60,6 +61,39 @@ def test_roundtrip_random():
     for _ in range(60):
         g = random_connected_graph(rng)
         assert parse_graph6(encode_graph6(g)) == g
+
+
+def reference_edges(s: str) -> list[tuple[int, int]]:
+    """The edges of a graph6 line, read one bit at a time from the body as a
+    single integer."""
+    if s[0] == "~":
+        n = sum((ord(ch) - 63) << shift for ch, shift in zip(s[1:4], (12, 6, 0)))
+        body = s[4:]
+    else:
+        n, body = ord(s[0]) - 63, s[1:]
+    value = 0
+    for ch in body:
+        value = (value << 6) | (ord(ch) - 63)
+    top = 6 * len(body) - 1
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (value >> (top - k)) & 1:
+                edges.append((j, i))
+            k += 1
+    return edges
+
+
+def test_parse_matches_a_reference_decoding():
+    graphs = [g for n in range(8) for g in _all_graphs_up_to_iso(n)]
+    assert len(graphs) == 1 + 1 + 2 + 4 + 11 + 34 + 156 + 1044  # OEIS A000088
+    rng = random.Random(7)
+    pairs = [(a, b) for b in range(70) for a in range(b)]
+    graphs.append(Graph.from_edges(70, rng.sample(pairs, 300)))  # the long size form
+    for g in graphs:
+        s = encode_graph6(g)
+        assert parse_graph6(s) == Graph.from_edges(g.n, reference_edges(s)) == g
 
 
 def test_long_size_form():

@@ -1,12 +1,24 @@
 import random
 from fractions import Fraction
+from math import comb, isqrt
 
 import pytest
 
-from edgesector.graphs import corpus_graph
+from edgesector import matrices
+from edgesector.census import builtin_generate
+from edgesector.graphs import corpus, corpus_graph
 from edgesector.edge_space import build_hashimoto, edge_space, sector_blocks
-from edgesector.matrices import DimensionError, Matrix, _is_dense
+from edgesector.matrices import (
+    _KRONECKER_BITS,
+    DimensionError,
+    Matrix,
+    _berkowitz_charpoly,
+    _coefficient_bits,
+    _is_dense,
+    _kronecker_charpoly,
+)
 from edgesector.polynomials import Poly, series_of, ratfunc_reduce, PowerSeries
+from edgesector.shadows import _laplacians
 from edgesector.zeta import _ihara_companion
 
 
@@ -126,6 +138,19 @@ def fraction_det(mat: Matrix):
     return int(out) if out.denominator == 1 else out
 
 
+def _kronecker_bits(m: Matrix) -> int:
+    """n * b, the size charpoly compares with _KRONECKER_BITS."""
+    return m.nrows * _coefficient_bits(m.rows)
+
+
+def _limit_neighbours(n: int) -> tuple[Matrix, Matrix]:
+    """r I for the largest r inside the Kronecker limit, and (r + 1) I."""
+    r = 0
+    while _kronecker_bits(Matrix.identity(n).scaled(r + 1)) <= _KRONECKER_BITS:
+        r += 1
+    return Matrix.identity(n).scaled(r), Matrix.identity(n).scaled(r + 1)
+
+
 def _elimination_inputs():
     """Seeded integer and Fraction-entry matrices: square, wide, tall,
     singular, 0x0, 1x1, sparse 0/1 and dense n = 16 with entries in +-50."""
@@ -218,17 +243,96 @@ def test_charpoly_vs_faddeev_leverrier():
         es = edge_space(g)
         t = build_hashimoto(es)
         mats += [t, t + t.transpose(), sector_blocks(es).L, _ihara_companion(g)[0]]
+    for n in (1, 5, 8):  # |lambda| = R, the bound's extreme
+        for r in (1, 2, 7):
+            for s in (r, -r):  # (x - s)^n: |c_k| = C(n, k) r^(n-k), the bound exactly
+                m = Matrix.identity(n).scaled(s)
+                assert m.charpoly() == Poly([comb(n, k) * (-s) ** (n - k) for k in range(n + 1)])
+                mats.append(m)
+        ones = Matrix([[1] * n for _ in range(n)])  # x^(n-1) (x - n), R = n
+        assert ones.charpoly() == Poly((0,) * (n - 1) + (-n, 1))
+        mats += [ones, -ones]
+    for n in (10, 16):
+        mats += _limit_neighbours(n)
     sparse_kinds = {
         all(a in (0, 1) for row in m.rows for a in row)
         for m in mats
         if not _is_dense(m.rows, m.ncols)
     }
     assert sparse_kinds == {False, True}  # the unit loop and the (column, entry) loop
+    integer = [m for m in mats if all(type(a) is int for row in m.rows for a in row)]
+    # the Kronecker route and Berkowitz on integers, and Berkowitz on Fractions
+    assert {_kronecker_bits(m) <= _KRONECKER_BITS for m in integer} == {False, True}
+    assert len(integer) < len(mats)
     for m in mats:
         p = m.charpoly()
         assert p == faddeev_leverrier(m)
         if all(isinstance(a, int) for row in m.rows for a in row):
             assert p.is_integer()
+
+
+def _fingerprint_matrices(g) -> list[Matrix]:
+    """Every matrix fingerprint takes a charpoly of: A, Q, Delta,
+    Q (Q - 2I)^k Delta for k = 0, 1, 2, and the 2-core companion K."""
+    q, delta = _laplacians(g)
+    q_minus_2 = q - Matrix.identity(g.n).scaled(2)
+    q1 = q * q_minus_2
+    shadows = [q * delta, q1 * delta, q1 * q_minus_2 * delta]
+    return [g.adjacency(), q, delta, *shadows, _ihara_companion(g)[0]]
+
+
+def test_charpoly_routes_agree_on_census_and_corpus_matrices():
+    mats = [m for n in range(1, 8) for g in builtin_generate(n) for m in _fingerprint_matrices(g)]
+    for entry in corpus():
+        es = edge_space(entry.graph)
+        blocks = sector_blocks(es)
+        mats += [build_hashimoto(es), blocks.L, blocks.S, blocks.M * blocks.M.transpose()]
+    kron_bits = [_kronecker_bits(m) for m in mats]
+    assert min(kron_bits) <= _KRONECKER_BITS < max(kron_bits)
+    for m in mats:
+        p = _berkowitz_charpoly(m.rows)
+        assert _kronecker_charpoly(m.rows, _coefficient_bits(m.rows)) == p
+        assert m.charpoly() == p
+
+
+def test_charpoly_route_choice(monkeypatch):
+    calls = []
+    for name in ("_coefficient_bits", "_kronecker_charpoly", "_berkowitz_charpoly"):
+        original = getattr(matrices, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(matrices, name, spy)
+
+    def route(m: Matrix) -> tuple[str, ...]:
+        calls.clear()
+        assert m.charpoly() == faddeev_leverrier(m)
+        return tuple(calls)
+
+    kronecker = ("_coefficient_bits", "_kronecker_charpoly")
+    berkowitz = ("_coefficient_bits", "_berkowitz_charpoly")
+    for n in (10, 16):
+        inside, outside = _limit_neighbours(n)
+        assert _kronecker_bits(inside) <= _KRONECKER_BITS < _kronecker_bits(outside)
+        assert route(inside) == kronecker
+        assert route(outside) == berkowitz
+    assert route(Matrix([])) == kronecker
+    assert route(Matrix([[5]])) == kronecker
+    # Fraction entries take Berkowitz, whole ones included
+    assert route(Matrix([[Fraction(1, 2), 1], [1, 0]])) == berkowitz
+    assert route(Matrix.identity(3).scaled(Fraction(2))) == berkowitz
+    # n^2 above the limit already puts n * b above it: no entry is scanned
+    n = isqrt(_KRONECKER_BITS) + 1
+    assert route(Matrix.zeros(n, n)) == ("_berkowitz_charpoly",)
+
+
+def test_kronecker_charpoly_checks_its_leading_digit():
+    # b = 3 is too few bits for x - 100: the digits wrap and leave -11, not 1
+    with pytest.raises(ArithmeticError):
+        _kronecker_charpoly([[100]], 3)
+    assert _kronecker_charpoly([[100]], _coefficient_bits([[100]])) == Poly((-100, 1))
 
 
 def test_mul_vs_naive_product():
@@ -246,6 +350,14 @@ def test_mul_vs_naive_product():
         a = Matrix([[entry() for _ in range(k)] for _ in range(r)], ncols=k)
         b = Matrix([[entry() for _ in range(c)] for _ in range(k)], ncols=c)
         pairs.append((a, b))
+    for r, k, c in ((5, 7, 6), (9, 12, 4), (1, 3, 3)):  # sparse, entries 1, -1 and 2
+        a = Matrix([[rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(k)] for _ in range(r)])
+        b = Matrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)])
+        pairs.append((a, b))
+    sparse_entries = {
+        x for a, _ in pairs if not _is_dense(a.rows, a.ncols) for row in a.rows for x in row
+    }
+    assert {1, -1, 2} <= sparse_entries
     assert {_is_dense(a.rows, a.ncols) for a, _ in pairs} == {False, True}
     for a, b in pairs:
         product = a * b

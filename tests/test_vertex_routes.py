@@ -17,6 +17,7 @@ import edgesector
 from edgesector import cli, screen, shadows, zeta
 from edgesector.edge_space import edge_space, sector_blocks
 from edgesector.graphs import Graph, corpus, corpus_graph, encode_graph6
+from edgesector.matrices import Matrix
 from edgesector.polynomials import PowerSeries
 from edgesector.shadows import Fingerprint, ShadowSet, compare, fingerprint, shadow_set, vertex_shadow_set
 from edgesector.zeta import factorize, hashimoto_det, ihara_det, line_factor, resolution_compare
@@ -131,6 +132,24 @@ def test_routes_agree_random_any():
 def test_vertex_shadow_set_rejects_negative_kmax():
     with pytest.raises(ValueError):
         vertex_shadow_set(corpus_graph("petersen"), -1)
+
+
+def test_vertex_shadow_set_takes_2kmax_plus_1_products(monkeypatch):
+    # kmax + 1 products with Delta, and kmax steps Q (Q - 2I)^k -> ^(k+1)
+    calls = []
+    product = Matrix.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    g = corpus_graph("petersen")
+    for kmax in (0, 1, 2):
+        calls.clear()
+        mixed = vertex_shadow_set(g, kmax)
+        assert len(calls) == 2 * kmax + 1
+        assert len(mixed.mtlkm) == kmax
 
 
 def test_pair_report_matches_edge_space_divergence():
