@@ -1,5 +1,5 @@
-"""Golden digests of the byte output of fingerprint, screen, verify, zeta and
-bounds.
+"""Golden digests of the byte output of fingerprint, screen, verify, zeta,
+bounds and shadows.
 
 Each digest is the SHA-256 of newline-joined output lines.  A refactor must
 leave every digest unchanged; a digest may change only with a fingerprint
@@ -45,6 +45,10 @@ ZETA_CORPUS_DIGEST = "d3cf41249931d287900d55f9aef3e300499b109d83db1e55a5494b8f4c
 # `bounds NAME --json` and `bounds NAME` for each corpus name, in corpus order
 BOUNDS_CORPUS_JSON_DIGEST = "4b047728f9cc561be8b4fa99d0d64cee49cc50123f01d447fcc005114d193d3d"
 BOUNDS_CORPUS_TEXT_DIGEST = "e20e88023a5005109bea75a997503c24f37202e8f956f4790e016b7284b002fe"
+# the stdout bytes of `shadows NAME --json` and of `shadows NAME` for each
+# corpus name, in corpus order; CI checks the first under python -O
+SHADOWS_CORPUS_JSON_DIGEST = "4ef064fc2528aa443dbff40c6819fe08355eb70195de522aa8d8a7847f749d16"
+SHADOWS_CORPUS_TEXT_DIGEST = "0c1b893236692b3ee64e4820f644ddebdbfc782a6372caf67a485d8778a30a34"
 SCREEN6_DIGEST = "7920d12bee370648d07628b1d86e6ea330c64a44031fade472b6dd656c4884cb"
 # 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
 SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
@@ -135,3 +139,14 @@ def test_bounds_corpus(capsys, flags, expect):
         assert main(["bounds", name, *flags]) == EXIT_OK
         lines += capsys.readouterr().out.splitlines()
     assert _digest(lines) == expect
+
+
+@pytest.mark.parametrize(
+    "flags,expect", [(["--json"], SHADOWS_CORPUS_JSON_DIGEST), ([], SHADOWS_CORPUS_TEXT_DIGEST)]
+)
+def test_shadows_corpus(capsys, flags, expect):
+    out = ""
+    for name in corpus_names():
+        assert main(["shadows", name, *flags]) == EXIT_OK
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expect
