@@ -288,10 +288,9 @@ def check_bounds(g: Graph, slack: float = DEFAULT_BOUND_SLACK) -> BoundReport:
     mtm = blocks.M.transpose() * blocks.M
     mtm_eigs = sym_spectrum(mtm)
     sigma_max = sqrt(max(max(mtm_eigs, default=0.0), 0.0))
-    laplacian = g.degree_matrix() - g.adjacency()
-    signless = g.degree_matrix() + g.adjacency()
-    rho_delta = spectral_radius(laplacian)
-    rho_q = spectral_radius(signless)
+    deg = g.degrees()
+    rho_delta = spectral_radius(g.vertex_operator(deg, -1))
+    rho_q = spectral_radius(g.vertex_operator(deg))
 
     spec = hashimoto_spectrum(g)
     res = [z.real for z in spec.eigenvalues]

@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     _flags(p, "order", "json")
 
     p = sub.add_parser("screen", help="group a census by exact invariants")
-    p.add_argument("--input", default="-", help="graph6 file, or - for stdin")
+    # default None, not "-", so that cmd_screen sees an --input beside --generate
+    p.add_argument("--input", help="graph6 file, or - for stdin")
     p.add_argument("--generate", type=int, metavar="N",
                    help="use the builtin connected census on "
                         f"N <= {MAX_GENERATED_VERTICES} vertices")
@@ -273,12 +274,14 @@ def cmd_screen(args) -> int:
         skip_malformed=args.skip_malformed,
     )
     if args.generate is not None:
+        if args.input is not None:
+            raise CliInputError("--generate and --input cannot be used together")
         lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(args.generate))]
         result = run_screen(lines, cfg)
     else:
         # stdin and a file are read alike: once, line by line, with a
         # non-ASCII byte failing in parse_graph6 as U+FFFD
-        stdin = args.input == "-"
+        stdin = args.input in (None, "-")
         source = sys.stdin.fileno() if stdin else args.input
         with open(source, encoding="ascii", errors="replace", closefd=not stdin) as fh:
             result = run_screen(read_graph6_lines(fh), cfg)

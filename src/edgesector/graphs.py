@@ -85,15 +85,22 @@ class Graph:
             adj[b].append(a)
         return adj
 
-    def adjacency(self) -> Matrix:
-        rows = [[0] * self.n for _ in range(self.n)]
+    def vertex_operator(self, diagonal, off: int = 1) -> Matrix:
+        """diag(diagonal) + off * A: diagonal[v] at (v, v) and off at (a, b)
+        and (b, a) for each edge.  A, Q = Deg + A, Delta = Deg - A, Q - 2I and
+        Bass's I - wA + w^2 (Deg - I) all have this form."""
+        n = self.n
+        if len(diagonal) != n:
+            raise ValueError(f"{len(diagonal)} diagonal entries for {n} vertices")
+        rows = [[0] * n for _ in range(n)]
+        for v, c in enumerate(diagonal):
+            rows[v][v] = c
         for a, b in self.edges:
-            rows[a][b] = 1
-            rows[b][a] = 1
-        return Matrix(rows, ncols=self.n)
+            rows[a][b] = rows[b][a] = off
+        return Matrix(rows, ncols=n)
 
-    def degree_matrix(self) -> Matrix:
-        return Matrix.diagonal(self.degrees())
+    def adjacency(self) -> Matrix:
+        return self.vertex_operator([0] * self.n)
 
     def relabel(self, perm) -> "Graph":
         """Graph with vertex i renamed to perm[i]."""
@@ -126,6 +133,8 @@ class Graph:
 _G6_MIN, _G6_MAX = 63, 126
 # each graph6 character's 6 bits, most significant first
 _G6_BITS = {chr(_G6_MIN + v): tuple((v >> s) & 1 for s in (5, 4, 3, 2, 1, 0)) for v in range(64)}
+# and back; a tuple of bools finds its character too, since True == 1
+_G6_CHARS = {bits: ch for ch, bits in _G6_BITS.items()}
 
 
 def _g6_bits(data: str, start: int, count: int) -> list[int]:
@@ -206,22 +215,11 @@ def encode_graph6(g: Graph) -> str:
         prefix = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
     else:
         raise ValueError("graph too large for the supported graph6 size forms")
-    adj = [[False] * n for _ in range(n)]
-    for a, b in g.edges:
-        adj[a][b] = adj[b][a] = True
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if adj[i][j] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k : k + 6]:
-            v = (v << 1) | b
-        chars.append(chr(63 + v))
-    return prefix + "".join(chars)
+    pairs = _g6_short_pairs(n) if n <= 62 else _g6_pairs(n)
+    edges = set(g.edges)
+    bits = [p in edges for p in pairs]
+    bits += [False] * (-len(bits) % 6)
+    return prefix + "".join(_G6_CHARS[tuple(bits[k : k + 6])] for k in range(0, len(bits), 6))
 
 
 def read_graph6_lines(lines):

@@ -53,9 +53,11 @@ class ScreenConfig:
     def __post_init__(self):
         if not self.keys:
             raise ValueError("grouping key must be nonempty")
-        for key in self.keys:
+        for i, key in enumerate(self.keys):
             if key not in GROUPING_KEYS:
                 raise ValueError(f"unknown grouping key {key!r}; use {GROUPING_KEYS}")
+            if key in self.keys[:i]:
+                raise ValueError(f"grouping key {key!r} is repeated")
         if self.order < 0 or self.kmax < 0:
             raise ValueError("series order and kmax must be nonnegative")
         if self.jobs < 1:

@@ -63,12 +63,6 @@ def shadow_set(es: OrientedEdgeSpace, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     return ShadowSet(kmax, mmt, tuple(powers))
 
 
-def _laplacians(g: Graph) -> tuple[Matrix, Matrix]:
-    """(Q, Delta) = (Deg + A, Deg - A) = (|D||D|^T, D D^T)."""
-    a, deg = g.adjacency(), g.degree_matrix()
-    return deg + a, deg - a
-
-
 def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     """shadow_set from n x n vertex matrices.
 
@@ -78,8 +72,9 @@ def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    q, delta = _laplacians(g)
-    q_minus_2 = q - Matrix.identity(g.n).scaled(2)
+    deg = g.degrees()
+    q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
+    q_minus_2 = g.vertex_operator([d - 2 for d in deg])
     polys = []
     qk = q  # Q (Q - 2I)^k, carried forward
     for k in range(kmax + 1):
@@ -284,8 +279,8 @@ def invariant(g: Graph, key: str, kmax: int = DEFAULT_KMAX) -> Poly | ShadowSet:
     if key == "A":
         return g.adjacency().charpoly()
     if key in ("L", "S"):
-        q, delta = _laplacians(g)
-        return _sector_charpoly(q if key == "L" else delta, g.m)
+        # Q = Deg + A for L, Delta = Deg - A for S
+        return _sector_charpoly(g.vertex_operator(g.degrees(), 1 if key == "L" else -1), g.m)
     if key == "shadows":
         return vertex_shadow_set(g, kmax)
     if key == "hashimoto":

@@ -66,7 +66,7 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
     pm = build_pm_basis(es)
     blocks = sector_blocks(es)
     d, absd = build_incidence(es)
-    deg, adj = g.degree_matrix(), g.adjacency()
+    deg = g.degrees()
 
     check("reversal_involution", lambda: (p * p == Matrix.identity(2 * g.m), ""))
     check("shared_endpoint_splitting", lambda: (hl2 == p * t + t * p, "A = PT + TP"))
@@ -77,7 +77,8 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
     check(
         "incidence_laplacians",
         lambda: (
-            d * d.transpose() == deg - adj and absd * absd.transpose() == deg + adj,
+            d * d.transpose() == g.vertex_operator(deg, -1)
+            and absd * absd.transpose() == g.vertex_operator(deg),
             "DD^t and |D||D|^t",
         ),
     )

@@ -61,13 +61,10 @@ def _vertex_space_det(g: Graph) -> Poly:
     The determinant has degree at most 2n, so evaluating at 2n+1 integer
     points and interpolating recovers it exactly.
     """
-    n = g.n
-    a = g.adjacency()
-    d_minus_i = Matrix.diagonal([d - 1 for d in g.degrees()])
-    ident = Matrix.identity(n)
+    deg = g.degrees()
     points = []
-    for w in range(2 * n + 1):
-        mat = ident - a.scaled(w) + d_minus_i.scaled(w * w)
+    for w in range(2 * g.n + 1):
+        mat = g.vertex_operator([1 + w * w * (d - 1) for d in deg], -w)
         points.append((w, mat.det()))
     return Poly.interpolate(points)
 

@@ -202,6 +202,23 @@ def test_screen_bad_jobs_or_max_pairs_exits_2(capsys):
     assert json.loads(out.strip().splitlines()[-1])["summary"]["pairs_reported"] == 0
 
 
+def test_screen_generate_with_input_exits_2(tmp_path, capsys):
+    census = tmp_path / "pair.g6"
+    census.write_text("H?ABePt\nH?B@`jh\n")
+    for path in (str(census), "-", str(tmp_path / "missing.g6")):
+        code, out, err = run_cli(capsys, "screen", "--generate", "4", "--input", path, "--json")
+        assert code == EXIT_INPUT_ERROR, path
+        assert err.startswith("error:") and "--input" in err, path
+        assert out == "", path
+
+
+def test_screen_repeated_key_exits_2(capsys):
+    code, out, err = run_cli(capsys, "screen", "--generate", "4", "--key", "A,A", "--json")
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:") and "'A' is repeated" in err
+    assert out == ""
+
+
 def test_unknown_graph_exits_2(capsys):
     code, _, err = run_cli(capsys, "zeta", "no_such_graph")
     assert code == EXIT_INPUT_ERROR

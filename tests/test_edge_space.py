@@ -79,8 +79,8 @@ def test_incidence_properties():
             col = [d[i][j] for i in range(g.n)]
             assert sorted(c for c in col if c) == [-1, 1]
             assert sum(col) == 0
-        assert d * d.transpose() == g.degree_matrix() - g.adjacency()
-        assert absd * absd.transpose() == g.degree_matrix() + g.adjacency()
+        assert d * d.transpose() == g.vertex_operator(g.degrees(), -1)
+        assert absd * absd.transpose() == g.vertex_operator(g.degrees())
 
 
 def test_sector_blocks_k3():

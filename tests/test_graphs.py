@@ -17,6 +17,7 @@ from edgesector.graphs import (
     vertex_triple_multiset,
 )
 from edgesector.census import _all_graphs_up_to_iso
+from edgesector.matrices import Matrix
 from conftest import random_connected_graph
 
 
@@ -61,6 +62,24 @@ def test_roundtrip_random():
     for _ in range(60):
         g = random_connected_graph(rng)
         assert parse_graph6(encode_graph6(g)) == g
+
+
+def test_vertex_operator_matches_matrix_arithmetic():
+    graphs = [g for n in range(6) for g in _all_graphs_up_to_iso(n)]
+    graphs += [entry.graph for entry in corpus()]
+    for g in graphs:
+        n, deg, edges = g.n, g.degrees(), set(g.edges)
+        a = Matrix([[int((min(i, j), max(i, j)) in edges) for j in range(n)] for i in range(n)], n)
+        d, ident = Matrix.diagonal(deg), Matrix.identity(n)
+        assert g.adjacency() == a
+        assert g.vertex_operator(deg) == d + a  # Q
+        assert g.vertex_operator(deg, -1) == d - a  # Delta
+        assert g.vertex_operator([x - 2 for x in deg]) == d + a - ident.scaled(2)
+        for w in range(2 * n + 1):  # the Bass points of zeta._vertex_space_det
+            bass = ident - a.scaled(w) + (d - ident).scaled(w * w)
+            assert g.vertex_operator([1 + w * w * (x - 1) for x in deg], -w) == bass
+    with pytest.raises(ValueError, match="2 diagonal entries for 3 vertices"):
+        corpus_graph("K3").vertex_operator([0, 0])
 
 
 def reference_edges(s: str) -> list[tuple[int, int]]:

@@ -18,7 +18,6 @@ from edgesector.matrices import (
     _kronecker_charpoly,
 )
 from edgesector.polynomials import Poly, series_of, ratfunc_reduce, PowerSeries
-from edgesector.shadows import _laplacians
 from edgesector.zeta import _ihara_companion
 
 
@@ -274,8 +273,9 @@ def test_charpoly_vs_faddeev_leverrier():
 def _fingerprint_matrices(g) -> list[Matrix]:
     """Every matrix fingerprint takes a charpoly of: A, Q, Delta,
     Q (Q - 2I)^k Delta for k = 0, 1, 2, and the 2-core companion K."""
-    q, delta = _laplacians(g)
-    q_minus_2 = q - Matrix.identity(g.n).scaled(2)
+    deg = g.degrees()
+    q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
+    q_minus_2 = g.vertex_operator([d - 2 for d in deg])
     q1 = q * q_minus_2
     shadows = [q * delta, q1 * delta, q1 * q_minus_2 * delta]
     return [g.adjacency(), q, delta, *shadows, _ihara_companion(g)[0]]

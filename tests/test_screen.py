@@ -415,6 +415,12 @@ def test_screen_config_validation():
     assert ScreenConfig(max_pairs_per_class=0).max_pairs_per_class == 0
 
 
+def test_screen_config_rejects_a_repeated_key():
+    for keys in (("A", "A"), ("A", "L", "S", "L")):
+        with pytest.raises(ValueError, match=f"grouping key {keys[-1]!r} is repeated"):
+            ScreenConfig(keys=keys)
+
+
 def test_screen_deterministic_across_jobs():
     graphs = builtin_generate(5)
     lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(graphs)]
