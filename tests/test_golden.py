@@ -32,6 +32,10 @@ CENSUS7_FILE_DIGEST = "44917217ac451ecd31f0cb5825eb24e7a076d63febf6cea81635c9dd9
 # the stdout of `screen --generate 7 --key A,L,S --json`, the census7 path;
 # CI checks the same digest under python -O
 SCREEN7_STDOUT_DIGEST = "dfa5e86b4254d15eb0925bb1c1cd3232d51119bc000f5403098b15c4cf3476b2"
+# the stdout of `screen --generate 7 --key hashimoto --json`, whose
+# --fingerprints-out store hashes to CENSUS7_FILE_DIGEST; CI checks both
+# under python -O at jobs 2
+SCREEN7_HASHIMOTO_DIGEST = "1e7d2682f7a9c106ffb68c8417030cb8118c61b3b594d49358bf0897304cf083"
 # all 1044 graphs on 7 vertices, disconnected ones included, in output order
 GENERATED7_DIGEST = "f9a7d1de9e3cf7e112738a7c605b3948cfba9652db8fba2de83f7167e72a1d11"
 # likewise the 12346 graphs on 8 and the 274668 on 9 vertices, both taken
@@ -106,6 +110,17 @@ def test_screen_generate_seven_census_key(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == SCREEN7_STDOUT_DIGEST
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_screen_generate_seven_hashimoto_and_store(capsys, tmp_path, jobs):
+    store = tmp_path / "census7.jsonl"
+    argv = ["screen", "--generate", "7", "--key", "hashimoto", "--json"]
+    code = main([*argv, "--jobs", jobs, "--fingerprints-out", str(store)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SCREEN7_HASHIMOTO_DIGEST
+    assert hashlib.sha256(store.read_bytes()).hexdigest() == CENSUS7_FILE_DIGEST
 
 
 def test_screen_generate_six_hashimoto_pairs(capsys):
