@@ -203,17 +203,20 @@ class Matrix:
         alone exceeds the limit (a nonzero matrix has b > n), and tests the
         entry types only once n * b is within it.
 
-        The limit, 640 bits, is fitted on the matrices fingerprint takes (A,
-        Q, Delta, the shadow products Q (Q - 2I)^k Delta and the 2-core
-        companion K) of the census graphs on at most 7 vertices and of
-        seeded random graphs on 8 to 20 (Python 3.11, 2 CPUs).  Against
-        Berkowitz, the Kronecker route ran 2.0-2.8x as fast up to
-        n * b = 240, 1.5-2.4x up to 480 and at least 1.09x up to 640, for
-        every kind.  The sparse A, whose Berkowitz loop multiplies nothing,
-        crosses first, between 720 and 880 bits; the denser kinds cross
-        between 960 and 1200.  A at n = 7 takes at most about 150 bits; at
-        n = 20 even a path's A takes 680, so every matrix of a 20-vertex
-        fingerprint stays on Berkowitz.
+        The limit, 640 bits, is fitted on the matrices fingerprint takes a
+        charpoly of (A, Q, Delta and the shadow products Q (Q - 2I)^k Delta)
+        and on the 2-core companion K, of the census graphs on at most 7
+        vertices and of seeded random graphs on 8 to 20 (Python 3.11, 2
+        CPUs).  Against Berkowitz, the Kronecker route ran 2.0-2.8x as fast
+        up to n * b = 240, 1.5-2.4x up to 480 and at least 1.09x up to 640,
+        for every kind.  The sparse A, whose Berkowitz loop multiplies
+        nothing, crosses first, between 720 and 880 bits; the denser kinds
+        cross between 960 and 1200.  K no longer meets this limit in
+        fingerprint: zeta.ihara_det takes its own Kronecker determinant up
+        to zeta._IHARA_KRONECKER_BITS and K's charpoly only above it, where
+        K has at least 32 rows, so n^2 alone puts it on Berkowitz.  A at
+        n = 7 takes at most about 150 bits; at n = 20 even a path's A takes
+        680, so every matrix of a 20-vertex fingerprint stays on Berkowitz.
         """
         if not self.is_square():
             raise DimensionError("characteristic polynomial of a non-square matrix")
@@ -252,17 +255,39 @@ def _coefficient_bits(rows) -> int:
     return ((1 + ceil(r)) ** len(rows)).bit_length() + 2
 
 
-def _kronecker_charpoly(rows, b: int) -> Poly:
-    """charpoly of the square int matrix rows from one determinant.
+def _kronecker_det(rows, b: int) -> list[int]:
+    """The balanced base-2^b digits, lowest first, of the determinant of the
+    square int matrix rows, which is a polynomial p already evaluated at
+    x0 = 2^b: the coefficients of p when each has |c_k| < x0 / 4 (Kronecker
+    substitution).
 
-    det(x0 I - M) at x0 = 2^b is the sum of c_k x0^k, and with
-    b = _coefficient_bits(rows) each |c_k| < x0 / 4, so the balanced
-    base-x0 digits of that one integer are the coefficients (Kronecker
-    substitution).  x0 > R makes x0 I - M strictly diagonally dominant, so
-    every leading minor is nonzero: _eliminate never swaps a row and its
-    last pivot is the determinant.  That is O(n^3) operations on integers of
-    at most n * b bits, where Berkowitz is O(n^4) behind about n^3 / 3
-    Python-level calls.  The leading digit must come out 1; anything else
+    rows is eliminated in place by _eliminate, whose last pivot is the
+    determinant; a strictly diagonally dominant matrix has every leading
+    minor nonzero, so no row is swapped.  That is O(n^3) operations on
+    integers no longer than the determinant.  A wrong bound b wraps the
+    digits unseen, so each caller checks the digits it knows in advance.
+    """
+    value = _eliminate(rows, len(rows))[1]
+    x0 = 1 << b
+    mask, half = x0 - 1, x0 >> 1
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= x0
+        digits.append(digit)
+        value = (value - digit) >> b
+    return digits
+
+
+def _kronecker_charpoly(rows, b: int) -> Poly:
+    """charpoly of the square int matrix rows from one determinant: the
+    digits of det(x0 I - M) at x0 = 2^b (_kronecker_det).
+
+    With b = _coefficient_bits(rows) each |c_k| < x0 / 4, and x0 > R makes
+    x0 I - M strictly diagonally dominant.  Where Berkowitz is O(n^4) behind
+    about n^3 / 3 Python-level calls, this is one O(n^3) elimination.  The
+    digits must be those of a monic polynomial of degree n; anything else
     raises ArithmeticError.
     """
     n = len(rows)
@@ -270,18 +295,11 @@ def _kronecker_charpoly(rows, b: int) -> Poly:
     m = [[-a for a in row] for row in rows]
     for i, row in enumerate(m):
         row[i] += x0
-    value = _eliminate(m, n)[1]
-    mask, half = x0 - 1, x0 >> 1
-    coeffs = []
-    for _ in range(n):
-        digit = value & mask
-        if digit >= half:
-            digit -= x0
-        coeffs.append(digit)
-        value = (value - digit) >> b
-    if value != 1:
-        raise ArithmeticError(f"Kronecker charpoly left {value} for the leading coefficient 1")
-    coeffs.append(1)
+    coeffs = _kronecker_det(m, b)
+    if len(coeffs) != n + 1 or coeffs[n] != 1:
+        raise ArithmeticError(
+            f"Kronecker charpoly digits {coeffs} are not those of a monic polynomial of degree {n}"
+        )
     return Poly(coeffs)
 
 
@@ -360,9 +378,9 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int]:
 
     After k pivots every entry is a (k+1)-minor, so each division by the
     previous pivot is exact.  A row is searched for only when the diagonal
-    candidate is zero, which it never is on charpoly's diagonally dominant
-    x0 I - M.  The inner loop is plain: on the 7 x 7 x0 I - A it took 37 us
-    where row-slice comprehensions took 58 us (Python 3.11).
+    candidate is zero, which it never is on the diagonally dominant matrices
+    _kronecker_det takes.  The inner loop is plain: on the 7 x 7 x0 I - A it
+    took 37 us where row-slice comprehensions took 58 us (Python 3.11).
     """
     nr = len(m)
     rank, sign, prev = 0, 1, 1

@@ -67,8 +67,10 @@ def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     """shadow_set from n x n vertex matrices.
 
     |D| L^k |D|^T = Q (Q - 2I)^k and D D^T = Delta, so by the AB/BA lemma
-    charpoly(M^T L^k M) = x^(m-n) charpoly(Q (Q - 2I)^k Delta); k = 0 gives
-    M M^T (and M^T M, which has the same charpoly).
+    charpoly(M^T L^k M) = x^(m-n) charpoly(X_k) with X_k = Q (Q - 2I)^k Delta;
+    k = 0 gives M M^T (and M^T M, which has the same charpoly).  Q and
+    Q - 2I commute, so X_k = (Q - 2I) X_(k-1) from X_0 = Q Delta: kmax + 1
+    products in all, each led by a sparse operator.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -76,11 +78,11 @@ def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
     q_minus_2 = g.vertex_operator([d - 2 for d in deg])
     polys = []
-    qk = q  # Q (Q - 2I)^k, carried forward
+    x = q * delta
     for k in range(kmax + 1):
         if k:
-            qk = qk * q_minus_2
-        polys.append((qk * delta).charpoly().times_x_power(g.m - g.n))
+            x = q_minus_2 * x
+        polys.append(x.charpoly().times_x_power(g.m - g.n))
     return ShadowSet(kmax, polys[0], tuple(polys[1:]))
 
 
@@ -307,10 +309,18 @@ def fingerprint(
         if key not in values:
             values[key] = invariant(g, key, kmax)
     # in u = w/2 both factors are integer polynomials with constant term 1, so
-    # the quotient is an integer series, written in w once at the end
+    # the quotient is an integer series; coefficient k divided by 2^k writes
+    # it in w, an int where the division is exact
     det_u = rescale(PowerSeries.from_poly(values["hashimoto"], order), 2)
     line_u = PowerSeries.from_poly(values["L"].reversal(g.m), order)
-    series = rescale(det_u * line_u.inverse(), Fraction(1, 2))
+    quotient = (det_u * line_u.inverse()).coeffs
+    series = PowerSeries(
+        order,
+        [
+            Fraction(c, 1 << k) if c & ((1 << k) - 1) else c >> k
+            for k, c in enumerate(quotient)
+        ],
+    )
     return Fingerprint(
         graph6=encode_graph6(g),
         n=g.n,

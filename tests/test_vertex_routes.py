@@ -134,21 +134,23 @@ def test_vertex_shadow_set_rejects_negative_kmax():
         vertex_shadow_set(corpus_graph("petersen"), -1)
 
 
-def test_vertex_shadow_set_takes_2kmax_plus_1_products(monkeypatch):
-    # kmax + 1 products with Delta, and kmax steps Q (Q - 2I)^k -> ^(k+1)
+def test_vertex_shadow_set_takes_kmax_plus_1_products(monkeypatch):
+    # Q Delta, then kmax steps X_k = (Q - 2I) X_(k-1), each led by Q - 2I
     calls = []
     product = Matrix.__mul__
 
     def counting(self, other):
-        calls.append(other)
+        calls.append(self)
         return product(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
     g = corpus_graph("petersen")
+    deg = g.degrees()
+    q, q_minus_2 = g.vertex_operator(deg), g.vertex_operator([d - 2 for d in deg])
     for kmax in (0, 1, 2):
         calls.clear()
         mixed = vertex_shadow_set(g, kmax)
-        assert len(calls) == 2 * kmax + 1
+        assert calls == [q] + [q_minus_2] * kmax
         assert len(mixed.mtlkm) == kmax
 
 

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from edgesector.graphs import Graph, corpus, corpus_graph, is_connected
+from edgesector import matrices, zeta
+from edgesector.graphs import Graph, corpus, corpus_graph, is_connected, is_regular
 from edgesector.edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
 from edgesector.matrices import Matrix
 from edgesector.polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
@@ -106,26 +108,111 @@ def test_ihara_det_equals_hashimoto_det_every_graph_to_n6():
             assert ihara_det(g) == hashimoto_det(g), (n, g.edges)
 
 
-def test_ihara_det_takes_its_charpoly_on_the_2_core(monkeypatch):
+def test_ihara_det_takes_one_determinant_on_the_2_core(monkeypatch):
     g = corpus_graph("petersen")
     n = g.n
     # a pendant path of three vertices on vertex 0, and an isolated vertex
     tailed = Graph.from_edges(n + 4, list(g.edges) + [(0, n), (n, n + 1), (n + 1, n + 2)])
     forest = Graph.from_edges(9, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (6, 7)])
     expect = hashimoto_det(g)
-    dims = []
+    sizes, charpolys = [], []
+    kronecker_det = zeta._kronecker_det
     charpoly = Matrix.charpoly
 
-    def recording(self):
-        dims.append(self.nrows)
+    def recording(rows, b):
+        sizes.append(len(rows))
+        return kronecker_det(rows, b)
+
+    def recording_charpoly(self):
+        charpolys.append(self.nrows)
         return charpoly(self)
 
-    monkeypatch.setattr(Matrix, "charpoly", recording)
+    monkeypatch.setattr(zeta, "_kronecker_det", recording)
+    monkeypatch.setattr(Matrix, "charpoly", recording_charpoly)
     assert ihara_det(tailed) == expect
-    assert dims == [2 * n]
-    dims.clear()
+    assert sizes == [n]
+    sizes.clear()
     assert ihara_det(forest) == Poly.one()
-    assert dims == []
+    assert sizes == []
+    assert charpolys == []
+
+
+def _random_connected(seed: int, n: int, m: int) -> Graph:
+    """A random recursive tree on n vertices plus random chords up to m edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _ihara_bits(g: Graph) -> int:
+    """2 n_core * b, the size ihara_det compares with _IHARA_KRONECKER_BITS."""
+    core = zeta._two_core(g)
+    return 2 * len(core) * (prod(2 * len(nb) for nb in core).bit_length() + 2)
+
+
+def test_ihara_det_routes_on_both_sides_of_the_limit(monkeypatch):
+    routes = []
+    for name in ("_ihara_kronecker", "_ihara_companion"):
+        original = getattr(zeta, name)
+
+        def spy(*args, _name=name, _original=original):
+            routes.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(zeta, name, spy)
+
+    def tailed_complete(k: int) -> Graph:
+        # K_k with a pendant path of two vertices: the core is K_k
+        edges = [(i, j) for j in range(k) for i in range(j)] + [(0, k), (k, k + 1)]
+        return Graph.from_edges(k + 2, edges)
+
+    # K_15 is the largest complete core inside the limit; sparse cores of
+    # 19 and 20 vertices sit just inside and just outside it
+    inside = [tailed_complete(15), _random_connected(760, 19, 40)]
+    outside = [tailed_complete(16), _random_connected(880, 20, 44)]
+    for graphs, route in ((inside, "_ihara_kronecker"), (outside, "_ihara_companion")):
+        for g in graphs:
+            bits = _ihara_bits(g)
+            assert (bits <= zeta._IHARA_KRONECKER_BITS) == (route == "_ihara_kronecker"), bits
+            routes.clear()
+            assert ihara_det(g) == bass_det(g), g.edges
+            assert routes == [route]
+
+
+def test_ihara_det_checks_its_digits(monkeypatch):
+    g = corpus_graph("petersen")
+    core = zeta._two_core(g)
+    b = _ihara_bits(g) // (2 * g.n)
+    assert zeta._ihara_kronecker(core, b) == zeta._vertex_space_det(g)
+    # too few bits: the digits wrap into each other
+    with pytest.raises(ArithmeticError):
+        zeta._ihara_kronecker(core, 3)
+    eliminate = matrices._eliminate
+    # an error in the lowest digit, and one in the digit at w^2n alone
+    for error in (1, 1 << (2 * g.n * b)):
+
+        def wrong(m, ncols, _error=error):
+            rank, det = eliminate(m, ncols)
+            return rank, det + _error
+
+        monkeypatch.setattr(matrices, "_eliminate", wrong)
+        with pytest.raises(ArithmeticError):
+            ihara_det(g)
+
+
+@pytest.mark.slow
+def test_ihara_det_equals_bass_det_irregular_n8_min_degree_2():
+    # the graphs an n=8 Ihara screen meets; about 15 s, nearly all of it bass_det
+    graphs = [
+        g
+        for g in _all_graphs_up_to_iso(8)
+        if is_connected(g) and is_regular(g) is None and min(g.degrees()) >= 2
+    ]
+    assert len(graphs) == 7425
+    for g in graphs:
+        assert ihara_det(g) == bass_det(g), g.edges
 
 
 def test_factorize_paper_c6():
