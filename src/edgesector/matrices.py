@@ -205,16 +205,12 @@ class Matrix:
 
         The limit, 640 bits, is fitted on the matrices fingerprint takes a
         charpoly of (A, Q, Delta and the shadow products Q (Q - 2I)^k Delta)
-        and on the 2-core companion K, of the census graphs on at most 7
-        vertices and of seeded random graphs on 8 to 20 (Python 3.11, 2
-        CPUs).  Against Berkowitz, the Kronecker route ran 2.0-2.8x as fast
-        up to n * b = 240, 1.5-2.4x up to 480 and at least 1.09x up to 640,
-        for every kind.  The sparse A, whose Berkowitz loop multiplies
-        nothing, crosses first, between 720 and 880 bits; the denser kinds
-        cross between 960 and 1200.  K no longer meets this limit in
-        fingerprint: zeta.ihara_det takes its own Kronecker determinant up
-        to zeta._IHARA_KRONECKER_BITS and K's charpoly only above it, where
-        K has at least 32 rows, so n^2 alone puts it on Berkowitz.  A at
+        of the census graphs on at most 7 vertices and of seeded random
+        graphs on 8 to 20 (Python 3.11, 2 CPUs).  Against Berkowitz, the
+        Kronecker route ran 2.0-2.8x as fast up to n * b = 240, 1.5-2.4x up
+        to 480 and at least 1.09x up to 640, for every kind.  The sparse A,
+        whose Berkowitz loop multiplies nothing, crosses first, between 720
+        and 880 bits; the denser kinds cross between 960 and 1200.  A at
         n = 7 takes at most about 150 bits; at n = 20 even a path's A takes
         680, so every matrix of a 20-vertex fingerprint stays on Berkowitz.
         """
@@ -238,9 +234,9 @@ def _is_dense(rows, ncols: int) -> bool:
     nonzeros in Python.  Over the matrices verify meets on the corpus
     (Python 3.11), whole-row dots take charpolys 1.3x and products 1.5-1.8x
     faster on the dense m x m shadow products, and are 0.1-0.6x as fast on
-    the sparse operators (T, the 2-core companion K, A of a sparse graph).
-    Below this fill, charpoly's walk is a third loop when every nonzero is 1
-    (T, T + T^T, L, A but not K): it sums v at column indices, no products."""
+    the sparse operators (T, A of a sparse graph).  Below this fill,
+    charpoly's walk is a third loop when every nonzero is 1 (T, T + T^T, L,
+    A but not Q): it sums v at column indices, no products."""
     return 2 * sum(map(bool, chain.from_iterable(rows))) >= len(rows) * ncols
 
 

@@ -18,7 +18,6 @@ from edgesector.matrices import (
     _kronecker_charpoly,
 )
 from edgesector.polynomials import Poly, series_of, ratfunc_reduce, PowerSeries
-from edgesector.zeta import _ihara_companion, _two_core
 
 
 def naive_polymatrix_det(rows):
@@ -241,7 +240,7 @@ def test_charpoly_vs_faddeev_leverrier():
         g = corpus_graph(name)
         es = edge_space(g)
         t = build_hashimoto(es)
-        mats += [t, t + t.transpose(), sector_blocks(es).L, _ihara_companion(_two_core(g))]
+        mats += [t, t + t.transpose(), sector_blocks(es).L]
     for n in (1, 5, 8):  # |lambda| = R, the bound's extreme
         for r in (1, 2, 7):
             for s in (r, -r):  # (x - s)^n: |c_k| = C(n, k) r^(n-k), the bound exactly
@@ -271,15 +270,14 @@ def test_charpoly_vs_faddeev_leverrier():
 
 
 def _fingerprint_matrices(g) -> list[Matrix]:
-    """Every matrix fingerprint takes a charpoly of: A, Q, Delta,
-    Q (Q - 2I)^k Delta for k = 0, 1, 2, and the 2-core companion K, whose
-    charpoly ihara_det takes above its own Kronecker limit."""
+    """Every matrix fingerprint takes a charpoly of: A, Q, Delta and
+    Q (Q - 2I)^k Delta for k = 0, 1, 2."""
     deg = g.degrees()
     q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
     q_minus_2 = g.vertex_operator([d - 2 for d in deg])
     q1 = q * q_minus_2
     shadows = [q * delta, q1 * delta, q1 * q_minus_2 * delta]
-    return [g.adjacency(), q, delta, *shadows, _ihara_companion(_two_core(g))]
+    return [g.adjacency(), q, delta, *shadows]
 
 
 def test_charpoly_routes_agree_on_census_and_corpus_matrices():

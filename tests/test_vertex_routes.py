@@ -2,7 +2,7 @@
 
 fingerprint computes in vertex space: L, S and the mixed shadows from n x n
 matrices built from Q = Deg + A and Delta = Deg - A, the Ihara determinant
-from the companion K of the 2-core, the correction series as a quotient of
+from one determinant on the 2-core, the correction series as a quotient of
 series.
 The oracles here are the m x m sector blocks, the 2m x 2m Hashimoto
 operator and the reduced rational function of zeta.factorize.

@@ -146,45 +146,29 @@ def _random_connected(seed: int, n: int, m: int) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
-def _ihara_bits(g: Graph) -> int:
-    """2 n_core * b, the size ihara_det compares with _IHARA_KRONECKER_BITS."""
-    core = zeta._two_core(g)
-    return 2 * len(core) * (prod(2 * len(nb) for nb in core).bit_length() + 2)
-
-
-def test_ihara_det_routes_on_both_sides_of_the_limit(monkeypatch):
-    routes = []
-    for name in ("_ihara_kronecker", "_ihara_companion"):
-        original = getattr(zeta, name)
-
-        def spy(*args, _name=name, _original=original):
-            routes.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(zeta, name, spy)
-
+def test_ihara_det_equals_bass_det_on_large_cores():
     def tailed_complete(k: int) -> Graph:
         # K_k with a pendant path of two vertices: the core is K_k
         edges = [(i, j) for j in range(k) for i in range(j)] + [(0, k), (k, k + 1)]
         return Graph.from_edges(k + 2, edges)
 
-    # K_15 is the largest complete core inside the limit; sparse cores of
-    # 19 and 20 vertices sit just inside and just outside it
-    inside = [tailed_complete(15), _random_connected(760, 19, 40)]
-    outside = [tailed_complete(16), _random_connected(880, 20, 44)]
-    for graphs, route in ((inside, "_ihara_kronecker"), (outside, "_ihara_companion")):
-        for g in graphs:
-            bits = _ihara_bits(g)
-            assert (bits <= zeta._IHARA_KRONECKER_BITS) == (route == "_ihara_kronecker"), bits
-            routes.clear()
-            assert ihara_det(g) == bass_det(g), g.edges
-            assert routes == [route]
+    # dense and sparse cores of 15 to 20 vertices, 2n_core * b from 2242 to
+    # 4280 bits, where the census cores take at most 392
+    graphs = [
+        tailed_complete(15),
+        tailed_complete(16),
+        tailed_complete(20),
+        _random_connected(760, 19, 40),
+        _random_connected(880, 20, 44),
+    ]
+    for g in graphs:
+        assert ihara_det(g) == bass_det(g), g.edges
 
 
 def test_ihara_det_checks_its_digits(monkeypatch):
     g = corpus_graph("petersen")
     core = zeta._two_core(g)
-    b = _ihara_bits(g) // (2 * g.n)
+    b = prod(2 * len(nb) for nb in core).bit_length() + 2
     assert zeta._ihara_kronecker(core, b) == zeta._vertex_space_det(g)
     # too few bits: the digits wrap into each other
     with pytest.raises(ArithmeticError):
