@@ -53,7 +53,8 @@ def _pseudo_remainder(a, b) -> list:
 
 def scalar_str(x) -> str:
     """Canonical "num" or "num/den" string of an exact scalar."""
-    if type(x) is int:
+    if type(x) is int or type(x) is Fraction:
+        # str of a Fraction, always reduced, is exactly this form
         return str(x)
     f = Fraction(x)
     if f.denominator == 1:
@@ -327,11 +328,17 @@ class Poly:
     # -- presentation ------------------------------------------------------
 
     def coeff_strings(self) -> list[str]:
-        return [scalar_str(c) for c in self.coeffs]
+        # the library's coefficients are ints and Fractions (whole ones
+        # become ints, see _canon), whose str is their scalar_str
+        return list(map(str, self.coeffs))
 
     @classmethod
     def from_coeff_strings(cls, strings) -> "Poly":
-        return cls([scalar_from_str(s) for s in strings])
+        # most stored polynomials are integer: one int() pass reads them
+        try:
+            return cls(list(map(int, strings)))
+        except ValueError:
+            return cls([scalar_from_str(s) for s in strings])
 
     def pretty(self, var: str = "w") -> str:
         if self.is_zero():
@@ -485,7 +492,7 @@ class PowerSeries:
         return hash((self.order, self.coeffs))
 
     def coeff_strings(self) -> list[str]:
-        return [scalar_str(c) for c in self.coeffs]
+        return list(map(str, self.coeffs))  # as Poly.coeff_strings
 
     def pretty(self, var: str = "w") -> str:
         return Poly(self.coeffs).pretty(var) + f" + O({var}^{self.order + 1})"

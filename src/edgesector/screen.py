@@ -19,6 +19,7 @@ from concurrent.futures.process import BrokenProcessPool
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from time import perf_counter
 
 # bound here only for the benchmark tracer, which wraps these two by their
 # screen.* names, as it wraps the polynomials.ratfunc_reduce alias
@@ -88,9 +89,20 @@ class ScreenError(RuntimeError):
     message names an input line."""
 
 
-# graphs per pool task; a batch of at most this many runs in process, since
-# one chunk would run on one worker anyway
+# graphs per pool task; a batch, or the rest of one, of at most this many
+# runs in process, since one chunk would run on one worker anyway
 _CHUNK = 8
+
+# The projected seconds of work left in a batch from which _map hands the
+# rest to a pool.  Fitted on batches of n=7 screen tasks, a pool of 2
+# workers against this process (Python 3.11.7, 2 CPUs, medians of 5 and 7
+# in two runs): fingerprints took 1.00-1.06x the in-process wall time at
+# 44-47 ms of work, 0.76-0.90x at 83-97 ms and 0.66-0.86x from 0.16 to
+# 0.52 s; the A and hashimoto stages took 1.16x and 1.37x even over all 853
+# graphs (66-67 ms), their tasks costing about as much to send as to run.
+# Every pool used 1.25-2.3x the CPU time, so the limit sits where the wall
+# time gain is steady, not where it starts.
+_POOL_MIN_S = 0.25
 
 
 def _screen_task(args):
@@ -112,13 +124,30 @@ def _tasks(kept, indices, stage, cfg, prefix, stages=()) -> list[tuple]:
 
 
 def _map(tasks: list[tuple], jobs: int) -> list:
-    """_screen_task's results in task order: in this process when jobs is 1
-    or the batch fits in one chunk, which one worker would run alone;
-    otherwise in a pool of min(jobs, chunks) workers, closed before return.
-    A worker that dies raises a ScreenError naming the first line of the
-    earliest chunk without a result."""
+    """_screen_task's results in task order.
+
+    When jobs is 1 or the batch fits in one chunk, which one worker would
+    run alone, every task runs in this process.  Otherwise the tasks run
+    here a chunk at a time until the rest is projected, at the rate so far
+    ((elapsed / done) * left, 0 before the first chunk), to take at least
+    _POOL_MIN_S; then the rest, if more than one chunk, goes to one pool of
+    min(jobs, chunks) workers, closed before return.  A worker that dies
+    raises a ScreenError naming the first line of the earliest chunk of the
+    rest without a result."""
     if jobs == 1 or len(tasks) <= _CHUNK:
         return [_screen_task(t) for t in tasks]
+    results = []
+    start = perf_counter()
+    while len(tasks) - len(results) > _CHUNK:
+        done = len(results)
+        left = len(tasks) - done
+        if (left * (perf_counter() - start) / done if done else 0.0) >= _POOL_MIN_S:
+            return results + _pool_map(tasks[done:], jobs)
+        results += map(_screen_task, tasks[done : done + _CHUNK])
+    return results + [_screen_task(t) for t in tasks[len(results) :]]
+
+
+def _pool_map(tasks: list[tuple], jobs: int) -> list:
     results = []
     with ProcessPoolExecutor(max_workers=min(jobs, -(-len(tasks) // _CHUNK))) as pool:
         try:
@@ -141,7 +170,9 @@ class ScreenResult:
     stage_counts maps each stage of the key to the number of graphs
     evaluated at it.  fingerprints lists the fingerprint of every kept graph
     in input order; it is built on first read as one batch (see _map) from
-    the stage values, reusing those of class members, and kept.
+    the stage values, reusing those of class members, and kept.  The batch
+    runs in this process unless its measured rate projects the rest to take
+    at least _POOL_MIN_S.
     """
 
     def __init__(self, classes, summary, stage_counts, kept, stages, prefix, built, cfg):
@@ -208,8 +239,10 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     ScreenError naming its input line, whatever the worker count.  A pool
     worker that dies stops it with a ScreenError naming the first line of
     the earliest chunk without a result.  Each stage and the member
-    fingerprints are one batch each; a batch larger than one chunk runs in
-    a pool of its own, with at most cfg.jobs workers (see _map).
+    fingerprints are one batch each.  A batch runs in this process, a chunk
+    at a time, until its rate so far projects the rest to take at least
+    _POOL_MIN_S; then the rest, if larger than one chunk, runs in a pool of
+    its own with at most cfg.jobs workers (see _map).
     """
     kept: list[tuple[int, str, Graph]] = []
     read = 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from edgesector import screen
 from edgesector.graphs import Graph, corpus
 
 
@@ -37,3 +38,10 @@ def random_200():
 @pytest.fixture(scope="session")
 def random_50_small():
     return random_population(seed=777, count=50, n_max=8, extra_max=5)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """screen._POOL_MIN_S at 0: a batch's projection is 0 before its first
+    chunk, so every batch of more than one chunk goes whole to a pool."""
+    monkeypatch.setattr(screen, "_POOL_MIN_S", 0)

@@ -294,7 +294,7 @@ def test_screen_fingerprints_out_exits_1_when_a_fingerprint_fails(tmp_path, caps
     multiprocessing.get_start_method() != "fork",
     reason="pool workers see the patched fingerprint only when forked",
 )
-def test_screen_dead_worker_exits_1_with_its_chunk(capsys, monkeypatch):
+def test_screen_dead_worker_exits_1_with_its_chunk(capsys, monkeypatch, pooled):
     from edgesector import census, screen
 
     first = encode_graph6(census.builtin_generate(5)[0])

@@ -5,6 +5,7 @@ import pytest
 
 from edgesector.edge_space import build_hashimoto, edge_space
 from edgesector import polynomials
+from edgesector.census import builtin_generate
 from edgesector.graphs import corpus
 from edgesector.polynomials import (
     PoleAtOriginError,
@@ -18,6 +19,7 @@ from edgesector.polynomials import (
     scalar_str,
     series_of,
 )
+from edgesector.shadows import fingerprint
 
 
 def test_zero_poly_degree_sentinel():
@@ -412,6 +414,29 @@ def test_coeff_strings_roundtrip():
     p = Poly((1, Fraction(-3, 8), 0, 7))
     assert Poly.from_coeff_strings(p.coeff_strings()) == p
     assert p.coeff_strings() == ["1", "-3/8", "0", "7"]
+    # both the all-int read and the per-string one drop trailing zeros
+    assert Poly.from_coeff_strings(["1", "2", "0"]).coeffs == (1, 2)
+    assert Poly.from_coeff_strings(["1/2", "4/2", "0"]).coeffs == (Fraction(1, 2), 2)
+
+
+def _fraction_scalar_str(x) -> str:
+    """The canonical string of an exact scalar, read through a Fraction copy."""
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def test_coeff_strings_match_the_fraction_copy_on_the_n7_census():
+    fractions = 0
+    for g in builtin_generate(7):
+        fp = fingerprint(g)
+        for p in (fp.charpoly_adjacency, fp.charpoly_line, fp.charpoly_signed,
+                  fp.hashimoto_det, fp.correction_series, *(p for _, p in fp.shadows.named())):
+            want = [_fraction_scalar_str(c) for c in p.coeffs]
+            assert p.coeff_strings() == [scalar_str(c) for c in p.coeffs] == want
+            fractions += sum(type(c) is Fraction for c in p.coeffs)
+    assert fractions > 0
+    for x in (Fraction(-1, 3), Fraction(6, 3), True):
+        assert scalar_str(x) == _fraction_scalar_str(x)
 
 
 def test_first_difference():

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -31,7 +32,8 @@ FORKED = pytest.mark.skipif(
 @pytest.fixture
 def pools(monkeypatch):
     """The process pools the screen opens, in order, each recording its
-    worker count and whether it has been shut down."""
+    worker count, the lines of its tasks and whether it has been shut
+    down."""
     opened = []
 
     class Recorded(screen.ProcessPoolExecutor):
@@ -39,7 +41,13 @@ def pools(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
             self.max_workers = max_workers
             self.shut_down = False
+            self.lines = []  # the input line of each task mapped
             opened.append(self)
+
+        def map(self, fn, tasks, **kwargs):
+            tasks = list(tasks)
+            self.lines += [t[0] for t in tasks]
+            return super().map(fn, tasks, **kwargs)
 
         def shutdown(self, *args, **kwargs):
             super().shutdown(*args, **kwargs)
@@ -610,7 +618,7 @@ def test_screen_names_the_line_of_a_failing_fingerprint(monkeypatch):
 
 
 @FORKED
-def test_screen_names_the_line_of_a_failing_fingerprint_in_a_worker(monkeypatch, pools):
+def test_screen_names_the_line_of_a_failing_fingerprint_in_a_worker(monkeypatch, pools, pooled):
     # 21 graphs: more than one chunk, so the A stage runs in a pool
     lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
     monkeypatch.setattr(screen, "invariant", _invariant_failing_on(lines[3][1]))
@@ -633,7 +641,7 @@ def _invariant_exiting_on(g6: str):
 
 
 @FORKED
-def test_screen_names_the_chunk_of_a_dead_worker(monkeypatch):
+def test_screen_names_the_chunk_of_a_dead_worker(monkeypatch, pooled):
     # 21 graphs in chunks of 8: the worker dies in the first chunk, lines 10-17
     lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
     monkeypatch.setattr(screen, "invariant", _invariant_exiting_on(lines[3][1]))
@@ -645,7 +653,9 @@ def test_screen_names_the_chunk_of_a_dead_worker(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORKED)])
-def test_reading_fingerprints_names_the_line_of_a_failing_fingerprint(monkeypatch, pools, jobs):
+def test_reading_fingerprints_names_the_line_of_a_failing_fingerprint(
+    monkeypatch, pools, pooled, jobs
+):
     # 21 graphs: more than one chunk, so with jobs=2 the fingerprints run in a pool
     lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
 
@@ -664,7 +674,7 @@ def test_reading_fingerprints_names_the_line_of_a_failing_fingerprint(monkeypatc
     assert len(pools) == (2 if jobs > 1 else 0)
 
 
-def test_pool_screen_reports_pairs_from_the_worker_fingerprints():
+def test_pool_screen_reports_pairs_from_the_worker_fingerprints(pooled):
     # 49 of the 112 graphs share their Ihara determinant: more than one chunk
     lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(6))]
     fingerprint.cache_clear()
@@ -674,7 +684,7 @@ def test_pool_screen_reports_pairs_from_the_worker_fingerprints():
     assert fingerprint.cache_info().currsize == 0
 
 
-def test_a_screen_of_one_chunk_opens_no_pool(pools):
+def test_a_screen_of_one_chunk_opens_no_pool(pools, pooled):
     # 6 graphs and the example A pair, a class: every batch fits in one chunk
     graphs = builtin_generate(4) + [corpus_graph(name) for name in PAPER_PAIRS[0]]
     lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(graphs)]
@@ -683,7 +693,7 @@ def test_a_screen_of_one_chunk_opens_no_pool(pools):
     assert pools == []
 
 
-def test_reading_fingerprints_of_one_chunk_opens_no_pool(pools):
+def test_reading_fingerprints_of_one_chunk_opens_no_pool(pools, pooled):
     lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(4))]
     out = run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
     assert len(out.fingerprints) == 6
@@ -691,7 +701,7 @@ def test_reading_fingerprints_of_one_chunk_opens_no_pool(pools):
 
 
 @pytest.mark.parametrize("tasks,workers", [(9, 2), (16, 2), (17, 3)])
-def test_a_batch_opens_one_pool_of_at_most_one_worker_per_chunk(pools, tasks, workers):
+def test_a_batch_opens_one_pool_of_at_most_one_worker_per_chunk(pools, pooled, tasks, workers):
     # every connected 5-vertex graph is alone on A
     lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(5)[:tasks])]
     out = run_screen(lines, ScreenConfig(keys=("A",), jobs=4))
@@ -699,7 +709,7 @@ def test_a_batch_opens_one_pool_of_at_most_one_worker_per_chunk(pools, tasks, wo
     assert [p.max_workers for p in pools] == [workers]
 
 
-def test_every_pool_is_shut_down_before_its_batch_returns(monkeypatch, pools):
+def test_every_pool_is_shut_down_before_its_batch_returns(monkeypatch, pools, pooled):
     real = screen._map
     left_open = []
 
@@ -715,6 +725,59 @@ def test_every_pool_is_shut_down_before_its_batch_returns(monkeypatch, pools):
     # the stage, the 49 class members and the other 63 graphs
     assert len(pools) == 3
     assert left_open == []
+
+
+def test_a_cheap_batch_of_three_chunks_runs_in_process(pools):
+    # 21 graphs: their A charpolys take far less than screen._POOL_MIN_S
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
+    out = run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+    assert out.stage_counts == {"A": 21}
+    assert pools == []
+
+
+def _slow_clock(monkeypatch):
+    """screen's clock, one second later at each reading: the first chunk of
+    a batch seems to take a second, so the rest goes to a pool."""
+    monkeypatch.setattr(screen, "perf_counter", itertools.count().__next__)
+
+
+def test_a_slow_first_chunk_sends_the_rest_of_its_batch_to_one_pool(monkeypatch, pools):
+    # the 21 connected 5-vertex graphs, then the example A pair, a class on A
+    graphs = builtin_generate(5) + [corpus_graph(name) for name in PAPER_PAIRS[0]]
+    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(graphs)]
+    want = run_screen(lines, ScreenConfig(keys=("A",), jobs=1))
+    _slow_clock(monkeypatch)
+    out = run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+    assert out.stage_counts == want.stage_counts == {"A": 23}
+    assert [c.to_json_dict() for c in out.classes] == [c.to_json_dict() for c in want.classes]
+    assert out.fingerprints == want.fingerprints
+    # the A stage and the 21 fingerprints still missing: the first chunk of
+    # each in process, the rest in one pool; the pair's 2 fingerprints fit
+    # in one chunk
+    assert [p.lines for p in pools] == [list(range(18, 33)), list(range(18, 31))]
+    assert [p.max_workers for p in pools] == [2, 2]
+
+
+@FORKED
+def test_a_worker_dying_in_the_rest_of_a_batch_names_its_chunk(monkeypatch):
+    # 21 graphs: lines 10-17 run in process, then a worker dies on line 22,
+    # in the rest's first chunk, lines 18-25
+    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
+    _slow_clock(monkeypatch)
+    monkeypatch.setattr(screen, "invariant", _invariant_exiting_on(lines[12][1]))
+    with pytest.raises(
+        ScreenError,
+        match=r"^line 18: a pool worker died while lines 18-25 were in flight: BrokenProcessPool: ",
+    ):
+        run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+
+
+def test_an_invariant_failing_in_process_at_jobs_2_names_its_line(monkeypatch, pools):
+    lines = [(i + 10, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
+    monkeypatch.setattr(screen, "invariant", _invariant_failing_on(lines[3][1]))
+    with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
+        run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+    assert pools == []
 
 
 def _store_lines(*names):
