@@ -328,17 +328,11 @@ class Poly:
     # -- presentation ------------------------------------------------------
 
     def coeff_strings(self) -> list[str]:
-        # the library's coefficients are ints and Fractions (whole ones
-        # become ints, see _canon), whose str is their scalar_str
-        return list(map(str, self.coeffs))
+        return list(map(scalar_str, self.coeffs))
 
     @classmethod
     def from_coeff_strings(cls, strings) -> "Poly":
-        # most stored polynomials are integer: one int() pass reads them
-        try:
-            return cls(list(map(int, strings)))
-        except ValueError:
-            return cls([scalar_from_str(s) for s in strings])
+        return cls([scalar_from_str(s) for s in strings])
 
     def pretty(self, var: str = "w") -> str:
         if self.is_zero():
@@ -492,7 +486,7 @@ class PowerSeries:
         return hash((self.order, self.coeffs))
 
     def coeff_strings(self) -> list[str]:
-        return list(map(str, self.coeffs))  # as Poly.coeff_strings
+        return list(map(scalar_str, self.coeffs))
 
     def pretty(self, var: str = "w") -> str:
         return Poly(self.coeffs).pretty(var) + f" + O({var}^{self.order + 1})"

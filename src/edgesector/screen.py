@@ -93,15 +93,19 @@ class ScreenError(RuntimeError):
 # runs in process, since one chunk would run on one worker anyway
 _CHUNK = 8
 
-# The projected seconds of work left in a batch from which _map hands the
-# rest to a pool.  Fitted on batches of n=7 screen tasks, a pool of 2
-# workers against this process (Python 3.11.7, 2 CPUs, medians of 5 and 7
-# in two runs): fingerprints took 1.00-1.06x the in-process wall time at
-# 44-47 ms of work, 0.76-0.90x at 83-97 ms and 0.66-0.86x from 0.16 to
-# 0.52 s; the A and hashimoto stages took 1.16x and 1.37x even over all 853
-# graphs (66-67 ms), their tasks costing about as much to send as to run.
-# Every pool used 1.25-2.3x the CPU time, so the limit sits where the wall
-# time gain is steady, not where it starts.
+# _map hands the rest of a batch to a pool once its rate so far is at least
+# _POOL_MIN_TASK_S a task and projects the rest to take at least
+# _POOL_MIN_S.  Fitted on a pool of 2 workers against this process (Python
+# 3.11.7, 2 CPUs, medians of 3-5).  Sending a task and taking back its
+# result cost the pool 0.05-0.11 ms of CPU.  Tasks of 0.08-0.22 ms (the A,
+# L, S and hashimoto stages at n=7, 8 and 10, batches of up to 11117) took
+# 0.87-1.28x their in-process wall time in a pool and 1.55-2.0x the CPU
+# time; tasks of 0.57-0.66 ms (A and hashimoto at n=14) took 0.51-0.72x, so
+# the floor sits between.  n=7 fingerprints (0.9-1.4 ms a task) took 1.17x
+# at 39 ms of work, 0.96x at 83 ms, 0.75x at 0.21 s and 0.62-0.70x from
+# 0.48 s, so the time limit sits where the wall time gain is steady, not
+# where it starts.
+_POOL_MIN_TASK_S = 0.0004
 _POOL_MIN_S = 0.25
 
 
@@ -128,20 +132,20 @@ def _map(tasks: list[tuple], jobs: int) -> list:
 
     When jobs is 1 or the batch fits in one chunk, which one worker would
     run alone, every task runs in this process.  Otherwise the tasks run
-    here a chunk at a time until the rest is projected, at the rate so far
-    ((elapsed / done) * left, 0 before the first chunk), to take at least
-    _POOL_MIN_S; then the rest, if more than one chunk, goes to one pool of
-    min(jobs, chunks) workers, closed before return.  A worker that dies
-    raises a ScreenError naming the first line of the earliest chunk of the
-    rest without a result."""
+    here a chunk at a time until the rate so far (elapsed / done, 0 before
+    the first chunk) is at least _POOL_MIN_TASK_S and projects the rest to
+    take at least _POOL_MIN_S; then the rest, if more than one chunk, goes
+    to one pool of min(jobs, chunks) workers, closed before return.  A
+    worker that dies raises a ScreenError naming the first line of the
+    earliest chunk of the rest without a result."""
     if jobs == 1 or len(tasks) <= _CHUNK:
         return [_screen_task(t) for t in tasks]
     results = []
     start = perf_counter()
     while len(tasks) - len(results) > _CHUNK:
         done = len(results)
-        left = len(tasks) - done
-        if (left * (perf_counter() - start) / done if done else 0.0) >= _POOL_MIN_S:
+        rate = (perf_counter() - start) / done if done else 0.0
+        if rate >= _POOL_MIN_TASK_S and rate * (len(tasks) - done) >= _POOL_MIN_S:
             return results + _pool_map(tasks[done:], jobs)
         results += map(_screen_task, tasks[done : done + _CHUNK])
     return results + [_screen_task(t) for t in tasks[len(results) :]]
@@ -171,8 +175,8 @@ class ScreenResult:
     evaluated at it.  fingerprints lists the fingerprint of every kept graph
     in input order; it is built on first read as one batch (see _map) from
     the stage values, reusing those of class members, and kept.  The batch
-    runs in this process unless its measured rate projects the rest to take
-    at least _POOL_MIN_S.
+    runs in this process unless its measured rate says a pool will pay (see
+    _map).
     """
 
     def __init__(self, classes, summary, stage_counts, kept, stages, prefix, built, cfg):
@@ -240,9 +244,10 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     worker that dies stops it with a ScreenError naming the first line of
     the earliest chunk without a result.  Each stage and the member
     fingerprints are one batch each.  A batch runs in this process, a chunk
-    at a time, until its rate so far projects the rest to take at least
-    _POOL_MIN_S; then the rest, if larger than one chunk, runs in a pool of
-    its own with at most cfg.jobs workers (see _map).
+    at a time, until its rate so far is at least _POOL_MIN_TASK_S and
+    projects the rest to take at least _POOL_MIN_S; then the rest, if larger
+    than one chunk, runs in a pool of its own with at most cfg.jobs workers
+    (see _map).
     """
     kept: list[tuple[int, str, Graph]] = []
     read = 0

@@ -42,6 +42,7 @@ def random_50_small():
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """screen._POOL_MIN_S at 0: a batch's projection is 0 before its first
+    """screen's pool limits at 0: a batch's rate is 0 before its first
     chunk, so every batch of more than one chunk goes whole to a pool."""
+    monkeypatch.setattr(screen, "_POOL_MIN_TASK_S", 0)
     monkeypatch.setattr(screen, "_POOL_MIN_S", 0)

@@ -414,7 +414,7 @@ def test_coeff_strings_roundtrip():
     p = Poly((1, Fraction(-3, 8), 0, 7))
     assert Poly.from_coeff_strings(p.coeff_strings()) == p
     assert p.coeff_strings() == ["1", "-3/8", "0", "7"]
-    # both the all-int read and the per-string one drop trailing zeros
+    # the read drops trailing zeros after int and Fraction coefficients alike
     assert Poly.from_coeff_strings(["1", "2", "0"]).coeffs == (1, 2)
     assert Poly.from_coeff_strings(["1/2", "4/2", "0"]).coeffs == (Fraction(1, 2), 2)
 

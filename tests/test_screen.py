@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import random
 import sys
+import time
 from collections import Counter
 from itertools import permutations
 
@@ -729,10 +730,45 @@ def test_every_pool_is_shut_down_before_its_batch_returns(monkeypatch, pools, po
 
 def test_a_cheap_batch_of_three_chunks_runs_in_process(pools):
     # 21 graphs: their A charpolys take far less than screen._POOL_MIN_S
+    # all told, and each under screen._POOL_MIN_TASK_S
     lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
     out = run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
     assert out.stage_counts == {"A": 21}
     assert pools == []
+
+
+def test_a_batch_of_tasks_under_the_rate_floor_never_opens_a_pool(monkeypatch, pools):
+    # a clock 0.1 ms later at each reading: each chunk of 8 seems to take
+    # 0.1 ms, far under screen._POOL_MIN_TASK_S a task, so even with no time
+    # limit the 112 graphs and their 49 class members all run in process
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(6))]
+    monkeypatch.setattr(screen, "_POOL_MIN_S", 0)
+    monkeypatch.setattr(screen, "perf_counter", itertools.count(0, 1e-4).__next__)
+    out = run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+    assert out.stage_counts == {"A": 112}
+    assert len(out.fingerprints) == 112
+    assert pools == []
+
+
+def test_slow_tasks_send_the_rest_of_their_batch_to_a_pool_at_the_default_limits(
+    monkeypatch, pools
+):
+    # each A stage task made to take at least 3 ms, over the rate floor;
+    # after the first chunk the other 104 of the 112 graphs project to at
+    # least 0.31 s, over the time limit, whatever the host's speed
+    assert screen._POOL_MIN_TASK_S <= 0.003 and 104 * 0.003 >= screen._POOL_MIN_S
+    real = screen.invariant
+
+    def slow(g, key, kmax):
+        time.sleep(0.003)
+        return real(g, key, kmax)
+
+    monkeypatch.setattr(screen, "invariant", slow)
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(6))]
+    out = run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
+    assert out.stage_counts == {"A": 112}
+    assert pools[0].lines == list(range(9, 113))
+    assert pools[0].max_workers == 2
 
 
 def _slow_clock(monkeypatch):
