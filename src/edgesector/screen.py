@@ -96,15 +96,15 @@ _CHUNK = 8
 # _map hands the rest of a batch to a pool once its rate so far is at least
 # _POOL_MIN_TASK_S a task and projects the rest to take at least
 # _POOL_MIN_S.  Fitted on a pool of 2 workers against this process (Python
-# 3.11.7, 2 CPUs, medians of 3-5).  Sending a task and taking back its
-# result cost the pool 0.05-0.11 ms of CPU.  Tasks of 0.08-0.22 ms (the A,
-# L, S and hashimoto stages at n=7, 8 and 10, batches of up to 11117) took
-# 0.87-1.28x their in-process wall time in a pool and 1.55-2.0x the CPU
-# time; tasks of 0.57-0.66 ms (A and hashimoto at n=14) took 0.51-0.72x, so
-# the floor sits between.  n=7 fingerprints (0.9-1.4 ms a task) took 1.17x
-# at 39 ms of work, 0.96x at 83 ms, 0.75x at 0.21 s and 0.62-0.70x from
-# 0.48 s, so the time limit sits where the wall time gain is steady, not
-# where it starts.
+# 3.11.7, 2 CPUs, medians of 3-5).  Sending a no-op task and taking back
+# its result cost the pool 0.05-0.11 ms of CPU.  Tasks of 0.08-0.22 ms
+# (the A, L, S and hashimoto stages at n=7, 8 and 10, batches of up to
+# 11117) took 0.87-1.28x their in-process wall time in a pool and 1.55-2.0x
+# the CPU time; tasks of 0.57-0.66 ms (A and hashimoto at n=14) took
+# 0.51-0.72x, so the floor sits between.  n=7 fingerprints (0.9-1.4 ms a
+# task) took 1.17x at 39 ms of work, 0.96x at 83 ms, 0.75x at 0.21 s and
+# 0.62-0.70x from 0.48 s, so the time limit sits where the wall time gain
+# is steady, not where it starts.
 _POOL_MIN_TASK_S = 0.0004
 _POOL_MIN_S = 0.25
 
