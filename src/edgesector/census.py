@@ -233,7 +233,7 @@ def _all_graphs_up_to_iso(n: int) -> tuple[Graph, ...]:
     level: list[tuple[tuple[int, int], ...]] = [()]
     for k in range(1, n + 1):
         level = _next_level(level, k)
-    return tuple(Graph(n, edges) for edges in level)
+    return tuple(Graph._of(n, edges) for edges in level)
 
 
 MAX_GENERATED_VERTICES = 7

@@ -66,7 +66,7 @@ def build_hashimoto(es: OrientedEdgeSpace) -> Matrix:
         for f in by_tail.get(head, ()):
             if f != reverse_index(e):
                 rows[e][f] = 1
-    return Matrix(rows, ncols=two_m)
+    return Matrix._of(rows, two_m)
 
 
 def build_reversal(es: OrientedEdgeSpace) -> Matrix:
@@ -75,7 +75,7 @@ def build_reversal(es: OrientedEdgeSpace) -> Matrix:
     rows = [[0] * two_m for _ in range(two_m)]
     for e in range(two_m):
         rows[e][reverse_index(e)] = 1
-    return Matrix(rows, ncols=two_m)
+    return Matrix._of(rows, two_m)
 
 
 def build_hl2(es: OrientedEdgeSpace) -> Matrix:
@@ -87,7 +87,7 @@ def build_hl2(es: OrientedEdgeSpace) -> Matrix:
         for f, (tf, hf) in enumerate(darts):
             if e != f and (te == tf or he == hf):
                 rows[e][f] = 1
-    return Matrix(rows, ncols=two_m)
+    return Matrix._of(rows, two_m)
 
 
 def build_incidence(es: OrientedEdgeSpace) -> tuple[Matrix, Matrix]:
@@ -100,7 +100,7 @@ def build_incidence(es: OrientedEdgeSpace) -> tuple[Matrix, Matrix]:
         signed[t][i] = -1
         unsigned[h][i] = 1
         unsigned[t][i] = 1
-    return Matrix(signed, ncols=m), Matrix(unsigned, ncols=m)
+    return Matrix._of(signed, m), Matrix._of(unsigned, m)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class SectorBlocks:
             rows.append(list(self.L[i]) + [-x for x in self.M[i]])
         for i in range(m):
             rows.append(list(mt[i]) + [-x for x in self.S[i]])
-        return Matrix(rows, ncols=2 * m)
+        return Matrix._of(rows, 2 * m)
 
 
 @lru_cache(maxsize=128)
@@ -153,7 +153,7 @@ def build_pm_basis(es: OrientedEdgeSpace) -> Matrix:
         rows[2 * i + 1][i] = 1
         rows[2 * i][m + i] = 1
         rows[2 * i + 1][m + i] = -1
-    return Matrix(rows, ncols=2 * m)
+    return Matrix._of(rows, 2 * m)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress
 
-from .matrices import Matrix
+from .matrices import Matrix, _require_ints
 
 
 class Graph6Error(ValueError):
@@ -51,6 +51,14 @@ class Graph:
             if e <= prev:
                 raise ValueError("edge list not strictly sorted")
             prev = e
+
+    @classmethod
+    def _of(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """The graph of in-range, a < b, strictly sorted edges, unchecked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -92,12 +100,13 @@ class Graph:
         n = self.n
         if len(diagonal) != n:
             raise ValueError(f"{len(diagonal)} diagonal entries for {n} vertices")
+        _require_ints((off, *diagonal))
         rows = [[0] * n for _ in range(n)]
         for v, c in enumerate(diagonal):
             rows[v][v] = c
         for a, b in self.edges:
             rows[a][b] = rows[b][a] = off
-        return Matrix(rows, ncols=n)
+        return Matrix._of(rows, n)
 
     def adjacency(self) -> Matrix:
         return self.vertex_operator([0] * self.n)
@@ -203,7 +212,7 @@ def parse_graph6(line: str) -> Graph:
     if any(bits[nbits:]):
         raise Graph6Error("nonzero padding bits", body_at + nchars - 1)
     pairs = _g6_short_pairs(n) if n <= 62 else _g6_pairs(n)
-    return Graph(n, tuple(sorted(compress(pairs, bits))))
+    return Graph._of(n, tuple(sorted(compress(pairs, bits))))
 
 
 def encode_graph6(g: Graph) -> str:

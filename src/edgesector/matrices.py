@@ -1,19 +1,17 @@
-"""Exact dense matrices over the rationals.
+"""Exact dense integer matrices.
 
-Entries are ints or fractions.Fraction (mixing is fine; integer matrices stay
-integer under the ring operations).  Everything is computed exactly, and an
-integer matrix gives an integer polynomial without any rational arithmetic:
-the characteristic polynomial of a small integer matrix is read from the
-digits of one determinant at a power of two, and that of any other matrix
-comes from Berkowitz's division-free algorithm.  That determinant, rank and
-det share one fraction-free (Bareiss) elimination.
+Every operator here (T, L, S, A, the incidence products, M) is an integer
+matrix; the 1/2 of (1/2) L lives in the polynomials.  So entries are ints
+only, checked once where outside rows enter, and all arithmetic is integer:
+the characteristic polynomial of a small matrix is read from the digits of
+one determinant at a power of two, and that of any other comes from
+Berkowitz's division-free algorithm.  That determinant, rank and det share
+one fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import ceil, lcm, prod
 from operator import add, mul, sub
 
 from .polynomials import Poly
@@ -23,40 +21,49 @@ class DimensionError(ValueError):
     pass
 
 
+def _require_ints(values) -> None:
+    """TypeError unless every value is exactly an int, so a bool, a float or
+    a rational is refused."""
+    for a in values:
+        if type(a) is not int:
+            raise TypeError(f"matrix entries must be int, not {type(a).__name__}")
+
+
 class Matrix:
-    """Immutable-by-convention dense matrix with exact entries."""
+    """Immutable-by-convention dense matrix of ints.
+
+    Matrix(rows) copies rows and raises DimensionError on ragged rows and
+    TypeError on any entry whose type is not exactly int (a bool, a float or
+    a rational).  Matrix._of(rows, ncols) wraps int rows the library has just
+    built, with no copy and no check.
+    """
 
     __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
         rs = [list(r) for r in rows]
-        if rs:
-            w = len(rs[0])
-            if any(len(r) != w for r in rs):
-                raise DimensionError("ragged rows")
-        else:
-            w = 0
+        w = len(rs[0]) if rs else 0
+        if any(len(r) != w for r in rs):
+            raise DimensionError("ragged rows")
         if ncols is None:
             ncols = w
         elif rs and ncols != w:
             raise DimensionError("ncols does not match row length")
+        _require_ints(chain.from_iterable(rs))
         self._rows = rs
         self.nrows = len(rs)
         self.ncols = ncols
 
     @classmethod
-    def zeros(cls, r: int, c: int) -> "Matrix":
-        return cls([[0] * c for _ in range(r)], ncols=c)
+    def _of(cls, rows: list[list[int]], ncols: int) -> "Matrix":
+        """The matrix of fresh, rectangular int rows, taken as they are."""
+        m = object.__new__(cls)
+        m._rows, m.nrows, m.ncols = rows, len(rows), ncols
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
-
-    @classmethod
-    def diagonal(cls, diag) -> "Matrix":
-        d = list(diag)
-        n = len(d)
-        return cls([[d[i] if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @property
     def rows(self):
@@ -85,24 +92,25 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in addition")
-        return Matrix(
+        return Matrix._of(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in subtraction")
-        return Matrix(
+        return Matrix._of(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self._rows], ncols=self.ncols)
+        return Matrix._of([[-a for a in r] for r in self._rows], self.ncols)
 
-    def scaled(self, s) -> "Matrix":
-        return Matrix([[a * s for a in r] for r in self._rows], ncols=self.ncols)
+    def scaled(self, s: int) -> "Matrix":
+        _require_ints((s,))
+        return Matrix._of([[a * s for a in r] for r in self._rows], self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -111,9 +119,8 @@ class Matrix:
         w = other.ncols
         if _is_dense(self._rows, self.ncols):
             cols = list(zip(*brows)) if brows else [()] * w
-            return Matrix(
-                [[sum(map(mul, arow, col)) for col in cols] for arow in self._rows],
-                ncols=w,
+            return Matrix._of(
+                [[sum(map(mul, arow, col)) for col in cols] for arow in self._rows], w
             )
         out = []
         for arow in self._rows:
@@ -130,12 +137,11 @@ class Matrix:
                 else:
                     acc = [x + a * y for x, y in zip(acc, brow)]
             out.append(acc)
-        return Matrix(out, ncols=w)
+        return Matrix._of(out, w)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [list(col) for col in zip(*self._rows)] if self._rows else [],
-            ncols=self.nrows,
+        return Matrix._of(
+            [list(col) for col in zip(*self._rows)] if self._rows else [], self.nrows
         )
 
     def trace(self):
@@ -161,47 +167,40 @@ class Matrix:
 
     def to_json_dict(self) -> dict:
         """Dims plus exact entry strings; the CLI debug export format."""
-        from .polynomials import scalar_str
-
         return {
             "rows": self.nrows,
             "cols": self.ncols,
-            "entries": [[scalar_str(a) for a in r] for r in self._rows],
+            "entries": [[str(a) for a in r] for r in self._rows],
         }
 
     # -- eliminations ------------------------------------------------------
 
     def rank(self) -> int:
         """Exact rank by fraction-free elimination."""
-        return _bareiss(self._rows, self.ncols)[0]
+        return _eliminate([list(r) for r in self._rows], self.ncols)[0]
 
-    def det(self):
+    def det(self) -> int:
         """Exact determinant by fraction-free elimination with row swaps."""
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
-        rank, pivot, scale = _bareiss(self._rows, self.ncols)
-        if rank < self.nrows:
-            return 0
-        q, r = divmod(pivot, scale)
-        return q if r == 0 else Fraction(pivot, scale)
+        rank, pivot = _eliminate([list(r) for r in self._rows], self.ncols)
+        return pivot if rank == self.nrows else 0
 
     # -- characteristic polynomial ------------------------------------------
 
     def charpoly(self) -> Poly:
         """Monic characteristic polynomial det(xI - M), computed exactly.
 
-        Two algorithms, both with ring operations only, so integer input
-        stays integer and never meets a Fraction.  A small integer matrix
-        takes the Kronecker route (_kronecker_charpoly): one determinant of
-        x0 I - M at x0 = 2^b, whose balanced base-2^b digits are the
-        coefficients.  Every eigenvalue has |lambda| <= R, the largest
+        Two algorithms, both with integer ring operations only.  A small
+        matrix takes the Kronecker route (_kronecker_charpoly): one
+        determinant of x0 I - M at x0 = 2^b, whose balanced base-2^b digits
+        are the coefficients.  Every eigenvalue has |lambda| <= R, the largest
         absolute row sum, so |c_k| <= C(n, k) R^(n-k) <= (1 + R)^n and
         b = bit_length((1 + R)^n) + 2 keeps each digit clear of the next.
-        The route runs when every entry is an int and n * b is at most
-        _KRONECKER_BITS; every other matrix takes Berkowitz
-        (_berkowitz_charpoly).  Deciding the route scans nothing when n^2
-        alone exceeds the limit (a nonzero matrix has b > n), and tests the
-        entry types only once n * b is within it.
+        The route runs when n * b is at most _KRONECKER_BITS; every other
+        matrix takes Berkowitz (_berkowitz_charpoly).  Deciding the route
+        scans nothing when n^2 alone exceeds the limit (a nonzero matrix has
+        b > n).
 
         The limit, 640 bits, is fitted on the matrices fingerprint takes a
         charpoly of (A, Q, Delta and the shadow products Q (Q - 2I)^k Delta)
@@ -218,10 +217,8 @@ class Matrix:
             raise DimensionError("characteristic polynomial of a non-square matrix")
         rows = self._rows
         n = self.nrows
-        if n * n <= _KRONECKER_BITS:
-            b = _coefficient_bits(rows)
-            if n * b <= _KRONECKER_BITS and {int}.issuperset(map(type, chain.from_iterable(rows))):
-                return _kronecker_charpoly(rows, b)
+        if n * n <= _KRONECKER_BITS and n * (b := _coefficient_bits(rows)) <= _KRONECKER_BITS:
+            return _kronecker_charpoly(rows, b)
         return _berkowitz_charpoly(rows)
 
     def __repr__(self):
@@ -248,7 +245,7 @@ def _coefficient_bits(rows) -> int:
     """b = bit_length((1 + R)^n) + 2, R the largest absolute row sum: every
     charpoly coefficient c has |c| < 2^(b-2)."""
     r = max([sum(map(abs, row)) for row in rows], default=0)
-    return ((1 + ceil(r)) ** len(rows)).bit_length() + 2
+    return ((1 + r) ** len(rows)).bit_length() + 2
 
 
 def _kronecker_det(rows, b: int) -> list[int]:
@@ -356,16 +353,6 @@ def _berkowitz_charpoly(rows) -> Poly:
                 across.append(r if unit else (r, row[r]))
             block.append(across)
     return Poly(coeffs[::-1])
-
-
-def _bareiss(rows, ncols: int) -> tuple[int, int, int]:
-    """Bareiss elimination of rows after scaling each to integers by its
-    denominators' lcm.  Returns (rank, signed last pivot, product of the row
-    scales); a square full-rank matrix has det = pivot / scale.
-    """
-    dens = [lcm(*(a.denominator for a in r)) for r in rows]
-    m = [[int(a * d) for a in r] for r, d in zip(rows, dens)]
-    return (*_eliminate(m, ncols), prod(dens))
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int]:

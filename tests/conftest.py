@@ -4,6 +4,7 @@ import pytest
 
 from edgesector import screen
 from edgesector.graphs import Graph, corpus
+from edgesector.matrices import Matrix
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 10, extra_max: int = 6) -> Graph:
@@ -17,6 +18,12 @@ def random_connected_graph(rng: random.Random, n_max: int = 10, extra_max: int =
     for extra in possible[: rng.randint(0, min(extra_max, len(possible)))]:
         edges.add(extra)
     return Graph.from_edges(n, edges)
+
+
+def diagonal_matrix(diag) -> Matrix:
+    """diag(diag), built through the checked constructor."""
+    n = len(diag)
+    return Matrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def random_population(seed: int, count: int, n_max: int = 10, extra_max: int = 6):

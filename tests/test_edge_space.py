@@ -18,19 +18,19 @@ from edgesector.edge_space import (
 )
 from edgesector.matrices import Matrix
 from edgesector.polynomials import Poly
-from conftest import random_connected_graph
+from conftest import diagonal_matrix, random_connected_graph
 
 
 def test_hashimoto_k2_zero():
     t = build_hashimoto(edge_space(corpus_graph("K2")))
-    assert t == Matrix.zeros(2, 2)
+    assert t == Matrix([[0, 0], [0, 0]])
 
 
 def test_hashimoto_p3():
     t = build_hashimoto(edge_space(corpus_graph("P3")))
     ones = sum(sum(row) for row in t.rows)
     assert ones == 2
-    assert t * t == Matrix.zeros(4, 4)
+    assert t * t == Matrix([[0] * 4] * 4)
 
 
 def test_hashimoto_c3_det():
@@ -111,6 +111,17 @@ def test_blocks_structure_corpus():
                 assert blocks.S[i][j] == blocks.S[j][i]
 
 
+def test_unchecked_operators_pass_the_checked_constructor():
+    # every build_* and the block matrix wrap their rows with Matrix._of
+    for entry in corpus():
+        es = edge_space(entry.graph)
+        blocks = sector_blocks(es)
+        ops = [build_hashimoto(es), build_reversal(es), build_hl2(es), build_pm_basis(es)]
+        ops += [*build_incidence(es), blocks.L, blocks.S, blocks.M, blocks.block_matrix()]
+        for x in ops:
+            assert Matrix(x.rows, x.ncols) == x
+
+
 def test_pm_basis_norm():
     for name in ["K3", "C5", "star4"]:
         es = edge_space(corpus_graph(name))
@@ -175,7 +186,7 @@ def test_regauge_covariance():
         d, _ = build_incidence(es)
         for _ in range(5):
             signs = random_gauge(rng, g.m)
-            sig = Matrix.diagonal(signs)
+            sig = diagonal_matrix(signs)
             other = regauge(es, signs)
             d2, _ = build_incidence(other)
             blocks2 = sector_blocks(other)
@@ -206,7 +217,7 @@ def test_single_edge_flip_on_k3():
     blocks = sector_blocks(es)
     signs = (-1, 1, 1)
     flipped = sector_blocks(regauge(es, signs))
-    assert flipped.M == blocks.M * Matrix.diagonal(signs)
+    assert flipped.M == blocks.M * diagonal_matrix(signs)
 
 
 def test_bad_gauge_rejected():

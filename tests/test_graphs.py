@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from edgesector.graphs import (
 )
 from edgesector.census import _all_graphs_up_to_iso
 from edgesector.matrices import Matrix
-from conftest import random_connected_graph
+from conftest import diagonal_matrix, random_connected_graph
 
 
 def test_graph_validation():
@@ -64,13 +65,25 @@ def test_roundtrip_random():
         assert parse_graph6(encode_graph6(g)) == g
 
 
+def _graphs_to_seven_and_corpus() -> list[Graph]:
+    """Every graph on at most 7 vertices, from the generator, and the corpus."""
+    graphs = [g for n in range(8) for g in _all_graphs_up_to_iso(n)]
+    return graphs + [entry.graph for entry in corpus()]
+
+
+def test_unchecked_graphs_pass_the_checked_constructor():
+    # parse_graph6 and the generator build their Graphs without __post_init__
+    for g in _graphs_to_seven_and_corpus():
+        checked = Graph(g.n, g.edges)
+        assert g == checked
+        assert parse_graph6(encode_graph6(g)) == checked
+
+
 def test_vertex_operator_matches_matrix_arithmetic():
-    graphs = [g for n in range(6) for g in _all_graphs_up_to_iso(n)]
-    graphs += [entry.graph for entry in corpus()]
-    for g in graphs:
+    for g in _graphs_to_seven_and_corpus():
         n, deg, edges = g.n, g.degrees(), set(g.edges)
         a = Matrix([[int((min(i, j), max(i, j)) in edges) for j in range(n)] for i in range(n)], n)
-        d, ident = Matrix.diagonal(deg), Matrix.identity(n)
+        d, ident = diagonal_matrix(deg), Matrix.identity(n)
         assert g.adjacency() == a
         assert g.vertex_operator(deg) == d + a  # Q
         assert g.vertex_operator(deg, -1) == d - a  # Delta
@@ -78,8 +91,12 @@ def test_vertex_operator_matches_matrix_arithmetic():
         for w in range(2 * n + 1):  # the Bass points of zeta._vertex_space_det
             bass = ident - a.scaled(w) + (d - ident).scaled(w * w)
             assert g.vertex_operator([1 + w * w * (x - 1) for x in deg], -w) == bass
+    k3 = corpus_graph("K3")
     with pytest.raises(ValueError, match="2 diagonal entries for 3 vertices"):
-        corpus_graph("K3").vertex_operator([0, 0])
+        k3.vertex_operator([0, 0])
+    for diagonal, off in (([Fraction(1, 2)] * 3, 1), ([0, True, 0], 1), ([0] * 3, Fraction(1))):
+        with pytest.raises(TypeError, match="matrix entries must be int"):
+            k3.vertex_operator(diagonal, off)
 
 
 def reference_edges(s: str) -> list[tuple[int, int]]:

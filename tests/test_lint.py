@@ -62,3 +62,16 @@ def test_the_screen_takes_no_battery_or_generator_code():
     # the two generator names the benchmark tracer wraps as screen.*
     assert imports["census"] == {"builtin_generate", "canonical_label"}
     assert set(_relative_imports("census")) == {"graphs"}
+
+
+def test_matrices_import_nothing_from_fractions():
+    # Matrix is integer-only: a rational operator enters as an integer
+    # multiple, its scale kept in the polynomials
+    tree = ast.parse((PACKAGE / "matrices.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.add(node.module)
+    assert "fractions" not in modules
