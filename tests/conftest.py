@@ -31,6 +31,24 @@ def random_population(seed: int, count: int, n_max: int = 10, extra_max: int = 6
     return [random_connected_graph(rng, n_max, extra_max) for _ in range(count)]
 
 
+def _tree_plus_chords(rng: random.Random, n: int, m: int) -> Graph:
+    """Uniform random recursive tree on n vertices plus m - n + 1 random
+    chords: the generator of the sparse_large benchmark workload."""
+    edges = set()
+    for v in range(1, n):
+        edges.add((rng.randrange(v), v))
+    while len(edges) < m:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def sparse20_graphs() -> list[Graph]:
+    """Four seeded n=20, m=38 graphs, whose A, Q, Delta and shadow products
+    are all past the Kronecker limit."""
+    return [_tree_plus_chords(random.Random(f"golden/{j}"), 20, 38) for j in range(4)]
+
+
 @pytest.fixture(scope="session")
 def corpus_graphs():
     return {entry.name: entry.graph for entry in corpus()}

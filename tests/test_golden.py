@@ -15,6 +15,8 @@ from edgesector.graphs import corpus, corpus_names, encode_graph6, is_connected
 from edgesector.census import _all_graphs_up_to_iso, builtin_generate
 from edgesector.shadows import fingerprint
 
+from conftest import sparse20_graphs
+
 
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -53,6 +55,17 @@ BOUNDS_CORPUS_TEXT_DIGEST = "e20e88023a5005109bea75a997503c24f37202e8f956f4790e0
 # corpus name, in corpus order; CI checks the first under python -O
 SHADOWS_CORPUS_JSON_DIGEST = "4ef064fc2528aa443dbff40c6819fe08355eb70195de522aa8d8a7847f749d16"
 SHADOWS_CORPUS_TEXT_DIGEST = "0c1b893236692b3ee64e4820f644ddebdbfc782a6372caf67a485d8778a30a34"
+# The fingerprint(g).to_jsonl() lines, each newline-ended, of the four
+# seeded n=20, m=38 graphs of conftest.sparse20_graphs.  Past the Kronecker
+# limit, so A, Q, Delta and the shadow products all reach Berkowitz.  CI
+# checks the same digest on the CLI's output under python -O
+SPARSE20_FILE_DIGEST = "b158ffbf62b4dd3172f5b1480b6fe1fd343c663d1b0011c148a6a97520454837"
+SPARSE20_GRAPH6 = [
+    "SxWMCDACPA@?_`?OOc?@OOCO?Oj?C??a?",
+    "SiCKACESCAl??PD??G?G__G@p?@ASOGA?",
+    "S{PaIB?EO@?OCC?@_COW@GO??eY@?CK??",
+    "SqCOPE@PGKG??A`h?@Gd?S?C?ODI??IG?",
+]
 SCREEN6_DIGEST = "7920d12bee370648d07628b1d86e6ea330c64a44031fade472b6dd656c4884cb"
 # 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
 SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
@@ -75,6 +88,13 @@ def test_census_seven_fingerprints():
     assert len(graphs) == 853  # OEIS A001349
     text = "".join(fingerprint(g).to_jsonl() + "\n" for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS7_FILE_DIGEST
+
+
+def test_sparse20_fingerprints():
+    graphs = sparse20_graphs()
+    assert [encode_graph6(g) for g in graphs] == SPARSE20_GRAPH6
+    text = "".join(fingerprint(g).to_jsonl() + "\n" for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == SPARSE20_FILE_DIGEST
 
 
 def test_generator_up_to_seven():
