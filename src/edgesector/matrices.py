@@ -5,8 +5,10 @@ matrix; the 1/2 of (1/2) L lives in the polynomials.  So entries are ints
 only, checked once where outside rows enter, and all arithmetic is integer:
 the characteristic polynomial of a small matrix is read from the digits of
 one determinant at a power of two, and that of any other comes from
-Berkowitz's division-free algorithm.  That determinant, rank and det share
-one fraction-free (Bareiss) elimination.
+Berkowitz's division-free algorithm, whose mat-vecs sum at column indices
+for a light nonnegative matrix and dot row prefixes for any other.  That
+determinant, rank and det share one fraction-free (Bareiss) elimination.  A
+product walks the nonzeros of its left operand.
 """
 
 from __future__ import annotations
@@ -117,17 +119,12 @@ class Matrix:
             raise DimensionError("inner dimensions do not match")
         brows = other._rows
         w = other.ncols
-        if _is_dense(self._rows, self.ncols):
-            cols = list(zip(*brows)) if brows else [()] * w
-            return Matrix._of(
-                [[sum(map(mul, arow, col)) for col in cols] for arow in self._rows], w
-            )
         out = []
         for arow in self._rows:
             acc = [0] * w
             for a, brow in zip(arow, brows):
-                # skip-zero accumulation for the sparse operators; a signed
-                # incidence entry of 1 or -1 adds or subtracts a row, unmultiplied
+                # walk the nonzeros of the left operand; a signed incidence
+                # entry of 1 or -1 adds or subtracts a row, unmultiplied
                 if a == 0:
                     continue
                 if a == 1:
@@ -198,9 +195,9 @@ class Matrix:
         absolute row sum, so |c_k| <= C(n, k) R^(n-k) <= (1 + R)^n and
         b = bit_length((1 + R)^n) + 2 keeps each digit clear of the next.
         The route runs when n * b is at most _KRONECKER_BITS; every other
-        matrix takes Berkowitz (_berkowitz_charpoly).  Deciding the route
-        scans nothing when n^2 alone exceeds the limit (a nonzero matrix has
-        b > n).
+        matrix takes Berkowitz (_berkowitz_charpoly), whose mat-vecs sum at
+        column indices for a light nonnegative matrix and dot row prefixes
+        for any other.
 
         The limit, 640 bits, is fitted on the matrices fingerprint takes a
         charpoly of (A, Q, Delta and the shadow products Q (Q - 2I)^k Delta)
@@ -217,24 +214,12 @@ class Matrix:
             raise DimensionError("characteristic polynomial of a non-square matrix")
         rows = self._rows
         n = self.nrows
-        if n * n <= _KRONECKER_BITS and n * (b := _coefficient_bits(rows)) <= _KRONECKER_BITS:
+        if n * (b := _coefficient_bits(rows)) <= _KRONECKER_BITS:
             return _kronecker_charpoly(rows, b)
         return _berkowitz_charpoly(rows)
 
     def __repr__(self):
         return f"Matrix({self._rows!r})"
-
-
-def _is_dense(rows, ncols: int) -> bool:
-    """At least half the entries nonzero, the fill above which charpoly and
-    products dot whole rows with sum(map(mul, ...)) instead of walking the
-    nonzeros in Python.  Over the matrices verify meets on the corpus
-    (Python 3.11), whole-row dots take charpolys 1.3x and products 1.5-1.8x
-    faster on the dense m x m shadow products, and are 0.1-0.6x as fast on
-    the sparse operators (T, A of a sparse graph).  Below this fill,
-    charpoly's walk is a third loop when every nonzero is 1 (T, T + T^T, L,
-    A but not Q): it sums v at column indices, no products."""
-    return 2 * sum(map(bool, chain.from_iterable(rows))) >= len(rows) * ncols
 
 
 # The largest n * b, in bits, at which charpoly takes the Kronecker route.
@@ -303,54 +288,46 @@ def _berkowitz_charpoly(rows) -> Poly:
     The polynomial of each leading (r+1)x(r+1) block is the Toeplitz column
     [1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C] convolved with that of the
     leading r x r block A_r, where R and C are row and column r cut to A_r
-    and a is entry (r, r).  The mat-vecs take one of three loops from the
-    matrix itself: a dense matrix (_is_dense) dots the row prefixes of A_r
-    with map(mul), O(n^4) in all; a sparse operator walks the nonzeros of
-    A_r, O(n * nnz) per block; and a sparse operator whose nonzeros all
-    equal 1 (T, T + T^T, L, A) keeps their column indices and sums v at
-    them, with no product at all.
+    and a is entry (r, r).  The mat-vecs take one of two loops, by sign and
+    weight.  A listed matrix, every entry >= 0 and the entries summing to at
+    most n^2 / 2 (T, T + T^T, L, A and a sparse Q), keeps each row of A_r as
+    a list of column indices, j listed a_ij times, and sums v at them with
+    no product at all; its lists never hold more than half the cells.  Any
+    other matrix (Delta, S, the shadow products) dots the row prefixes of
+    A_r with map(mul), O(n^4) in all.
     """
-    dense = _is_dense(rows, len(rows))
-    unit = not dense and set(chain.from_iterable(rows)) <= {0, 1}
-    # sparse: the nonzeros of A_r by row, as column indices when unit
-    # and as (column, entry) pairs otherwise
-    block: list[list] = []
+    entries = list(chain.from_iterable(rows))
+    listed = min(entries, default=0) >= 0 and 2 * sum(entries) <= len(rows) ** 2
+    block: list[list[int]] = []  # listed: the rows of A_r as column indices
     coeffs = [1]  # charpoly of A_r, descending degree
     for r, row in enumerate(rows):
-        if dense:
-            across = row[:r]
-        elif unit:
-            across = [j for j in range(r) if row[j]]
+        if listed:
+            across = [j for j in range(r) if row[j] for _ in range(row[j])]
         else:
-            across = [(j, a) for j, a in enumerate(row[:r]) if a]
+            across = row[:r]
         t = [1, -row[r]]
-        # a unit index list may be [0], so sparse lists are tested for length
-        if any(across) if dense else across:
+        # an index list may be [0], so it is tested for length
+        if across if listed else any(across):
             v = [rows[i][r] for i in range(r)]
-            if dense:
-                prefixes = [rows[i][:r] for i in range(r)]
-                for k in range(r):
-                    if k:
-                        v = [sum(map(mul, p, v)) for p in prefixes]
-                    t.append(-sum(map(mul, across, v)))
-            elif unit:
+            if listed:
                 for k in range(r):
                     if k:
                         v = [sum(map(v.__getitem__, idx)) for idx in block]
                     t.append(-sum(map(v.__getitem__, across)))
             else:
+                prefixes = [rows[i][:r] for i in range(r)]
                 for k in range(r):
                     if k:
-                        v = [sum(a * v[j] for j, a in nz) for nz in block]
-                    t.append(-sum(a * v[j] for j, a in across))
+                        v = [sum(map(mul, p, v)) for p in prefixes]
+                    t.append(-sum(map(mul, across, v)))
         t += [0] * (r + 2 - len(t))
         coeffs = [sum(map(mul, t[k::-1], coeffs)) for k in range(r + 2)]
-        if not dense:
-            for i, nz in enumerate(block):
+        if listed:
+            for i, idx in enumerate(block):
                 if rows[i][r]:
-                    nz.append(r if unit else (r, rows[i][r]))
+                    idx += [r] * rows[i][r]
             if row[r]:
-                across.append(r if unit else (r, row[r]))
+                across += [r] * row[r]
             block.append(across)
     return Poly(coeffs[::-1])
 

@@ -14,10 +14,11 @@ from edgesector.matrices import (
     Matrix,
     _berkowitz_charpoly,
     _coefficient_bits,
-    _is_dense,
     _kronecker_charpoly,
 )
 from edgesector.polynomials import Poly, series_of, ratfunc_reduce, PowerSeries
+
+from conftest import sparse20_graphs
 
 
 def naive_polymatrix_det(rows):
@@ -141,6 +142,13 @@ def _kronecker_bits(m: Matrix) -> int:
     return m.nrows * _coefficient_bits(m.rows)
 
 
+def _listed(m: Matrix) -> bool:
+    """Berkowitz's rule for its index-list loop: every entry >= 0 and the
+    entries summing to at most n^2 / 2."""
+    entries = [a for row in m.rows for a in row]
+    return min(entries, default=0) >= 0 and 2 * sum(entries) <= m.nrows**2
+
+
 def _limit_neighbours(n: int) -> tuple[Matrix, Matrix]:
     """r I for the largest r inside the Kronecker limit, and (r + 1) I."""
     r = 0
@@ -220,13 +228,13 @@ def test_charpoly_vs_faddeev_leverrier():
     for _ in range(10):  # wide entries
         n = rng.randint(1, 6)
         mats.append(Matrix([[rng.randint(-60, 60) for _ in range(n)] for _ in range(n)]))
-    sparse = []  # 0/1 fills on both sides of the dense-loop rule
+    sparse = []  # 0/1 fills on both sides of the listing rule
     for n in range(2, 13):
         for fill in (0.15, 0.35, 0.6, 0.9):
             sparse.append(Matrix([[int(rng.random() < fill) for _ in range(n)] for _ in range(n)]))
-    assert {_is_dense(m.rows, m.ncols) for m in sparse} == {False, True}
+    assert {_listed(m) for m in sparse} == {False, True}
     mats += sparse
-    for n in range(3, 13):  # sparse 0/1, one nonzero changed: off and on the unit loop
+    for n in range(3, 13):  # sparse 0/1, one nonzero changed: a repeated index or a sign
         for x in (2, -1, -2, 1):
             raw = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
             nonzeros = [(i, j) for i in range(n) for j in range(n) if raw[i][j]]
@@ -249,18 +257,28 @@ def test_charpoly_vs_faddeev_leverrier():
         mats += [ones, -ones]
     for n in (10, 16):
         mats += _limit_neighbours(n)
-    sparse_kinds = {
-        all(a in (0, 1) for row in m.rows for a in row)
-        for m in mats
-        if not _is_dense(m.rows, m.ncols)
-    }
-    assert sparse_kinds == {False, True}  # the unit loop and the (column, entry) loop
+    # the edges of the listing rule: entries summing to exactly n^2 / 2, with
+    # a 2 (a repeated index) above and below the diagonal; one entry more; a
+    # single -1 in a light matrix; and 2s on the diagonal and off it
+    at_half = [[0, 2, 0, 1], [0, 0, 1, 0], [2, 0, 0, 0], [0, 1, 0, 1]]
+    over_half = [list(row) for row in at_half]
+    over_half[1][3] += 1
+    signed = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0]]
+    repeated = [[2 if (i + 2 * j) % 5 == 0 else 0 for j in range(6)] for i in range(6)]
+    edges = [Matrix(rows) for rows in (at_half, over_half, signed, repeated)]
+    assert [sum(map(sum, m.rows)) for m in edges[:2]] == [8, 9]
+    assert [_listed(m) for m in edges] == [True, False, False, True]
+    mats += edges
+    # both sides of the listing rule, with repeated indices on the listed side
+    assert {_listed(m) for m in mats} == {False, True}
+    assert any(_listed(m) and any(a >= 2 for row in m.rows for a in row) for m in mats)
     # the Kronecker route and Berkowitz
     assert {_kronecker_bits(m) <= _KRONECKER_BITS for m in mats} == {False, True}
     for m in mats:
         p = m.charpoly()
         assert p == faddeev_leverrier(m)
         assert p.is_integer()
+        assert _berkowitz_charpoly(m.rows) == p
 
 
 def _fingerprint_matrices(g) -> list[Matrix]:
@@ -280,6 +298,9 @@ def test_charpoly_routes_agree_on_census_and_corpus_matrices():
         es = edge_space(entry.graph)
         blocks = sector_blocks(es)
         mats += [build_hashimoto(es), blocks.L, blocks.S, blocks.M * blocks.M.transpose()]
+    for g in sparse20_graphs():  # A on index lists; Q on lists or dots; the rest on dots
+        mats += _fingerprint_matrices(g)
+    assert {_listed(m) for m in mats} == {False, True}
     kron_bits = [_kronecker_bits(m) for m in mats]
     assert min(kron_bits) <= _KRONECKER_BITS < max(kron_bits)
     for m in mats:
@@ -313,9 +334,9 @@ def test_charpoly_route_choice(monkeypatch):
         assert route(outside) == berkowitz
     assert route(Matrix([])) == kronecker
     assert route(Matrix([[5]])) == kronecker
-    # n^2 above the limit already puts n * b above it: no entry is scanned
+    # a zero matrix has b = 3, so even at n^2 above the limit n * b is inside it
     n = isqrt(_KRONECKER_BITS) + 1
-    assert route(Matrix([[0] * n] * n)) == ("_berkowitz_charpoly",)
+    assert route(Matrix([[0] * n] * n)) == kronecker
 
 
 def test_matrix_refuses_entries_that_are_not_ints():
@@ -362,11 +383,8 @@ def test_mul_vs_naive_product():
         a = Matrix([[rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(k)] for _ in range(r)])
         b = Matrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)])
         pairs.append((a, b))
-    sparse_entries = {
-        x for a, _ in pairs if not _is_dense(a.rows, a.ncols) for row in a.rows for x in row
-    }
-    assert {1, -1, 2} <= sparse_entries
-    assert {_is_dense(a.rows, a.ncols) for a, _ in pairs} == {False, True}
+    # every branch of the walk: a zero, a 1, a -1 and another entry
+    assert {0, 1, -1, 2} <= {x for a, _ in pairs for row in a.rows for x in row}
     for a, b in pairs:
         product = a * b
         assert product == naive_product(a, b)
@@ -506,12 +524,10 @@ def test_power_traces():
     mats = [
         build_hashimoto(edge_space(corpus_graph("exA_G1"))),  # sparse 0/1, not symmetric
         Matrix([[rng.randint(-4, 4) for _ in range(7)] for _ in range(7)]),
-        # sparse, entries 1, -1 and others: every branch of the sparse product
+        # sparse, entries 1, -1 and others: every branch of the product's walk
         Matrix([[rng.choice((0, 0, 0, 1, -1, 3)) for _ in range(5)] for _ in range(5)]),
     ]
-    assert not mats[0].is_symmetric() and not _is_dense(mats[0].rows, mats[0].ncols)
-    assert _is_dense(mats[1].rows, mats[1].ncols)
-    assert not _is_dense(mats[2].rows, mats[2].ncols)
+    assert not mats[0].is_symmetric()
     for m in mats:
         power, expect = m, []
         for _ in range(6):
