@@ -49,6 +49,12 @@ def sparse20_graphs() -> list[Graph]:
     return [_tree_plus_chords(random.Random(f"golden/{j}"), 20, 38) for j in range(4)]
 
 
+def sparse40_graphs() -> list[Graph]:
+    """Two seeded n=40, m=80 graphs, whose 2-cores (37 and 38 vertices) are
+    the largest Ihara determinants the golden digests pin."""
+    return [_tree_plus_chords(random.Random(f"golden40/{j}"), 40, 80) for j in range(2)]
+
+
 @pytest.fixture(scope="session")
 def corpus_graphs():
     return {entry.name: entry.graph for entry in corpus()}

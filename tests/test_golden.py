@@ -15,7 +15,7 @@ from edgesector.graphs import corpus, corpus_names, encode_graph6, is_connected
 from edgesector.census import _all_graphs_up_to_iso, builtin_generate
 from edgesector.shadows import fingerprint
 
-from conftest import sparse20_graphs
+from conftest import sparse20_graphs, sparse40_graphs
 
 
 def _digest(lines) -> str:
@@ -66,6 +66,13 @@ SPARSE20_GRAPH6 = [
     "S{PaIB?EO@?OCC?@_COW@GO??eY@?CK??",
     "SqCOPE@PGKG??A`h?@Gd?S?C?ODI??IG?",
 ]
+# likewise the two seeded n=40, m=80 graphs of conftest.sparse40_graphs;
+# CI checks the same digest on the CLI's output under python -O
+SPARSE40_FILE_DIGEST = "0ea9dd17f7016e806f2b2861e2d156999afdecc99789b4008fea0b472a341173"
+SPARSE40_GRAPH6 = [
+    "gkGI?CC?__A??C?OAKG?@??O?A@??O?`??A??A???C??O??A??????@A_?OC?O_?IG???O??b?A_?????@G?__WG?_aC???@?@OS?@W?GO??G?QA?????A?Cg@????J??I?",
+    "gkaA?`@?KA?G?A?W?O?@??A??AL?????eA??C@????_A???A?CC__??g?o?AO??A?QO?O?PAA?@???c?@??PG??????O?CC??@?@?OaG?G@E?O?A@?_??@G?????G?_??A?",
+]
 SCREEN6_DIGEST = "7920d12bee370648d07628b1d86e6ea330c64a44031fade472b6dd656c4884cb"
 # 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
 SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
@@ -95,6 +102,13 @@ def test_sparse20_fingerprints():
     assert [encode_graph6(g) for g in graphs] == SPARSE20_GRAPH6
     text = "".join(fingerprint(g).to_jsonl() + "\n" for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == SPARSE20_FILE_DIGEST
+
+
+def test_sparse40_fingerprints():
+    graphs = sparse40_graphs()
+    assert [encode_graph6(g) for g in graphs] == SPARSE40_GRAPH6
+    text = "".join(fingerprint(g).to_jsonl() + "\n" for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == SPARSE40_FILE_DIGEST
 
 
 def test_generator_up_to_seven():
