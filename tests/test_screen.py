@@ -947,6 +947,25 @@ def test_store_coefficient_that_is_not_a_string_names_its_line(field, corrupt, m
         read_fingerprints_jsonl(store)
 
 
+@pytest.mark.parametrize(
+    "field,corrupt",
+    [
+        ("charpoly_adjacency", lambda p: ["1/0"] + p[1:]),
+        ("correction_series", lambda c: c[:2] + ["1/0"] + c[3:]),
+    ],
+    ids=["charpoly", "series"],
+)
+def test_store_coefficient_with_a_zero_denominator_names_its_line(field, corrupt):
+    first, second = _store_lines("C6", "K4")
+    rec = json.loads(second)
+    rec[field] = corrupt(rec[field])
+    store = io.StringIO(first + json.dumps(rec) + "\n")
+    with pytest.raises(
+        ValueError, match=r"^fingerprint store line 2: ZeroDivisionError: Fraction\(1, 0\)$"
+    ):
+        read_fingerprints_jsonl(store)
+
+
 def test_fingerprint_persistence_roundtrip_grouping():
     graphs = [corpus_graph(n) for n in ["exA_G1", "exA_H1", "K4", "C6"]]
     fps = [fingerprint(g) for g in graphs]
