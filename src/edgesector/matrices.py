@@ -14,6 +14,7 @@ product walks the nonzeros of its left operand.
 from __future__ import annotations
 
 from itertools import chain
+from math import isqrt
 from operator import add, mul, sub
 
 from .polynomials import Poly
@@ -191,24 +192,27 @@ class Matrix:
         Two algorithms, both with integer ring operations only.  A small
         matrix takes the Kronecker route (_kronecker_charpoly): one
         determinant of x0 I - M at x0 = 2^b, whose balanced base-2^b digits
-        are the coefficients.  Every eigenvalue has |lambda| <= R, the largest
-        absolute row sum, so |c_k| <= C(n, k) R^(n-k) <= (1 + R)^n and
-        b = bit_length((1 + R)^n) + 2 keeps each digit clear of the next.
-        The route runs when n * b is at most _KRONECKER_BITS; every other
-        matrix takes Berkowitz (_berkowitz_charpoly), whose mat-vecs sum at
-        column indices for a light nonnegative matrix and dot row prefixes
-        for any other.
+        are the coefficients.  b comes from the Frobenius norm F =
+        ||M||_F^2 (_coefficient_bits): by Schur's inequality every
+        |c_k| <= C(n, k) rho^k <= (1 + rho)^n with rho^2 = F / n, which
+        never exceeds the row-sum bound (1 + R)^n.  The route runs when
+        n * b is at most _KRONECKER_BITS; every other matrix takes Berkowitz
+        (_berkowitz_charpoly), whose mat-vecs sum at column indices for a
+        light nonnegative matrix and dot row prefixes for any other.
 
-        The limit, 640 bits, is fitted on the matrices fingerprint takes a
-        charpoly of (A, Q, Delta and the shadow products Q (Q - 2I)^k Delta)
-        of the census graphs on at most 7 vertices and of seeded random
-        graphs on 8 to 20 (Python 3.11, 2 CPUs).  Against Berkowitz, the
-        Kronecker route ran 2.0-2.8x as fast up to n * b = 240, 1.5-2.4x up
-        to 480 and at least 1.09x up to 640, for every kind.  The sparse A,
-        whose Berkowitz loop multiplies nothing, crosses first, between 720
-        and 880 bits; the denser kinds cross between 960 and 1200.  A at
-        n = 7 takes at most about 150 bits; at n = 20 even a path's A takes
-        680, so every matrix of a 20-vertex fingerprint stays on Berkowitz.
+        The limit, 1000 bits, is fitted on the matrices fingerprint takes a
+        charpoly of (A, Q, and Delta and the shadow products
+        Q (Q - 2I)^k Delta deflated to n - 1 rows) of two seeded
+        populations of random graphs on 8 to 26 vertices with m = 1.9 n
+        and 2.5 n (Python 3.11, 2 CPUs).  Summed over the 424 of them
+        between 560 and 1800 bits, the time of the route each limit picks
+        varied by under 1% for limits from 860 to 1100 bits, lowest near
+        1020, and grew by 5% at 1300.  The sparse A, whose Berkowitz loop
+        multiplies nothing, crosses first, near 650 bits; Q near 1050; the
+        dotted kinds between 1100 and 1400.  At n = 20, m = 38, A takes
+        680 bits, Q 1040 and deflated Delta 970-990, so A and Delta take
+        the Kronecker route and Q and the shadow products (1500 and more)
+        Berkowitz.
         """
         if not self.is_square():
             raise DimensionError("characteristic polynomial of a non-square matrix")
@@ -223,14 +227,31 @@ class Matrix:
 
 
 # The largest n * b, in bits, at which charpoly takes the Kronecker route.
-_KRONECKER_BITS = 640
+_KRONECKER_BITS = 1000
+# The fractional bits of rho in _coefficient_bits.
+_RHO_BITS = 8
 
 
 def _coefficient_bits(rows) -> int:
-    """b = bit_length((1 + R)^n) + 2, R the largest absolute row sum: every
-    charpoly coefficient c has |c| < 2^(b-2)."""
-    r = max([sum(map(abs, row)) for row in rows], default=0)
-    return ((1 + r) ** len(rows)).bit_length() + 2
+    """b with |c| < 2^(b-2) for every charpoly coefficient c of the square
+    int matrix rows, and 2^b > 4R for its largest absolute row sum R.
+
+    By Schur's inequality the eigenvalues have sum |lambda_i|^2 <= F =
+    ||M||_F^2, so by Cauchy-Schwarz their mean modulus is at most rho =
+    sqrt(F / n), and by Maclaurin's inequality |c_k| <= e_k(|lambda|) <=
+    C(n, k) rho^k, whose sum is (1 + rho)^n.  In integers, with t =
+    _RHO_BITS fractional bits, s = isqrt(F 4^t / n) + 1 > 2^t rho, so
+    (1 + rho)^n < (2^t + s)^n / 2^(tn) < 2^(b-2) for
+    b = bit_length((2^t + s)^n) - tn + 2.  As F <= n R^2 this is never
+    looser than (1 + R)^n.  And R <= sqrt(n F) = n rho < (1 + rho)^n, so
+    2^b > 4R too.
+    """
+    n = len(rows)
+    if not n:
+        return 3
+    f = sum(sum(map(mul, row, row)) for row in rows)
+    s = isqrt((f << 2 * _RHO_BITS) // n) + 1
+    return (((1 << _RHO_BITS) + s) ** n).bit_length() - _RHO_BITS * n + 2
 
 
 def _kronecker_det(rows, b: int) -> list[int]:
@@ -262,11 +283,11 @@ def _kronecker_charpoly(rows, b: int) -> Poly:
     """charpoly of the square int matrix rows from one determinant: the
     digits of det(x0 I - M) at x0 = 2^b (_kronecker_det).
 
-    With b = _coefficient_bits(rows) each |c_k| < x0 / 4, and x0 > R makes
-    x0 I - M strictly diagonally dominant.  Where Berkowitz is O(n^4) behind
-    about n^3 / 3 Python-level calls, this is one O(n^3) elimination.  The
-    digits must be those of a monic polynomial of degree n; anything else
-    raises ArithmeticError.
+    With b = _coefficient_bits(rows) each |c_k| < x0 / 4, and x0 > 4R, R the
+    largest absolute row sum, makes x0 I - M strictly diagonally dominant.
+    Where Berkowitz is O(n^4) behind about n^3 / 3 Python-level calls, this
+    is one O(n^3) elimination.  The digits must be those of a monic
+    polynomial of degree n; anything else raises ArithmeticError.
     """
     n = len(rows)
     x0 = 1 << b

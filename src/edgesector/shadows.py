@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 from .edge_space import OrientedEdgeSpace, edge_space, sector_blocks
 from .graphs import Graph, encode_graph6, is_connected, is_regular, parse_graph6
@@ -70,7 +71,9 @@ def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     charpoly(M^T L^k M) = x^(m-n) charpoly(X_k) with X_k = Q (Q - 2I)^k Delta;
     k = 0 gives M M^T (and M^T M, which has the same charpoly).  Q and
     Q - 2I commute, so X_k = (Q - 2I) X_(k-1) from X_0 = Q Delta: kmax + 1
-    products in all, each led by a sparse operator.
+    products in all, each led by a sparse operator.  Delta 1 = 0, so
+    X_k 1 = 0 too, and each charpoly is x times one of order n - 1
+    (_deflated_charpoly).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -82,14 +85,30 @@ def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     for k in range(kmax + 1):
         if k:
             x = q_minus_2 * x
-        polys.append(x.charpoly().times_x_power(g.m - g.n))
+        polys.append(_deflated_charpoly(x, deg).times_x_power(g.m - g.n))
     return ShadowSet(kmax, polys[0], tuple(polys[1:]))
 
 
-def _sector_charpoly(vertex: Matrix, m: int) -> Poly:
-    """charpoly of X^T X - 2I (m x m) from that of X X^T (n x n): the AB/BA
-    factor x^(m-n), then the shift x -> x + 2."""
-    return vertex.charpoly().times_x_power(m - vertex.nrows).shift(2)
+def _deflated_charpoly(x: Matrix, deg: list[int]) -> Poly:
+    """charpoly of the n x n x, every row of which sums to 0, as x times the
+    charpoly of an (n-1) x (n-1) matrix.
+
+    With x 1 = 0 and U = I + (1 - e_r) e_r^T, whose column r is 1, column r
+    of U^-1 x U is x 1 = 0, so charpoly(x) = x charpoly(Y) for Y the rest of
+    U^-1 x U: Y_ij = x_ij - x_rj for i, j != r, row r subtracted from every
+    row.  r is a vertex of least degree, whose sparse row keeps Y sparse.  A
+    nonzero row sum raises ArithmeticError.
+    """
+    rows = x.rows
+    if any(map(sum, rows)):
+        raise ArithmeticError("a row of the matrix to deflate does not sum to 0")
+    n = len(rows)
+    if not n:
+        return Poly.one()
+    r = min(range(n), key=deg.__getitem__)
+    pivot = rows[r][:r] + rows[r][r + 1 :]
+    y = [list(map(sub, row[:r] + row[r + 1 :], pivot)) for i, row in enumerate(rows) if i != r]
+    return Matrix._of(y, n - 1).charpoly().times_x_power(1)
 
 
 def _strip_zero_roots(p: Poly) -> Poly:
@@ -281,8 +300,15 @@ def invariant(g: Graph, key: str, kmax: int = DEFAULT_KMAX) -> Poly | ShadowSet:
     if key == "A":
         return g.adjacency().charpoly()
     if key in ("L", "S"):
-        # Q = Deg + A for L, Delta = Deg - A for S
-        return _sector_charpoly(g.vertex_operator(g.degrees(), 1 if key == "L" else -1), g.m)
+        # Q = Deg + A for L, Delta = Deg - A for S; the charpoly of
+        # X^T X - 2I (m x m) from that of X X^T (n x n) is the AB/BA factor
+        # x^(m-n), then the shift x -> x + 2
+        deg = g.degrees()
+        if key == "L":
+            p = g.vertex_operator(deg).charpoly()
+        else:
+            p = _deflated_charpoly(g.vertex_operator(deg, -1), deg)
+        return p.times_x_power(g.m - g.n).shift(2)
     if key == "shadows":
         return vertex_shadow_set(g, kmax)
     if key == "hashimoto":

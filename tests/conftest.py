@@ -44,8 +44,8 @@ def _tree_plus_chords(rng: random.Random, n: int, m: int) -> Graph:
 
 
 def sparse20_graphs() -> list[Graph]:
-    """Four seeded n=20, m=38 graphs, whose A, Q, Delta and shadow products
-    are all past the Kronecker limit."""
+    """Four seeded n=20, m=38 graphs: their A and deflated Delta take the
+    Kronecker route, their Q and shadow products Berkowitz."""
     return [_tree_plus_chords(random.Random(f"golden/{j}"), 20, 38) for j in range(4)]
 
 

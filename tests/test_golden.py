@@ -56,9 +56,9 @@ BOUNDS_CORPUS_TEXT_DIGEST = "e20e88023a5005109bea75a997503c24f37202e8f956f4790e0
 SHADOWS_CORPUS_JSON_DIGEST = "4ef064fc2528aa443dbff40c6819fe08355eb70195de522aa8d8a7847f749d16"
 SHADOWS_CORPUS_TEXT_DIGEST = "0c1b893236692b3ee64e4820f644ddebdbfc782a6372caf67a485d8778a30a34"
 # The fingerprint(g).to_jsonl() lines, each newline-ended, of the four
-# seeded n=20, m=38 graphs of conftest.sparse20_graphs.  Past the Kronecker
-# limit, so A, Q, Delta and the shadow products all reach Berkowitz.  CI
-# checks the same digest on the CLI's output under python -O
+# seeded n=20, m=38 graphs of conftest.sparse20_graphs, whose charpolys take
+# both routes: A and deflated Delta Kronecker, Q and the shadow products
+# Berkowitz.  CI checks the same digest on the CLI's output under python -O
 SPARSE20_FILE_DIGEST = "b158ffbf62b4dd3172f5b1480b6fe1fd343c663d1b0011c148a6a97520454837"
 SPARSE20_GRAPH6 = [
     "SxWMCDACPA@?_`?OOc?@OOCO?Oj?C??a?",

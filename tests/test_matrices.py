@@ -278,15 +278,32 @@ def test_charpoly_vs_faddeev_leverrier():
         assert _berkowitz_charpoly(m.rows) == p
 
 
+def _deflated(x: Matrix) -> Matrix:
+    """x, whose rows sum to 0, with row 0 subtracted from every row and row
+    and column 0 dropped: charpoly(x) = x charpoly(_deflated(x))."""
+    pivot = x.rows[0]
+    return Matrix([[a - p for a, p in zip(row[1:], pivot[1:])] for row in x.rows[1:]])
+
+
 def _fingerprint_matrices(g) -> list[Matrix]:
-    """Every matrix fingerprint takes a charpoly of: A, Q, Delta and
-    Q (Q - 2I)^k Delta for k = 0, 1, 2."""
+    """Every matrix fingerprint takes a charpoly of, or its deflation: A, Q,
+    Delta and Q (Q - 2I)^k Delta for k = 0, 1, 2."""
     deg = g.degrees()
     q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
     q_minus_2 = g.vertex_operator([d - 2 for d in deg])
     q1 = q * q_minus_2
-    shadows = [q * delta, q1 * delta, q1 * q_minus_2 * delta]
-    return [g.adjacency(), q, delta, *shadows]
+    laplacian_side = [delta, q * delta, q1 * delta, q1 * q_minus_2 * delta]
+    return [g.adjacency(), q, *laplacian_side, *map(_deflated, laplacian_side)]
+
+
+def _assert_digits_fit(m: Matrix, p: Poly) -> None:
+    """The bound charpoly takes its digit length b from: every coefficient
+    of m's charpoly p has |c_k| < 2^(b-2), and 2^b > 4R, R the largest
+    absolute row sum, which keeps 2^b I - m strictly diagonally dominant."""
+    b = _coefficient_bits(m.rows)
+    r = max([sum(map(abs, row)) for row in m.rows], default=0)
+    assert max(map(abs, p.coeffs)) < 1 << (b - 2), m
+    assert 1 << b > 4 * r, m
 
 
 def test_charpoly_routes_agree_on_census_and_corpus_matrices():
@@ -302,6 +319,41 @@ def test_charpoly_routes_agree_on_census_and_corpus_matrices():
     assert min(kron_bits) <= _KRONECKER_BITS < max(kron_bits)
     for m in mats:
         p = _berkowitz_charpoly(m.rows)
+        _assert_digits_fit(m, p)
+        assert _kronecker_charpoly(m.rows, _coefficient_bits(m.rows)) == p
+        assert m.charpoly() == p
+
+
+def _adversarial_matrices() -> list[Matrix]:
+    """Matrices far from normal, or at the bound's extremes, where an
+    eigenvalue bound from the entries is most easily wrong."""
+    rng = random.Random(31)
+    mats = [Matrix([]), Matrix([[0]]), Matrix([[1]]), Matrix([[-9]]), Matrix([[10**12]])]
+    mats += [Matrix([[0] * n for _ in range(n)]) for n in (2, 7, 40)]
+    for n in (2, 5, 9, 16):  # nilpotent: strictly upper triangular, large entries
+        for top in (1, 10**3, 10**9):
+            mats.append(
+                Matrix([[rng.randint(-top, top) if j > i else 0 for j in range(n)] for i in range(n)])
+            )
+    for n in (2, 3, 8, 20):  # Jordan blocks: (x - c)^n from a matrix with one eigenvector
+        for c in (0, 1, -1, 5, -7, 100):
+            mats.append(Matrix([[c if j == i else int(j == i + 1) for j in range(n)] for i in range(n)]))
+    for n in (1, 4, 17, 30):  # +-J_n and c I, at |c_k| = C(n, k) rho^k exactly
+        ones = Matrix([[1] * n for _ in range(n)])
+        mats += [ones, -ones]
+        mats += [Matrix.identity(n).scaled(c) for c in (1, -1, 3, -50)]
+    for n in (2, 6, 12, 25):  # mixed-sign rank one u v^T
+        for top in (1, 9, 1000):
+            u = [rng.randint(-top, top) for _ in range(n)]
+            v = [rng.randint(-top, top) for _ in range(n)]
+            mats.append(Matrix([[a * c for c in v] for a in u]))
+    return mats
+
+
+def test_coefficient_bits_bound_adversarial_matrices():
+    for m in _adversarial_matrices():
+        p = _berkowitz_charpoly(m.rows)
+        _assert_digits_fit(m, p)
         assert _kronecker_charpoly(m.rows, _coefficient_bits(m.rows)) == p
         assert m.charpoly() == p
 

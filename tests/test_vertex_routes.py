@@ -16,12 +16,22 @@ import pytest
 import edgesector
 from edgesector import cli, screen, shadows, zeta
 from edgesector.edge_space import edge_space, sector_blocks
-from edgesector.graphs import Graph, corpus, corpus_graph, encode_graph6
-from edgesector.matrices import Matrix
+from edgesector.census import _all_graphs_up_to_iso
+from edgesector.graphs import Graph, corpus, corpus_graph, encode_graph6, is_connected
+from edgesector.matrices import Matrix, _berkowitz_charpoly
 from edgesector.polynomials import PowerSeries
-from edgesector.shadows import Fingerprint, ShadowSet, compare, fingerprint, shadow_set, vertex_shadow_set
+from edgesector.shadows import (
+    GROUPING_KEYS,
+    Fingerprint,
+    ShadowSet,
+    compare,
+    fingerprint,
+    invariant,
+    shadow_set,
+    vertex_shadow_set,
+)
 from edgesector.zeta import factorize, hashimoto_det, ihara_det, line_factor, resolution_compare
-from conftest import random_population
+from conftest import random_population, sparse20_graphs
 
 # (order, kmax): every order in {0, 1, 12} and every kmax in 0..3
 SETTINGS = ((0, 0), (1, 1), (12, 2), (12, 3))
@@ -152,6 +162,58 @@ def test_vertex_shadow_set_takes_kmax_plus_1_products(monkeypatch):
         mixed = vertex_shadow_set(g, kmax)
         assert calls == [q] + [q_minus_2] * kmax
         assert len(mixed.mtlkm) == kmax
+
+
+def test_deflated_charpolys_equal_berkowitz_on_the_full_matrix():
+    # Delta and X_k = Q (Q - 2I)^k Delta, k = 0, 1, 2, every row of which
+    # sums to 0: every graph on at most 7 vertices (n = 0 and 1, forests and
+    # disconnected graphs included), the corpus, the seeded n=20 graphs and
+    # a disconnected graph with an isolated vertex
+    petersen_k4 = list(corpus_graph("petersen").edges)
+    petersen_k4 += [(10 + i, 10 + j) for j in range(4) for i in range(j)]
+    graphs = [g for n in range(8) for g in _all_graphs_up_to_iso(n)]
+    graphs += [entry.graph for entry in corpus()] + sparse20_graphs()
+    graphs.append(Graph.from_edges(15, petersen_k4))
+    assert {0, 1, 20} <= {g.n for g in graphs}
+    assert not is_connected(graphs[-1])
+    for g in graphs:
+        deg = g.degrees()
+        q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
+        q_minus_2 = g.vertex_operator([d - 2 for d in deg])
+        x = q * delta
+        for mat in (delta, x, q_minus_2 * x, q_minus_2 * (q_minus_2 * x)):
+            assert shadows._deflated_charpoly(mat, deg) == _berkowitz_charpoly(mat.rows), g.edges
+
+
+def test_deflation_refuses_a_nonzero_row_sum():
+    g = corpus_graph("petersen")
+    deg = g.degrees()
+    for mat in (g.adjacency(), g.vertex_operator(deg)):
+        with pytest.raises(ArithmeticError):
+            shadows._deflated_charpoly(mat, deg)
+    # one row off by one, and a 1 x 1 matrix that is not 0
+    off = [list(row) for row in g.vertex_operator(deg, -1).rows]
+    off[9][0] += 1
+    with pytest.raises(ArithmeticError):
+        shadows._deflated_charpoly(Matrix(off), deg)
+    with pytest.raises(ArithmeticError):
+        shadows._deflated_charpoly(Matrix([[1]]), [0])
+
+
+def test_laplacian_side_charpolys_take_n_minus_1_rows(monkeypatch):
+    sizes = []
+    charpoly = Matrix.charpoly
+
+    def recording(self):
+        sizes.append(self.nrows)
+        return charpoly(self)
+
+    monkeypatch.setattr(Matrix, "charpoly", recording)
+    g = corpus_graph("petersen")
+    for key in GROUPING_KEYS:
+        invariant(g, key, 2)
+    # A and Q whole; Delta and X_0, X_1, X_2 deflated; hashimoto takes none
+    assert sizes == [10, 10, 9, 9, 9, 9]
 
 
 def test_pair_report_matches_edge_space_divergence():

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import prod
 
 import pytest
 
@@ -152,8 +151,8 @@ def test_ihara_det_equals_bass_det_on_large_cores():
         edges = [(i, j) for j in range(k) for i in range(j)] + [(0, k), (k, k + 1)]
         return Graph.from_edges(k + 2, edges)
 
-    # dense and sparse cores of 15 to 20 vertices, 2n_core * b from 2242 to
-    # 4280 bits, where the census cores take at most 392
+    # dense and sparse cores of 15 to 20 vertices, 2n_core * b from 1672 to
+    # 3520 bits, where the census cores take at most 294
     graphs = [
         tailed_complete(15),
         tailed_complete(16),
@@ -165,10 +164,36 @@ def test_ihara_det_equals_bass_det_on_large_cores():
         assert ihara_det(g) == bass_det(g), g.edges
 
 
+def test_ihara_bits_bound_every_digit():
+    # Cauchy's estimate with Hadamard's inequality bounds every coefficient
+    # of V(w) = det(I - wA + w^2 (Deg - I)) by sqrt(prod d_v (d_v + 1)); the
+    # oracle is evaluation-interpolation, which takes no bound
+    def cycle(n: int) -> Graph:
+        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+    def complete(n: int) -> Graph:
+        return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)])
+
+    def complete_bipartite(a: int, b: int) -> Graph:
+        return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+    graphs = [cycle(n) for n in (3, 4, 7, 12)] + [complete(n) for n in (4, 5, 8, 11)]
+    graphs += [complete_bipartite(a, b) for a, b in ((2, 2), (2, 5), (3, 3), (4, 6))]
+    graphs.append(corpus_graph("petersen"))
+    graphs += [_random_connected(seed, n, m) for seed, n, m in ((1, 9, 14), (2, 12, 22), (3, 14, 30))]
+    for g in graphs:
+        core = zeta._two_core(g)
+        edges = {(v, u) for v, nb in enumerate(core) for u in nb if v < u}
+        v = zeta._vertex_space_det(Graph.from_edges(len(core), sorted(edges)))
+        b = zeta._ihara_bits(core)
+        assert max(map(abs, v.coeffs)) < 1 << (b - 2), g.edges
+        assert zeta._ihara_kronecker(core, b) == v
+
+
 def test_ihara_det_checks_its_digits(monkeypatch):
     g = corpus_graph("petersen")
     core = zeta._two_core(g)
-    b = prod(2 * len(nb) for nb in core).bit_length() + 2
+    b = zeta._ihara_bits(core)
     assert zeta._ihara_kronecker(core, b) == zeta._vertex_space_det(g)
     # too few bits: the digits wrap into each other
     with pytest.raises(ArithmeticError):
