@@ -228,8 +228,6 @@ class Matrix:
 
 # The largest n * b, in bits, at which charpoly takes the Kronecker route.
 _KRONECKER_BITS = 1000
-# The fractional bits of rho in _coefficient_bits.
-_RHO_BITS = 8
 
 
 def _coefficient_bits(rows) -> int:
@@ -239,19 +237,20 @@ def _coefficient_bits(rows) -> int:
     By Schur's inequality the eigenvalues have sum |lambda_i|^2 <= F =
     ||M||_F^2, so by Cauchy-Schwarz their mean modulus is at most rho =
     sqrt(F / n), and by Maclaurin's inequality |c_k| <= e_k(|lambda|) <=
-    C(n, k) rho^k, whose sum is (1 + rho)^n.  In integers, with t =
-    _RHO_BITS fractional bits, s = isqrt(F 4^t / n) + 1 > 2^t rho, so
+    C(n, k) rho^k, whose sum is (1 + rho)^n.  In integers, with t = 8
+    fractional bits, s = isqrt(F 4^t / n) + 1 > 2^t rho, so
     (1 + rho)^n < (2^t + s)^n / 2^(tn) < 2^(b-2) for
-    b = bit_length((2^t + s)^n) - tn + 2.  As F <= n R^2 this is never
-    looser than (1 + R)^n.  And R <= sqrt(n F) = n rho < (1 + rho)^n, so
-    2^b > 4R too.
+    b = bit_length((2^t + s)^n) - tn + 2.  As F <= n R^2, rho <= R, so
+    (1 + rho)^n is never looser than (1 + R)^n.  And R <= sqrt(n F) =
+    n rho < (1 + rho)^n, so 2^b > 4R too.  A 0 x 0 matrix, whose charpoly
+    is 1, takes b = 3.
     """
     n = len(rows)
     if not n:
         return 3
     f = sum(sum(map(mul, row, row)) for row in rows)
-    s = isqrt((f << 2 * _RHO_BITS) // n) + 1
-    return (((1 << _RHO_BITS) + s) ** n).bit_length() - _RHO_BITS * n + 2
+    s = isqrt((f << 16) // n) + 1
+    return ((256 + s) ** n).bit_length() - 8 * n + 2
 
 
 def _kronecker_det(rows, b: int) -> list[int]:

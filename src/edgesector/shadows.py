@@ -89,17 +89,17 @@ def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     return ShadowSet(kmax, polys[0], tuple(polys[1:]))
 
 
-def _deflated_charpoly(x: Matrix, deg: list[int]) -> Poly:
-    """charpoly of the n x n x, every row of which sums to 0, as x times the
-    charpoly of an (n-1) x (n-1) matrix.
+def _deflated_charpoly(mat: Matrix, deg: list[int]) -> Poly:
+    """charpoly of the n x n matrix X, every row of which sums to 0, as x
+    times the charpoly of an (n-1) x (n-1) matrix.
 
-    With x 1 = 0 and U = I + (1 - e_r) e_r^T, whose column r is 1, column r
-    of U^-1 x U is x 1 = 0, so charpoly(x) = x charpoly(Y) for Y the rest of
-    U^-1 x U: Y_ij = x_ij - x_rj for i, j != r, row r subtracted from every
+    With X 1 = 0 and U = I + (1 - e_r) e_r^T, whose column r is 1, column r
+    of U^-1 X U is X 1 = 0, so charpoly(X) = x charpoly(Y) for Y the rest of
+    U^-1 X U: Y_ij = X_ij - X_rj for i, j != r, row r subtracted from every
     row.  r is a vertex of least degree, whose sparse row keeps Y sparse.  A
     nonzero row sum raises ArithmeticError.
     """
-    rows = x.rows
+    rows = mat.rows
     if any(map(sum, rows)):
         raise ArithmeticError("a row of the matrix to deflate does not sum to 0")
     n = len(rows)

@@ -286,8 +286,8 @@ def _deflated(x: Matrix) -> Matrix:
 
 
 def _fingerprint_matrices(g) -> list[Matrix]:
-    """Every matrix fingerprint takes a charpoly of, or its deflation: A, Q,
-    Delta and Q (Q - 2I)^k Delta for k = 0, 1, 2."""
+    """A, Q, Delta and Q (Q - 2I)^k Delta for k = 0, 1, 2, and the
+    deflations of the last four, which fingerprint takes charpolys of."""
     deg = g.degrees()
     q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
     q_minus_2 = g.vertex_operator([d - 2 for d in deg])
