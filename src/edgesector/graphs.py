@@ -132,9 +132,6 @@ class Graph:
             out.append(t)
         return out
 
-    def triangle_total(self) -> int:
-        return sum(self.triangle_counts()) // 3
-
 
 # ---------------------------------------------------------------------------
 # graph6 codec (undirected flavor only; sparse6 / digraph6 are rejected)

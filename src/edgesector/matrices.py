@@ -6,9 +6,17 @@ only, checked once where outside rows enter, and all arithmetic is integer:
 the characteristic polynomial of a small matrix is read from the digits of
 one determinant at a power of two, and that of any other comes from
 Berkowitz's division-free algorithm, whose mat-vecs sum at column indices
-for a light nonnegative matrix and dot row prefixes for any other.  That
-determinant, rank and det share one fraction-free (Bareiss) elimination.  A
+for a light nonnegative matrix and dot row prefixes for any other.  rank
+and det share one fraction-free (Bareiss) elimination with row swaps.  A
 product walks the nonzeros of its left operand.
+
+Most of the package's matrices are symmetric: L, S, A, Q, T + T^T and the
+shadows M M^T, M^T M and M^T L^k M.  For those the Kronecker determinant
+(_symmetric_det) and Berkowitz do about half their work.  Each kernel tests
+symmetry itself with _symmetric, one exact comparison, so no caller passes
+it and a wrong assumption cannot reach a result.  T, the deflated Delta and
+the deflated shadow products Q (Q - 2I)^k Delta are not symmetric and take
+the general loops.
 """
 
 from __future__ import annotations
@@ -79,10 +87,7 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        r = self._rows
-        return all(r[i][j] == r[j][i] for i in range(self.nrows) for j in range(i))
+        return self.is_square() and _symmetric(self._rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -198,21 +203,13 @@ class Matrix:
         never exceeds the row-sum bound (1 + R)^n.  The route runs when
         n * b is at most _KRONECKER_BITS; every other matrix takes Berkowitz
         (_berkowitz_charpoly), whose mat-vecs sum at column indices for a
-        light nonnegative matrix and dot row prefixes for any other.
-
-        The limit, 1000 bits, is fitted on the matrices fingerprint takes a
-        charpoly of (A, Q, and Delta and the shadow products
-        Q (Q - 2I)^k Delta deflated to n - 1 rows) of two seeded
-        populations of random graphs on 8 to 26 vertices with m = 1.9 n
-        and 2.5 n (Python 3.11, 2 CPUs).  Summed over the 424 of them
-        between 560 and 1800 bits, the time of the route each limit picks
-        varied by under 1% for limits from 860 to 1100 bits, lowest near
-        1020, and grew by 5% at 1300.  The sparse A, whose Berkowitz loop
-        multiplies nothing, crosses first, near 650 bits; Q near 1050; the
-        dotted kinds between 1100 and 1400.  At n = 20, m = 38, A takes
+        light nonnegative matrix and dot row prefixes for any other.  Both
+        routes do about half their work on a symmetric matrix (A, Q, L, S,
+        T + T^T, M M^T, M^T L^k M); T, the deflated Delta and the deflated
+        shadow products take the general loops.  At n = 20, m = 38, A takes
         680 bits, Q 1040 and deflated Delta 970-990, so A and Delta take
         the Kronecker route and Q and the shadow products (1500 and more)
-        Berkowitz.
+        Berkowitz.  _KRONECKER_BITS records how the limit was fitted.
         """
         if not self.is_square():
             raise DimensionError("characteristic polynomial of a non-square matrix")
@@ -227,7 +224,28 @@ class Matrix:
 
 
 # The largest n * b, in bits, at which charpoly takes the Kronecker route.
+#
+# Fitted on the symmetric kernels over the charpolys of fingerprint (A, Q,
+# and Delta and the shadow products Q (Q - 2I)^k Delta deflated to n - 1
+# rows) of seeded random graphs on 8 to 26 vertices with m = 1.9 n and 2.5 n,
+# and of verify_all over the corpus entries of at most 18 edges: 404
+# matrices between 300 and 2600 bits, each route timed best of 7 or 9
+# (Python 3.11, 2 CPUs).  In three runs the summed time of the route each
+# limit picks was lowest between 1020 and 1180 bits, within 0.4% of the
+# time at 1000 and flat within 0.6% from 1000 to 1300, below the spread
+# between runs; it grew by 4% at 600 and at 1600.  So the limit stays at
+# 1000.  By kind, the median Kronecker/Berkowitz time ratio reaches 1 near
+# 780 bits for symmetric listed matrices (a sparse A or Q; 620 on the
+# general kernels, measured on the same matrices), near 1150 for symmetric
+# dotted ones (S, M M^T, M^T L^k M, a dense Q) and near 1250 for
+# non-symmetric dotted ones (deflated Delta and X_k).
 _KRONECKER_BITS = 1000
+
+
+def _symmetric(rows) -> bool:
+    """Whether the square rows equal their transpose: one C-level comparison
+    that stops at the first row that differs."""
+    return rows == list(map(list, zip(*rows)))
 
 
 def _coefficient_bits(rows) -> int:
@@ -259,13 +277,18 @@ def _kronecker_det(rows, b: int) -> list[int]:
     x0 = 2^b: the coefficients of p when each has |c_k| < x0 / 4 (Kronecker
     substitution).
 
-    rows is eliminated in place by _eliminate, whose last pivot is the
-    determinant; a strictly diagonally dominant matrix has every leading
-    minor nonzero, so no row is swapped.  That is O(n^3) operations on
-    integers no longer than the determinant.  A wrong bound b wraps the
-    digits unseen, so each caller checks the digits it knows in advance.
+    rows is eliminated in place, and the last pivot is the determinant: by
+    _symmetric_det when rows is symmetric (x0 I - M for a symmetric M, and
+    the Bass matrix of zeta._ihara_kronecker), by _eliminate otherwise.  A
+    strictly diagonally dominant matrix has every leading minor nonzero, so
+    no row is swapped.  That is O(n^3) operations on integers no longer
+    than the determinant.  A wrong bound b wraps the digits unseen, so each
+    caller checks the digits it knows in advance.
     """
-    value = _eliminate(rows, len(rows))[1]
+    if _symmetric(rows):
+        value = _symmetric_det(rows)
+    else:
+        value = _eliminate(rows, len(rows))[1]
     x0 = 1 << b
     mask, half = x0 - 1, x0 >> 1
     digits = []
@@ -315,9 +338,16 @@ def _berkowitz_charpoly(rows) -> Poly:
     no product at all; its lists never hold more than half the cells.  Any
     other matrix (Delta, S, the shadow products) dots the row prefixes of
     A_r with map(mul), O(n^4) in all.
+
+    A symmetric matrix (_symmetric: L, S, A, Q, T + T^T, M M^T, M^T L^k M)
+    has R = C^T and a symmetric A_r, so with w_j = A_r^j C the entries are
+    R A_r^2j C = w_j . w_j and R A_r^(2j+1) C = w_j . w_(j+1): floor(r / 2)
+    mat-vecs per block where any other matrix (T, the deflated Delta, the
+    shadow products X_k) takes r - 1.
     """
     entries = list(chain.from_iterable(rows))
     listed = min(entries, default=0) >= 0 and 2 * sum(entries) <= len(rows) ** 2
+    symmetric = _symmetric(rows)
     block: list[list[int]] = []  # listed: the rows of A_r as column indices
     coeffs = [1]  # charpoly of A_r, descending degree
     for r, row in enumerate(rows):
@@ -329,16 +359,24 @@ def _berkowitz_charpoly(rows) -> Poly:
         # an index list may be [0], so it is tested for length
         if across if listed else any(across):
             v = [rows[i][r] for i in range(r)]
-            if listed:
-                for k in range(r):
-                    if k:
-                        v = [sum(map(v.__getitem__, idx)) for idx in block]
-                    t.append(-sum(map(v.__getitem__, across)))
-            else:
+            if not listed:
                 prefixes = [rows[i][:r] for i in range(r)]
-                for k in range(r):
-                    if k:
+            for k in range(r):
+                if symmetric and not k & 1:
+                    # k = 2j and v = w_j
+                    t.append(-sum(map(mul, v, v)))
+                    continue
+                w = v
+                if k:
+                    if listed:
+                        v = [sum(map(v.__getitem__, idx)) for idx in block]
+                    else:
                         v = [sum(map(mul, p, v)) for p in prefixes]
+                if symmetric:
+                    t.append(-sum(map(mul, w, v)))
+                elif listed:
+                    t.append(-sum(map(v.__getitem__, across)))
+                else:
                     t.append(-sum(map(mul, across, v)))
         t += [0] * (r + 2 - len(t))
         coeffs = [sum(map(mul, t[k::-1], coeffs)) for k in range(r + 2)]
@@ -383,3 +421,31 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int]:
         prev = p
         rank += 1
     return rank, sign * prev
+
+
+def _symmetric_det(m: list[list[int]]) -> int:
+    """Determinant of the symmetric int rows m by Bareiss's elimination
+    without row swaps, in place, on and above the diagonal only.
+
+    After k pivots entry (i, j) is the (k+1)-minor of rows 0..k-1, i and
+    columns 0..k-1, j, which is symmetric in (i, j).  So only j >= i is
+    updated, and row i's multiplier, entry (i, col), is read as entry
+    (col, i) of the pivot row: about n^3 / 6 updates where _eliminate makes
+    n^3 / 3.  Entries below the diagonal are left stale.  A zero pivot
+    raises ArithmeticError; on the strictly diagonally dominant matrices
+    _kronecker_det takes, every leading minor is nonzero.
+    """
+    n = len(m)
+    prev = 1
+    for col in range(n):
+        prow = m[col]
+        p = prow[col]
+        if not p:
+            raise ArithmeticError(f"zero pivot at column {col} of a symmetric elimination")
+        for i in range(col + 1, n):
+            mi = m[i]
+            f = prow[i]
+            for j in range(i, n):
+                mi[j] = (p * mi[j] - f * prow[j]) // prev
+        prev = p
+    return prev

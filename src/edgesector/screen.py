@@ -341,7 +341,8 @@ def read_fingerprints_jsonl(stream) -> list[Fingerprint]:
     """Read a JSONL fingerprint store; a bad record raises ValueError naming
     its line number in the store.  A coefficient with a zero denominator,
     such as "1/0", is a bad record too: Fraction raises ZeroDivisionError on
-    it."""
+    it.  So is a line nested too deeply for the JSON decoder, which raises
+    RecursionError."""
     out = []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -349,7 +350,7 @@ def read_fingerprints_jsonl(stream) -> list[Fingerprint]:
             continue
         try:
             out.append(Fingerprint.from_json_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
             raise ValueError(
                 f"fingerprint store line {lineno}: {type(exc).__name__}: {exc}"
             ) from exc

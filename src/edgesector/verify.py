@@ -24,7 +24,7 @@ from .edge_space import (
 )
 from .graphs import Graph, is_connected, is_regular
 from .matrices import Matrix
-from .shadows import regular_collapse_check, shadow_set
+from .shadows import _power_shadows, regular_collapse_check, shadow_set
 from .zeta import (
     bass_det,
     factorize,
@@ -115,11 +115,12 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
 
     def gauge_check():
         for _ in range(gauges):
-            other = regauge(es, random_gauge(rng, g.m))
-            m2 = sector_blocks(other).M
-            if m2 * m2.transpose() != base_mmt:
+            other = sector_blocks(regauge(es, random_gauge(rng, g.m)))
+            if other.M * other.M.transpose() != base_mmt:
                 return False, "MM^t moved under a gauge flip"
-            if shadow_set(other) != base_shadows:
+            # M2 M2^t is MM^t itself, so its charpoly is base_shadows.mmt and
+            # only the M2^t L^k M2 charpolys are taken again
+            if _power_shadows(other, base_shadows.kmax) != base_shadows.mtlkm:
                 return False, "shadow charpolys moved under a gauge flip"
         return True, f"{gauges} random gauges"
 

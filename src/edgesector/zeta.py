@@ -225,12 +225,16 @@ def schur_series_check(g: Graph, order: int) -> bool:
              = I + u S + sum_{j>=0} u^(j+2) M^T L^j M,
 
     a power series whose coefficients C_0 = I, C_1 = S and
-    C_(j+2) = M^T L^j M are integer matrices.  Its determinant is taken by
-    Gaussian elimination in the series ring, each entry a plain list of
-    integer coefficients (every pivot is 1 + O(u), so no pivoting is needed
-    and every entry, pivot inverses included, stays an integer series).
-    Rescaling u = w/2 gives det E in w, which is compared with the
-    correction series from the determinant quotient.
+    C_(j+2) = M^T L^j M are symmetric integer matrices.  Its determinant is
+    taken by Gaussian elimination in the series ring, each entry a plain
+    list of integer coefficients (every pivot is 1 + O(u), so no pivoting is
+    needed and every entry, pivot inverses included, stays an integer
+    series).  Every trailing block of a symmetric matrix stays symmetric, so
+    only the entries on and above the diagonal are kept and updated, entry
+    (i, col) read as (col, i): about half the series products of a full
+    elimination.  A coefficient matrix that is not symmetric raises
+    ArithmeticError.  Rescaling u = w/2 gives det E in w, which is compared
+    with the correction series from the determinant quotient.
     """
     if order < 1:
         raise ValueError("series order must be at least 1")
@@ -242,7 +246,11 @@ def schur_series_check(g: Graph, order: int) -> bool:
     for _ in range(order - 1):
         coeffs.append(mt * lm)
         lm = blocks.L * lm
-    mat = [[[c[i][k] for c in coeffs] for k in range(m)] for i in range(m)]
+    for j, c in enumerate(coeffs):
+        if not c.is_symmetric():
+            raise ArithmeticError(f"Schur coefficient matrix C_{j} is not symmetric")
+    # row i holds entries k >= i only; None stands below the diagonal
+    mat = [[None] * i + [[c[i][k] for c in coeffs] for k in range(i, m)] for i in range(m)]
 
     # determinant by elimination; the matrix is I + O(u) throughout, and only
     # the entries right of the pivot column still feed a later pivot
@@ -255,11 +263,11 @@ def schur_series_check(g: Graph, order: int) -> bool:
         det = truncated_product(det, pivot, order)
         inv = PowerSeries(order, pivot).inverse().coeffs
         for i in range(col + 1, m):
-            row = mat[i]
-            if not any(row[col]):
+            if not any(prow[i]):
                 continue
-            factor = truncated_product(row[col], inv, order)
-            for k in range(col + 1, m):
+            row = mat[i]
+            factor = truncated_product(prow[i], inv, order)
+            for k in range(i, m):
                 if any(prow[k]):
                     row[k] = [
                         x - y

@@ -14,7 +14,9 @@ from edgesector.matrices import (
     Matrix,
     _berkowitz_charpoly,
     _coefficient_bits,
+    _eliminate,
     _kronecker_charpoly,
+    _symmetric_det,
 )
 from edgesector.polynomials import Poly, series_of, ratfunc_reduce, PowerSeries
 
@@ -322,6 +324,104 @@ def test_charpoly_routes_agree_on_census_and_corpus_matrices():
         _assert_digits_fit(m, p)
         assert _kronecker_charpoly(m.rows, _coefficient_bits(m.rows)) == p
         assert m.charpoly() == p
+
+
+def _symmetric_matrices() -> list[Matrix]:
+    """Seeded random symmetric matrices, n = 0..14, of three kinds each:
+    0/1 (the listed loop), signed small entries and entries up to 10^6 in
+    absolute value (the dotted loop)."""
+    rng = random.Random(41)
+    entry = {
+        "listed": lambda: int(rng.random() < 0.3),
+        "signed": lambda: rng.randint(-3, 3),
+        "large": lambda: rng.randint(-(10**6), 10**6),
+    }
+    mats = []
+    for n in range(15):
+        for kind in ("listed", "signed", "large"):
+            raw = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    raw[i][j] = raw[j][i] = entry[kind]()
+            mats.append(Matrix(raw))
+    return mats
+
+
+def _spy_symmetric_det(monkeypatch) -> list[int]:
+    """Replace matrices._symmetric_det by a spy; the list it returns grows
+    by the order of each matrix the spy eliminates."""
+    calls = []
+
+    def spy(m):
+        calls.append(len(m))
+        return _symmetric_det(m)
+
+    monkeypatch.setattr(matrices, "_symmetric_det", spy)
+    return calls
+
+
+def test_symmetric_charpoly_both_routes_vs_faddeev_leverrier(monkeypatch):
+    mats = _symmetric_matrices()
+    assert {_listed(m) for m in mats if m.nrows > 1} == {False, True}
+    calls = _spy_symmetric_det(monkeypatch)
+    for m in mats:
+        assert m.is_symmetric()
+        p = faddeev_leverrier(m)
+        assert _berkowitz_charpoly(m.rows) == p, m
+        calls.clear()
+        assert _kronecker_charpoly(m.rows, _coefficient_bits(m.rows)) == p, m
+        assert calls == [m.nrows]
+        assert m.charpoly() == p
+
+
+def test_nearly_symmetric_charpoly_takes_the_general_path(monkeypatch):
+    # one entry off the diagonal changed: no longer symmetric, and both
+    # routes still agree with the oracle through the general kernels
+    rng = random.Random(42)
+    calls = _spy_symmetric_det(monkeypatch)
+    for m in _symmetric_matrices():
+        n = m.nrows
+        if n < 2:
+            continue
+        raw = [list(row) for row in m.rows]
+        i, j = rng.sample(range(n), 2)
+        raw[i][j] += rng.choice((1, 2, -1))
+        near = Matrix(raw)
+        assert not near.is_symmetric()
+        p = faddeev_leverrier(near)
+        assert _berkowitz_charpoly(near.rows) == p, near
+        assert _kronecker_charpoly(near.rows, _coefficient_bits(near.rows)) == p, near
+        assert near.charpoly() == p
+    assert calls == []
+
+
+def test_symmetric_det_equals_eliminate_on_dominant_inputs():
+    rng = random.Random(43)
+    inputs = []
+    for m in _symmetric_matrices():  # x0 I - M, as the Kronecker route builds it
+        x0 = 1 << _coefficient_bits(m.rows)
+        rows = [[-a for a in row] for row in m.rows]
+        for i, row in enumerate(rows):
+            row[i] += x0
+        inputs.append(rows)
+    for n in range(1, 15):  # strictly dominant, either sign on the diagonal
+        raw = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                raw[i][j] = raw[j][i] = rng.randint(-9, 9)
+        for i in range(n):
+            raw[i][i] = rng.choice((1, -1)) * (sum(map(abs, raw[i])) + rng.randint(1, 5))
+        inputs.append(raw)
+    for rows in inputs:
+        n = len(rows)
+        rank, det = _eliminate([list(r) for r in rows], n)
+        assert rank == n
+        assert _symmetric_det([list(r) for r in rows]) == det
+    assert _symmetric_det([]) == 1
+    # no row swap: a zero pivot raises, where _eliminate swaps rows
+    with pytest.raises(ArithmeticError):
+        _symmetric_det([[0, 1], [1, 0]])
+    assert Matrix([[0, 1], [1, 0]]).det() == -1
 
 
 def _adversarial_matrices() -> list[Matrix]:

@@ -314,7 +314,7 @@ def test_screen_isomorphic_relabelings_agree():
     lines = [(1, encode_graph6(k4)), (2, encode_graph6(relabeled))]
     out = run_screen(lines, ScreenConfig(keys=("A", "L", "S")))
     assert len(out.classes) == 1
-    assert out.classes[0].pairs[0].all_agree()
+    assert all(out.classes[0].pairs[0].agree.values())
 
 
 def test_screen_grouping_by_hashimoto_key():
@@ -963,6 +963,13 @@ def test_store_coefficient_with_a_zero_denominator_names_its_line(field, corrupt
     with pytest.raises(
         ValueError, match=r"^fingerprint store line 2: ZeroDivisionError: Fraction\(1, 0\)$"
     ):
+        read_fingerprints_jsonl(store)
+
+
+def test_store_line_nested_too_deeply_names_its_line():
+    first, _ = _store_lines("C6", "K4")
+    store = io.StringIO(first + "[" * 100000 + "\n")
+    with pytest.raises(ValueError, match=r"^fingerprint store line 2: RecursionError: "):
         read_fingerprints_jsonl(store)
 
 

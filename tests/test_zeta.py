@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -198,17 +199,28 @@ def test_ihara_det_checks_its_digits(monkeypatch):
     # too few bits: the digits wrap into each other
     with pytest.raises(ArithmeticError):
         zeta._ihara_kronecker(core, 3)
-    eliminate = matrices._eliminate
+    # the Bass matrix is symmetric, so its determinant is _symmetric_det's
+    symmetric_det = matrices._symmetric_det
     # an error in the lowest digit, and one in the digit at w^2n alone
     for error in (1, 1 << (2 * g.n * b)):
 
-        def wrong(m, ncols, _error=error):
-            rank, det = eliminate(m, ncols)
-            return rank, det + _error
+        def wrong(m, _error=error):
+            return symmetric_det(m) + _error
 
-        monkeypatch.setattr(matrices, "_eliminate", wrong)
+        monkeypatch.setattr(matrices, "_symmetric_det", wrong)
         with pytest.raises(ArithmeticError):
             ihara_det(g)
+
+
+def test_schur_series_check_refuses_a_non_symmetric_coefficient(monkeypatch):
+    g = corpus_graph("K4")
+    blocks = sector_blocks(edge_space(g))
+    rows = [list(row) for row in blocks.S.rows]
+    rows[0][1] += 1
+    bad = dataclasses.replace(blocks, S=Matrix(rows))
+    monkeypatch.setattr(zeta, "sector_blocks", lambda es: bad)
+    with pytest.raises(ArithmeticError, match="C_1 is not symmetric"):
+        schur_series_check(g, 4)
 
 
 @pytest.mark.slow
