@@ -1,5 +1,5 @@
 """Golden digests of the byte output of fingerprint, screen, verify, zeta,
-bounds and shadows.
+bounds, shadows and examples.
 
 Each digest is the SHA-256 of newline-joined output lines.  A refactor must
 leave every digest unchanged; a digest may change only with a fingerprint
@@ -48,6 +48,14 @@ GENERATED9_DIGEST = "4d6fefa6b9b385907eb20f435ce0a662a2b930e501c62dd4aa60fbde6b9
 VERIFY_CORPUS_DIGEST = "7023f2e3eb96149a917ba7fccbb48ea2025f1e96675dc69068acc0e9abc943bd"
 # `zeta NAME --json` for each corpus name, in corpus order
 ZETA_CORPUS_DIGEST = "d3cf41249931d287900d55f9aef3e300499b109d83db1e55a5494b8f4c12d9ac"
+# The stdout bytes of `zeta NAME` for each corpus name, in corpus order: the
+# only output that prints trivial_roots.  CI checks it under python -O
+ZETA_CORPUS_TEXT_DIGEST = "bc2b1ca05da3958667c39ed165d84cc219fd254851df4b4fae8c2f776352b5b3"
+# the stdout bytes of `verify <every corpus name>`, the text table
+VERIFY_CORPUS_TEXT_DIGEST = "f8585a40bad09198b99f718bd4b1effdad2e1e114e6cd6799b15b46d9f60e9ac"
+# the stdout bytes of `examples` and of `examples --json`
+EXAMPLES_TEXT_DIGEST = "00556b070dbb33241d1c7b1abfdd3295d0e0f916a8d5d4c6b2dd5957859b0743"
+EXAMPLES_JSON_DIGEST = "9b5401b013476cffcc2da474ac64c47f600337724babd754c19095c844581059"
 # `bounds NAME --json` and `bounds NAME` for each corpus name, in corpus order
 BOUNDS_CORPUS_JSON_DIGEST = "4b047728f9cc561be8b4fa99d0d64cee49cc50123f01d447fcc005114d193d3d"
 BOUNDS_CORPUS_TEXT_DIGEST = "e20e88023a5005109bea75a997503c24f37202e8f956f4790e016b7284b002fe"
@@ -177,6 +185,28 @@ def test_zeta_corpus_json(capsys):
         assert main(["zeta", name, "--json"]) == EXIT_OK
         lines += capsys.readouterr().out.splitlines()
     assert _digest(lines) == ZETA_CORPUS_DIGEST
+
+
+def test_verify_corpus_text(capsys):
+    code = main(["verify", *corpus_names()])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CORPUS_TEXT_DIGEST
+
+
+def test_zeta_corpus_text(capsys):
+    out = ""
+    for name in corpus_names():
+        assert main(["zeta", name]) == EXIT_OK
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ZETA_CORPUS_TEXT_DIGEST
+
+
+@pytest.mark.parametrize("flags,expect", [([], EXAMPLES_TEXT_DIGEST), (["--json"], EXAMPLES_JSON_DIGEST)])
+def test_examples(capsys, flags, expect):
+    assert main(["examples", *flags]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expect
 
 
 @pytest.mark.parametrize(
