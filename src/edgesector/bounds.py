@@ -19,7 +19,6 @@ from math import sqrt
 from .edge_space import build_hashimoto, edge_space, sector_blocks
 from .graphs import Graph
 from .matrices import Matrix
-from .polynomials import Poly
 from .zeta import hashimoto_det
 
 # Jacobi sweeps stop below this off-diagonal Frobenius norm
@@ -191,12 +190,11 @@ def hashimoto_spectrum(g: Graph) -> SpectrumEstimate:
     """
     det = hashimoto_det(g)
     two_m = 2 * g.m
-    # det(I - wT) is the reversal of charpoly(T); recover charpoly coefficients
-    charpoly_coeffs = [det[two_m - k] for k in range(two_m + 1)]
+    # det(I - wT) is the reversal of charpoly(T), which is monic of degree 2m
+    p = det.reversal(two_m)
 
     distinct: list[tuple[complex, int]] = []
     if two_m:
-        p = Poly(charpoly_coeffs)
         for factor, mult in p.square_free_decomposition():
             coeffs = list(factor.coeffs)
             if coeffs[0] == 0:
@@ -211,7 +209,7 @@ def hashimoto_spectrum(g: Graph) -> SpectrumEstimate:
     eigenvalues: list[complex] = []
     for z, mult in distinct:
         eigenvalues.extend([z] * mult)
-    charpoly_floats = [float(c) for c in charpoly_coeffs]
+    charpoly_floats = [float(c) for c in p.coeffs]
     residuals = tuple(_residual(charpoly_floats, z) for z in eigenvalues)
     clusters = tuple(
         sorted(distinct, key=lambda zm: (zm[0].real, zm[0].imag))

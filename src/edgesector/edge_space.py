@@ -166,33 +166,18 @@ class SectorCheck:
 
 
 def verify_sector_identity(es: OrientedEdgeSpace) -> SectorCheck:
-    """Exact check of U^T T U = [[L, -M], [M^T, -S]].
-
-    U^T T U is assembled directly from the four directed-edge entries behind
-    each block position, so the check is O(m^2) integer comparisons.  On
-    mismatch the first offending (row, col, lhs, rhs) is reported.
+    """Exact check of U^T T U = [[L, -M], [M^T, -S]]: the left side is the
+    matrix product of U = build_pm_basis and T = build_hashimoto, the right
+    side the block_matrix of sector_blocks.  On mismatch the first offending
+    (row, col, lhs, rhs) in row-major order is reported.
     """
-    m = es.m
-    t = build_hashimoto(es).rows
-    blocks = sector_blocks(es)
-    expect = blocks.block_matrix()
-    for i in range(m):
-        ri0, ri1 = t[2 * i], t[2 * i + 1]
-        for j in range(m):
-            a = ri0[2 * j]
-            b = ri0[2 * j + 1]
-            c = ri1[2 * j]
-            d = ri1[2 * j + 1]
-            got = (
-                (i, j, a + b + c + d),          # (+,+) -> L
-                (i, m + j, a - b + c - d),      # (+,-) -> -M
-                (m + i, j, a + b - c - d),      # (-,+) -> M^T
-                (m + i, m + j, a - b - c + d),  # (-,-) -> -S
-            )
-            for row, col, lhs in got:
-                rhs = expect[row][col]
-                if lhs != rhs:
-                    return SectorCheck(False, (row, col, lhs, rhs))
+    u = build_pm_basis(es)
+    lhs = (u.transpose() * build_hashimoto(es) * u).rows
+    rhs = sector_blocks(es).block_matrix().rows
+    for row, (got, expect) in enumerate(zip(lhs, rhs)):
+        if got != expect:
+            col = next(j for j, (a, b) in enumerate(zip(got, expect)) if a != b)
+            return SectorCheck(False, (row, col, got[col], expect[col]))
     return SectorCheck(True)
 
 

@@ -4,7 +4,8 @@ Every operator here (T, L, S, A, the incidence products, M) is an integer
 matrix; the 1/2 of (1/2) L lives in the polynomials.  So entries are ints
 only, checked once where outside rows enter, and all arithmetic is integer:
 the characteristic polynomial of a small matrix is read from the digits of
-one determinant at a power of two, and that of any other comes from
+one determinant at a power of two by _kronecker_poly, the one digit reader,
+which zeta.ihara_det uses too, and that of any other comes from
 Berkowitz's division-free algorithm, whose mat-vecs sum at column indices
 for a light nonnegative matrix and dot row prefixes for any other.  rank
 and det share one fraction-free (Bareiss) elimination with row swaps.  A
@@ -197,7 +198,8 @@ class Matrix:
         Two algorithms, both with integer ring operations only.  A small
         matrix takes the Kronecker route (_kronecker_charpoly): one
         determinant of x0 I - M at x0 = 2^b, whose balanced base-2^b digits
-        are the coefficients.  b comes from the Frobenius norm F =
+        are the coefficients, read and checked by _kronecker_poly, the
+        reader zeta.ihara_det shares.  b comes from the Frobenius norm F =
         ||M||_F^2 (_coefficient_bits): by Schur's inequality every
         |c_k| <= C(n, k) rho^k <= (1 + rho)^n with rho^2 = F / n, which
         never exceeds the row-sum bound (1 + R)^n.  The route runs when
@@ -271,19 +273,21 @@ def _coefficient_bits(rows) -> int:
     return ((256 + s) ** n).bit_length() - 8 * n + 2
 
 
-def _kronecker_det(rows, b: int) -> list[int]:
-    """The balanced base-2^b digits, lowest first, of the determinant of the
-    square int matrix rows, which is a polynomial p already evaluated at
-    x0 = 2^b: the coefficients of p when each has |c_k| < x0 / 4 (Kronecker
-    substitution).
+def _kronecker_poly(rows, b: int, degree: int, top: int, low: int | None = None) -> Poly:
+    """The polynomial p of the given degree whose value at x0 = 2^b is the
+    determinant of the square int matrix rows: the balanced base-2^b digits
+    of that determinant, lowest first, when each |c_k| < x0 / 4 (Kronecker
+    substitution).  The one digit reader of charpoly and zeta.ihara_det.
 
     rows is eliminated in place, and the last pivot is the determinant: by
     _symmetric_det when rows is symmetric (x0 I - M for a symmetric M, and
     the Bass matrix of zeta._ihara_kronecker), by _eliminate otherwise.  A
     strictly diagonally dominant matrix has every leading minor nonzero, so
     no row is swapped.  That is O(n^3) operations on integers no longer
-    than the determinant.  A wrong bound b wraps the digits unseen, so each
-    caller checks the digits it knows in advance.
+    than the determinant.  A wrong bound b wraps the digits unseen, so the
+    digits known in advance are checked: degree + 1 of them, the top one
+    and, when low is given, the constant one.  Anything else raises
+    ArithmeticError.
     """
     if _symmetric(rows):
         value = _symmetric_det(rows)
@@ -298,30 +302,28 @@ def _kronecker_det(rows, b: int) -> list[int]:
             digit -= x0
         digits.append(digit)
         value = (value - digit) >> b
-    return digits
+    if len(digits) != degree + 1 or digits[-1] != top or low is not None and digits[0] != low:
+        raise ArithmeticError(
+            f"Kronecker digits {digits} are not those of a degree-{degree} polynomial"
+            f" with top coefficient {top}" + ("" if low is None else f" and constant term {low}")
+        )
+    return Poly(digits)
 
 
 def _kronecker_charpoly(rows, b: int) -> Poly:
     """charpoly of the square int matrix rows from one determinant: the
-    digits of det(x0 I - M) at x0 = 2^b (_kronecker_det).
+    digits of det(x0 I - M) at x0 = 2^b (_kronecker_poly), monic of degree n.
 
     With b = _coefficient_bits(rows) each |c_k| < x0 / 4, and x0 > 4R, R the
     largest absolute row sum, makes x0 I - M strictly diagonally dominant.
     Where Berkowitz is O(n^4) behind about n^3 / 3 Python-level calls, this
-    is one O(n^3) elimination.  The digits must be those of a monic
-    polynomial of degree n; anything else raises ArithmeticError.
+    is one O(n^3) elimination.
     """
-    n = len(rows)
     x0 = 1 << b
     m = [[-a for a in row] for row in rows]
     for i, row in enumerate(m):
         row[i] += x0
-    coeffs = _kronecker_det(m, b)
-    if len(coeffs) != n + 1 or coeffs[n] != 1:
-        raise ArithmeticError(
-            f"Kronecker charpoly digits {coeffs} are not those of a monic polynomial of degree {n}"
-        )
-    return Poly(coeffs)
+    return _kronecker_poly(m, b, len(rows), 1)
 
 
 def _berkowitz_charpoly(rows) -> Poly:
@@ -397,7 +399,7 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int]:
     After k pivots every entry is a (k+1)-minor, so each division by the
     previous pivot is exact.  A row is searched for only when the diagonal
     candidate is zero, which it never is on the diagonally dominant matrices
-    _kronecker_det takes.  The inner loop is plain: on the 7 x 7 x0 I - A it
+    _kronecker_poly takes.  The inner loop is plain: on the 7 x 7 x0 I - A it
     took 37 us where row-slice comprehensions took 58 us (Python 3.11).
     """
     nr = len(m)
@@ -433,7 +435,7 @@ def _symmetric_det(m: list[list[int]]) -> int:
     (col, i) of the pivot row: about n^3 / 6 updates where _eliminate makes
     n^3 / 3.  Entries below the diagonal are left stale.  A zero pivot
     raises ArithmeticError; on the strictly diagonally dominant matrices
-    _kronecker_det takes, every leading minor is nonzero.
+    _kronecker_poly takes, every leading minor is nonzero.
     """
     n = len(m)
     prev = 1

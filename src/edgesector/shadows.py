@@ -120,10 +120,7 @@ def _strip_zero_roots(p: Poly) -> Poly:
     """Drop the maximal x^k factor, keeping the nonzero spectrum."""
     if p.is_zero():
         return p
-    v = 0
-    while p.coeffs[v] == 0:
-        v += 1
-    return Poly(p.coeffs[v:])
+    return p.times_x_power(-next(k for k, c in enumerate(p.coeffs) if c))
 
 
 def regular_collapse_check(g: Graph) -> bool:

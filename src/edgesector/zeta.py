@@ -26,7 +26,7 @@ from math import comb, isqrt, prod
 
 from .edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
 from .graphs import Graph, is_bipartite, is_connected
-from .matrices import Matrix, _kronecker_det
+from .matrices import Matrix, _kronecker_poly
 from .polynomials import (
     Poly,
     PowerSeries,
@@ -75,19 +75,20 @@ def _vertex_space_det(g: Graph) -> Poly:
 def _bass_prefactor(vertex: Poly, excess: int) -> Poly:
     """(1 - w^2)^excess * vertex, an integer polynomial, where excess is m - n.
 
-    For a nonnegative excess (1 - w^2)^excess is written from its binomial
-    coefficients and leads the product, whose outer loop skips its zero odd
-    coefficients; on the 2-cores of the irregular 8-vertex graphs of minimum
-    degree 2 that took 0.16-0.17 s where repeated squaring took 0.43-0.50 s.
-    For a negative excess the division must be exact (trees give the
-    constant 1).
+    (1 - w^2)^|excess| is written once from its binomial coefficients.  For
+    a nonnegative excess it leads the product, whose outer loop skips its
+    zero odd coefficients; on the 2-cores of the irregular 8-vertex graphs
+    of minimum degree 2 that took 0.16-0.17 s where repeated squaring took
+    0.43-0.50 s.  For a negative excess it divides vertex, exactly (trees
+    give the constant 1).
     """
+    e = abs(excess)
+    factor = [0] * (2 * e + 1)
+    factor[::2] = [(-1) ** j * comb(e, j) for j in range(e + 1)]
     if excess >= 0:
-        factor = [0] * (2 * excess + 1)
-        factor[::2] = [(-1) ** j * comb(excess, j) for j in range(excess + 1)]
         out = Poly(factor) * vertex
     else:
-        out = vertex.exact_div(Poly((1, 0, -1)) ** (-excess))
+        out = vertex.exact_div(Poly(factor))
     if not out.is_integer():
         raise ArithmeticError("Bass determinant is not an integer polynomial")
     return out
@@ -144,7 +145,8 @@ def _ihara_bits(core: list[list[int]]) -> int:
 
 def _ihara_kronecker(core: list[list[int]], b: int) -> Poly:
     """det(I - wA + w^2 (Deg - I)) of the 2-core from one n x n determinant
-    at w = 2^b, its coefficients the balanced base-2^b digits.
+    at w = 2^b, its coefficients the balanced base-2^b digits
+    (matrices._kronecker_poly).
 
     With b = _ihara_bits(core) no coefficient reaches 2^(b-2) in absolute
     value, so the digits stay apart.  With every d_v >= 2 the diagonal
@@ -162,13 +164,7 @@ def _ihara_kronecker(core: list[list[int]], b: int) -> Poly:
             row[j] = -x0
         row[i] = 1 + x0_squared * (len(nb) - 1)
         rows.append(row)
-    coeffs = _kronecker_det(rows, b)
-    top = prod(len(nb) - 1 for nb in core)
-    if len(coeffs) != 2 * len(core) + 1 or coeffs[0] != 1 or coeffs[-1] != top:
-        raise ArithmeticError(
-            f"Kronecker Ihara digits {coeffs} do not run from 1 to prod(d_v - 1) = {top}"
-        )
-    return Poly(coeffs)
+    return _kronecker_poly(rows, b, 2 * len(core), prod(len(nb) - 1 for nb in core), 1)
 
 
 def ihara_det(g: Graph) -> Poly:
@@ -354,16 +350,19 @@ class PairDivergence:
     det_first_diff_order: int | None
     correction_first_diff_order: int | None
     diff_values: tuple | None  # (coefficient of g, coefficient of h) at the det order
+    series_order: int  # the order through which the correction series were compared
 
     def consistent(self) -> bool:
         """For line-cospectral pairs the two divergence orders must agree
-        whenever both are observable at the compared order."""
+        whenever both are observable at the compared order: dets that first
+        differ past series_order leave the compared series equal."""
         if not self.line_cospectral:
             return True
         if self.det_first_diff_order is None:
             return self.correction_first_diff_order is None
+        if self.correction_first_diff_order is None:
+            return self.det_first_diff_order > self.series_order
         return self.det_first_diff_order == self.correction_first_diff_order
-
 
     @classmethod
     def between(cls, a, b) -> "PairDivergence":
@@ -380,6 +379,7 @@ class PairDivergence:
                 a.correction_series, b.correction_series
             ),
             diff_values=values,
+            series_order=min(a.correction_series.order, b.correction_series.order),
         )
 
 

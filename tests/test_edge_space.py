@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from edgesector.graphs import corpus, corpus_graph
 from edgesector.edge_space import (
     OrientedEdgeSpace,
+    SectorCheck,
     build_hashimoto,
     build_hl2,
     build_incidence,
@@ -18,7 +20,11 @@ from edgesector.edge_space import (
 )
 from edgesector.matrices import Matrix
 from edgesector.polynomials import Poly
+from edgesector.verify import CheckResult, verify_all
 from conftest import diagonal_matrix, random_connected_graph
+
+# the package exports the function edge_space under the module's name
+edge_space_module = importlib.import_module("edgesector.edge_space")
 
 
 def test_hashimoto_k2_zero():
@@ -130,7 +136,7 @@ def test_pm_basis_norm():
 
 
 def test_sector_identity_direct_vs_matrix_product():
-    # the O(m^2) check agrees with literally computing U^T T U
+    # the check agrees with literally computing U^T T U
     for name in ["K3", "C4", "exA_G1"]:
         es = edge_space(corpus_graph(name))
         u = build_pm_basis(es)
@@ -164,12 +170,31 @@ def test_cross_block_antisymmetry():
         assert upper_right == lower_left.transpose().scaled(-1)
 
 
-def test_sector_check_reports_witness():
-    # feed a deliberately broken "identity" by tampering with the orientation
-    # bookkeeping: a non-matching orientation must be rejected outright
+def test_sector_check_reports_witness(monkeypatch):
+    # a non-matching orientation is rejected outright
     g = corpus_graph("K3")
     with pytest.raises(ValueError):
         OrientedEdgeSpace(g, ((0, 1), (0, 2), (2, 3)))
+
+    # flip T[1][4], from dart 1 = (1, 0) to dart 4 = (1, 2): 0 becomes 1.
+    # Entry (i, j) of U^T T U moves by U[1][i] U[4][j], nonzero at i in
+    # {0, m} and j in {2, m + 2}, so the first row-major witness is (0, 2),
+    # where L holds 1 (edges 0 and 2 share vertex 1) and U^T T U now 2
+    es = edge_space(g)
+    build = edge_space_module.build_hashimoto
+
+    def flipped(space):
+        rows = [list(row) for row in build(space).rows]
+        rows[1][4] ^= 1
+        return Matrix(rows)
+
+    monkeypatch.setattr(edge_space_module, "build_hashimoto", flipped)
+    check = verify_sector_identity(es)
+    assert check == SectorCheck(False, (0, 2, 2, 1))
+    assert not check
+    # verify_all reports it as a failed check, as data, and passes the rest
+    results = verify_all(g)
+    assert [r for r in results if not r.ok] == [CheckResult("sector_identity", False, "(0, 2, 2, 1)")]
 
 
 def test_regauge_identity_gauge():

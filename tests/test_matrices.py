@@ -16,6 +16,7 @@ from edgesector.matrices import (
     _coefficient_bits,
     _eliminate,
     _kronecker_charpoly,
+    _kronecker_poly,
     _symmetric_det,
 )
 from edgesector.polynomials import Poly, series_of, ratfunc_reduce, PowerSeries
@@ -508,6 +509,21 @@ def test_kronecker_charpoly_checks_its_leading_digit():
     with pytest.raises(ArithmeticError):
         _kronecker_charpoly([[100]], 3)
     assert _kronecker_charpoly([[100]], _coefficient_bits([[100]])) == Poly((-100, 1))
+
+
+def test_kronecker_poly_checks_the_digits_it_is_given():
+    # det(x0 I - M) for M = [[2, 1], [1, 3]] at x0 = 2^8 carries the digits
+    # of x^2 - 5x + 5; a non-symmetric matrix takes the general elimination
+    def shifted(rows, b=8):
+        return [[(1 << b) * (i == j) - a for j, a in enumerate(row)] for i, row in enumerate(rows)]
+
+    for rows in ([[2, 1], [1, 3]], [[2, 5], [-1, 3]]):
+        p = Matrix(rows).charpoly()
+        assert _kronecker_poly(shifted(rows), 8, 2, 1) == p
+        assert _kronecker_poly(shifted(rows), 8, 2, 1, p[0]) == p
+        for degree, top, low in ((2, 2, None), (2, -1, p[0]), (2, 1, p[0] + 1), (1, 1, None), (3, 1, None)):
+            with pytest.raises(ArithmeticError, match="Kronecker digits"):
+                _kronecker_poly(shifted(rows), 8, degree, top, low)
 
 
 def test_mul_vs_naive_product():

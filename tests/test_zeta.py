@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from edgesector.matrices import Matrix
 from edgesector.polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
 from edgesector.census import _all_graphs_up_to_iso, builtin_generate
 from edgesector.zeta import (
+    PairDivergence,
     bass_det,
     factorize,
     hashimoto_det,
@@ -116,18 +118,18 @@ def test_ihara_det_takes_one_determinant_on_the_2_core(monkeypatch):
     forest = Graph.from_edges(9, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (6, 7)])
     expect = hashimoto_det(g)
     sizes, charpolys = [], []
-    kronecker_det = zeta._kronecker_det
+    kronecker_poly = zeta._kronecker_poly
     charpoly = Matrix.charpoly
 
-    def recording(rows, b):
+    def recording(rows, b, *digits):
         sizes.append(len(rows))
-        return kronecker_det(rows, b)
+        return kronecker_poly(rows, b, *digits)
 
     def recording_charpoly(self):
         charpolys.append(self.nrows)
         return charpoly(self)
 
-    monkeypatch.setattr(zeta, "_kronecker_det", recording)
+    monkeypatch.setattr(zeta, "_kronecker_poly", recording)
     monkeypatch.setattr(Matrix, "charpoly", recording_charpoly)
     assert ihara_det(tailed) == expect
     assert sizes == [n]
@@ -480,6 +482,43 @@ def test_resolution_compare_pairs():
     assert pd.line_cospectral
     assert pd.det_first_diff_order is None
     assert pd.correction_first_diff_order is None
+
+
+@pytest.mark.parametrize("order", [4, 5, 6, 12])
+def test_resolution_compare_at_every_order(order):
+    # the dets of paperG and paperH first differ at w^6: past a series order
+    # of 4 or 5 the truncated corrections agree, which is consistent too
+    pd = resolution_compare(corpus_graph("paperG"), corpus_graph("paperH"), order)
+    assert pd.line_cospectral and pd.det_first_diff_order == 6
+    assert pd.series_order == order
+    assert pd.correction_first_diff_order == (6 if order >= 6 else None)
+    assert pd.consistent()
+
+
+def test_pair_divergence_inconsistent_when_observable():
+    # records whose line factors agree and whose dets first differ at w^3,
+    # yet whose corrections agree through w^8: det = line * C forbids that
+    line = Poly((1, 0, -2))
+    series = PowerSeries(8, [1, 0, 2])
+    a = SimpleNamespace(hashimoto_det=Poly((1, 0, 0, -4)), line_factor=line, correction_series=series)
+    b = SimpleNamespace(hashimoto_det=Poly((1, 0, 0, -6)), line_factor=line, correction_series=series)
+    pd = PairDivergence.between(a, b)
+    assert (pd.det_first_diff_order, pd.correction_first_diff_order, pd.series_order) == (3, None, 8)
+    assert not pd.consistent()
+
+    def divergence(det_order, correction_order, series_order=12):
+        return PairDivergence(True, det_order, correction_order, (1, 2), series_order)
+
+    # the corrections differ first at another order than the dets
+    assert not divergence(6, 7).consistent()
+    # the dets differ within the compared order, but the corrections agree
+    assert not divergence(6, None).consistent()
+    assert not divergence(5, None, series_order=5).consistent()
+    # the dets agree, but the corrections differ
+    assert not divergence(None, 4).consistent()
+    assert divergence(6, None, series_order=5).consistent()
+    # pairs that are not line-cospectral are not constrained
+    assert PairDivergence(False, 6, 7, (1, 2), 12).consistent()
 
 
 def test_resolution_principle_random_line_cospectral_free():
