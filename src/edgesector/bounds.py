@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 
 from .edge_space import build_hashimoto, edge_space, sector_blocks
 from .graphs import Graph
@@ -277,8 +277,11 @@ def check_bounds(g: Graph, slack: float = DEFAULT_BOUND_SLACK) -> BoundReport:
     Re-interval: [-rho(S)/2, rho(L)/2].  Im-interval: |Im| <= sigma_max(M)/2
     with sigma_max(M) <= sqrt(rho(Laplacian) rho(signless Laplacian)).  Also
     the Perron comparison rho(T) <= d_max - 1.  Violations are reported by
-    name with their margin; an empty tuple means every bound held.
+    name with their margin; an empty tuple means every bound held.  A slack
+    that is negative or not finite raises ValueError.
     """
+    if not 0 <= slack < inf:
+        raise ValueError(f"bound slack must be finite and nonnegative, got {slack}")
     es = edge_space(g)
     blocks = sector_blocks(es)
     rho_l = spectral_radius(blocks.L)

@@ -180,7 +180,7 @@ def cmd_zeta(args) -> int:
     _print_poly("det(I - (w/2)L)  ", fact.line_factor)
     print(f"correction        : {fact.correction.pretty()}")
     print(f"correction series : {fact.correction_series.pretty()}")
-    if is_connected(g):
+    if g.n and is_connected(g):
         print(f"trivial roots     : {trivial_roots(g)}")
     return EXIT_OK
 

@@ -154,16 +154,22 @@ class Matrix:
         return sum(self._rows[i][i] for i in range(self.nrows))
 
     def power_traces(self, kmax: int) -> list:
-        """[tr(M), tr(M^2), ..., tr(M^kmax)] by successive multiplication."""
+        """[tr(M), tr(M^2), ..., tr(M^kmax)], exactly.
+
+        M^1 .. M^h, h = ceil(kmax / 2), by successive multiplication (h - 1
+        products); each higher trace pairs two of them,
+        tr(M^k) = sum_ij (M^h)_ij (M^(k-h))_ji, in O(n^2) operations.
+        """
         if not self.is_square():
             raise DimensionError("power traces of a non-square matrix")
-        traces = []
-        power = self
-        for _ in range(kmax):
-            traces.append(power.trace())
-            if len(traces) < kmax:
-                # T^k as T T^(k-1): a sparse T then adds rows of the power
-                power = self * power
+        powers = [self] if kmax > 0 else []
+        while 2 * len(powers) < kmax:
+            # T^k as T T^(k-1): a sparse T then adds rows of the power
+            powers.append(self * powers[-1])
+        traces = [p.trace() for p in powers]
+        for low in powers[: kmax - len(powers)]:
+            pairs = zip(powers[-1]._rows, zip(*low._rows))  # row i of M^h, column i of M^(k-h)
+            traces.append(sum(sum(map(mul, row, col)) for row, col in pairs))
         return traces
 
     def to_float_rows(self) -> list[list[float]]:

@@ -146,21 +146,6 @@ class Poly:
             return Poly.zero()
         return Poly([c * s for c in self.coeffs])
 
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        if k == 0:
-            return Poly.one()
-        out = None
-        base = self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .edge_space import OrientedEdgeSpace, SectorBlocks, edge_space, sector_blocks
+from .edge_space import OrientedEdgeSpace, edge_space, sector_blocks
 from .graphs import Graph, encode_graph6, is_connected, is_regular, parse_graph6
 from .matrices import Matrix
 from .polynomials import Poly, PowerSeries, rescale, scalar_from_str
@@ -52,21 +52,17 @@ def shadow_set(es: OrientedEdgeSpace, kmax: int = DEFAULT_KMAX) -> ShadowSet:
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     blocks = sector_blocks(es)
+    m, mt, line = blocks.M, blocks.M.transpose(), blocks.L
     # both products are m x m, so AB-vs-BA forces equal charpolys: one
     # charpoly fills both schema-v1 keys (verify_all checks the pair)
-    mmt = (blocks.M * blocks.M.transpose()).charpoly()
-    return ShadowSet(kmax, mmt, _power_shadows(blocks, kmax))
-
-
-def _power_shadows(blocks: SectorBlocks, kmax: int) -> tuple[Poly, ...]:
-    """The charpolys of M^T L^k M, k = 1..kmax, of one gauge's blocks."""
-    m, mt, line = blocks.M, blocks.M.transpose(), blocks.L
+    mmt = (m * mt).charpoly()
     powers = []
     lk = line
-    for _ in range(kmax):
+    for k in range(kmax):
+        if k:
+            lk = lk * line
         powers.append((mt * lk * m).charpoly())
-        lk = lk * line
-    return tuple(powers)
+    return ShadowSet(kmax, mmt, tuple(powers))
 
 
 def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:

@@ -307,8 +307,9 @@ class TrivialRootReport:
 
 
 def trivial_roots(g: Graph) -> TrivialRootReport:
-    if not is_connected(g):
-        raise ValueError("trivial-root localization requires a connected graph")
+    # is_connected counts the null graph, whose ker D has dimension 0, not m - n + 1
+    if not (g.n and is_connected(g)):
+        raise ValueError("trivial-root localization requires a connected graph with a vertex")
     d, absd = build_incidence(edge_space(g))
     ker_d = g.m - d.rank()
     ker_absd = g.m - absd.rank()

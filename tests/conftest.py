@@ -5,6 +5,7 @@ import pytest
 from edgesector import screen
 from edgesector.graphs import Graph, corpus
 from edgesector.matrices import Matrix
+from edgesector.polynomials import Poly
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 10, extra_max: int = 6) -> Graph:
@@ -24,6 +25,14 @@ def diagonal_matrix(diag) -> Matrix:
     """diag(diag), built through the checked constructor."""
     n = len(diag)
     return Matrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def poly_power(p: Poly, k: int) -> Poly:
+    """p^k as k products; Poly has no power operator."""
+    out = Poly.one()
+    for _ in range(k):
+        out = out * p
+    return out
 
 
 def random_population(seed: int, count: int, n_max: int = 10, extra_max: int = 6):

@@ -113,6 +113,17 @@ def test_bounds_random():
         assert rep.ok, rep.violations
 
 
+@pytest.mark.parametrize("slack", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_check_bounds_rejects_a_meaningless_slack(slack):
+    with pytest.raises(ValueError, match="slack"):
+        check_bounds(corpus_graph("K4"), slack=slack)
+
+
+def test_check_bounds_accepts_a_finite_nonnegative_slack():
+    assert check_bounds(corpus_graph("K4"), slack=0).ok
+    assert check_bounds(corpus_graph("K4"), slack=1e-6).ok
+
+
 def test_star_bound_beats_perron():
     rep = check_bounds(corpus_graph("star5"))
     assert close(rep.rho_L / 2, 2.0, 1e-9)  # rho(L(K_{1,5})) = 4

@@ -126,6 +126,32 @@ def test_fingerprint(capsys):
     assert json.loads(lines[1])["graph6"] == "H?ABePt"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_bounds_rejects_a_meaningless_tol(capsys, tol):
+    # --tol=-inf, as argparse takes a lone -inf for an option
+    code, out, err = run_cli(capsys, "bounds", "K4", f"--tol={tol}", "--json")
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:") and "slack" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-6"])
+def test_bounds_accepts_a_finite_nonnegative_tol(capsys, tol):
+    code, out, _ = run_cli(capsys, "bounds", "K4", "--tol", tol, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["ok"] is True
+
+
+def test_null_graph_takes_no_trivial_roots(capsys):
+    code, out, _ = run_cli(capsys, "verify", "?")
+    assert code == EXIT_OK
+    assert "FAIL" not in out and "trivial_roots" not in out
+    assert "gauge_invariance" in out
+    code, out, _ = run_cli(capsys, "zeta", "?")
+    assert code == EXIT_OK
+    assert "trivial roots" not in out and out.startswith("det(I - wT)")
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "C4")
     assert code == EXIT_OK

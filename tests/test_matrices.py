@@ -21,7 +21,7 @@ from edgesector.matrices import (
 )
 from edgesector.polynomials import Poly, series_of, ratfunc_reduce, PowerSeries
 
-from conftest import sparse20_graphs
+from conftest import poly_power, sparse20_graphs
 
 
 def naive_polymatrix_det(rows):
@@ -590,7 +590,7 @@ def test_det_resolvent_examples():
     assert t.charpoly().resolvent(t.nrows) == resolvent_oracle(t)  # brute-force 6x6 expansion
     assert Matrix([[0] * 4] * 4).charpoly().resolvent(4) == Poly.one()
     line_k3 = corpus_graph("K3").adjacency()
-    expect = Poly((1, -1)) * Poly((1, Fraction(1, 2))) ** 2
+    expect = Poly((1, -1)) * poly_power(Poly((1, Fraction(1, 2))), 2)
     assert line_k3.charpoly().resolvent(3, Fraction(1, 2)) == expect
 
 
@@ -693,9 +693,11 @@ def test_power_traces():
         Matrix([[rng.choice((0, 0, 0, 1, -1, 3)) for _ in range(5)] for _ in range(5)]),
     ]
     assert not mats[0].is_symmetric()
-    for m in mats:
-        power, expect = m, []
-        for _ in range(6):
-            expect.append(power.trace())
-            power = naive_product(power, m)
-        assert m.power_traces(6) == expect
+    # M^1 .. M^ceil(k/2) multiplied out, the higher traces paired from them
+    for m in mats + [Matrix([])]:
+        for kmax in (0, 1, 2, 3, 7, 8):
+            power, expect = m, []
+            for _ in range(kmax):
+                expect.append(power.trace())
+                power = naive_product(power, m)
+            assert m.power_traces(kmax) == expect, (m.nrows, kmax)
