@@ -19,7 +19,6 @@ from .graphs import (
     is_connected,
     is_regular,
     parse_graph6,
-    vertex_triple_multiset,
 )
 from .matrices import Matrix
 from .polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
@@ -121,5 +120,4 @@ __all__ = [
     "verify_all",
     "verify_sector_identity",
     "vertex_shadow_set",
-    "vertex_triple_multiset",
 ]

@@ -148,19 +148,20 @@ def _poly_roots(coeffs: list[float]):
             step = newton if denom == 0 else newton / denom
             zs[j] = z - step
             moved = max(moved, abs(step) / max(abs(z), 1.0))
-        worst = max(_residual(coeffs, z) for z in zs)
-        best = min(best, worst)
-        if worst < tol and certified_at is None:
-            certified_at = it
+        if certified_at is None:
+            worst = max(_residual(coeffs, z) for z in zs)
+            best = min(best, worst)
+            if worst < tol:
+                certified_at = it
+            elif moved < 1e-15 and worst < sqrt(tol):
+                return zs
         # once the residual certificate holds, a few more sweeps drive the
-        # simple roots to machine-precision positions (cubic convergence);
-        # multiple roots park on their conditioning floor and are handled by
-        # centroid snapping afterwards
+        # simple roots to machine-precision positions (cubic convergence),
+        # and no residual is taken again; multiple roots park on their
+        # conditioning floor and are handled by centroid snapping afterwards
         if certified_at is not None and (it - certified_at >= 25 or moved < 1e-14):
             return zs
-        if moved < 1e-15 and worst < sqrt(tol):
-            return zs
-    if best < tol:
+    if certified_at is not None:
         return zs
     raise RootFindingError("Aberth iteration hit the cap", best)
 

@@ -326,7 +326,8 @@ def main(argv=None) -> int:
     except (CliInputError, Graph6Error, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ScreenError as exc:
+    except (ScreenError, ArithmeticError) as exc:
+        # ArithmeticError: a reported pair broke the resolution principle
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -115,23 +115,6 @@ class Graph:
         """Graph with vertex i renamed to perm[i]."""
         return Graph.from_edges(self.n, [(perm[a], perm[b]) for a, b in self.edges])
 
-    def triangle_counts(self) -> list[int]:
-        """Number of triangles through each vertex."""
-        nbr = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            nbr[a].add(b)
-            nbr[b].add(a)
-        out = []
-        for v in range(self.n):
-            t = 0
-            ns = sorted(nbr[v])
-            for i, u in enumerate(ns):
-                for w in ns[i + 1 :]:
-                    if w in nbr[u]:
-                        t += 1
-            out.append(t)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # graph6 codec (undirected flavor only; sparse6 / digraph6 are rejected)
@@ -288,18 +271,6 @@ def is_regular(g: Graph):
         return None
     k = deg[0]
     return k if all(d == k for d in deg) else None
-
-
-def vertex_triple_multiset(g: Graph):
-    """Per-vertex (degree, sorted neighbor degrees, triangles through vertex),
-    returned as a sorted multiset.  A cheap non-isomorphism certificate."""
-    deg = g.degrees()
-    adj = g.neighbors()
-    tri = g.triangle_counts()
-    triples = [
-        (deg[v], tuple(sorted(deg[u] for u in adj[v])), tri[v]) for v in range(g.n)
-    ]
-    return tuple(sorted(triples))
 
 
 # ---------------------------------------------------------------------------

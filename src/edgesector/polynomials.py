@@ -138,9 +138,6 @@ class Poly:
             return Poly(truncated_product(a, b, len(a) + len(b) - 2))
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, s) -> "Poly":
         if s == 0:
             return Poly.zero()
@@ -413,22 +410,11 @@ class PowerSeries:
             raise IndexError(f"series truncated at order {self.order}")
         return self.coeffs[k]
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
             return PowerSeries(n, truncated_product(self.coeffs, other.coeffs, n))
         return PowerSeries(self.order, [c * other for c in self.coeffs])
-
-    def __rmul__(self, other):
-        return self * other
 
     def inverse(self) -> "PowerSeries":
         a0 = self.coeffs[0]

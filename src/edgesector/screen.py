@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections import Counter
@@ -135,9 +136,9 @@ def _map(tasks: list[tuple], jobs: int) -> list:
     here a chunk at a time until the rate so far (elapsed / done, 0 before
     the first chunk) is at least _POOL_MIN_TASK_S and projects the rest to
     take at least _POOL_MIN_S; then the rest, if more than one chunk, goes
-    to one pool of min(jobs, chunks) workers, closed before return.  A
-    worker that dies raises a ScreenError naming the first line of the
-    earliest chunk of the rest without a result."""
+    to one pool of min(jobs, usable CPUs, chunks) workers, closed before
+    return.  A worker that dies raises a ScreenError naming the first line
+    of the earliest chunk of the rest without a result."""
     if jobs == 1 or len(tasks) <= _CHUNK:
         return [_screen_task(t) for t in tasks]
     results = []
@@ -151,9 +152,17 @@ def _map(tasks: list[tuple], jobs: int) -> list:
     return results + [_screen_task(t) for t in tasks[len(results) :]]
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_map(tasks: list[tuple], jobs: int) -> list:
     results = []
-    with ProcessPoolExecutor(max_workers=min(jobs, -(-len(tasks) // _CHUNK))) as pool:
+    workers = min(jobs, _cpus(), -(-len(tasks) // _CHUNK))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             for result in pool.map(_screen_task, tasks, chunksize=_CHUNK):
                 results.append(result)
@@ -213,6 +222,8 @@ def _kept_by_filters(g: Graph, cfg: ScreenConfig) -> bool:
         return False
     if cfg.irregular_only and is_regular(g) is not None:
         return False
+    if cfg.min_degree is None and cfg.max_degree is None:
+        return True
     degs = g.degree_multiset()
     if cfg.min_degree is not None and (not degs or degs[-1] < cfg.min_degree):
         return False
@@ -246,8 +257,8 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     fingerprints are one batch each.  A batch runs in this process, a chunk
     at a time, until its rate so far is at least _POOL_MIN_TASK_S and
     projects the rest to take at least _POOL_MIN_S; then the rest, if larger
-    than one chunk, runs in a pool of its own with at most cfg.jobs workers
-    (see _map).
+    than one chunk, runs in a pool of its own with at most cfg.jobs workers,
+    and no more than the CPUs this process may use (see _map).
     """
     kept: list[tuple[int, str, Graph]] = []
     read = 0

@@ -394,7 +394,11 @@ def compare(
 
 
 def pair_report(fg: Fingerprint, fh: Fingerprint) -> PairReport:
-    """Agreement and divergence of two fingerprints of the same order and kmax."""
+    """Agreement and divergence of two fingerprints of the same order and kmax.
+
+    Raises ArithmeticError naming both graphs when a line-cospectral pair
+    breaks the resolution principle: its Ihara determinants must first
+    differ where its correction series do (PairDivergence.consistent)."""
     agree = {
         "degrees": fg.degrees == fh.degrees,
         "A": fg.charpoly_adjacency == fh.charpoly_adjacency,
@@ -406,6 +410,12 @@ def pair_report(fg: Fingerprint, fh: Fingerprint) -> PairReport:
     for (name, pg), (_, ph) in zip(fg.shadows.named(), fh.shadows.named()):
         agree[f"shadow_{name}"] = pg == ph
     divergence = PairDivergence.between(fg, fh)
+    if not divergence.consistent():
+        raise ArithmeticError(
+            f"{fg.graph6} vs {fh.graph6}: line-cospectral, but the Ihara determinants "
+            f"first differ at order {divergence.det_first_diff_order} and the "
+            f"correction series at order {divergence.correction_first_diff_order}"
+        )
     return PairReport(
         graph6=(fg.graph6, fh.graph6),
         agree=agree,

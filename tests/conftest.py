@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from edgesector import screen
 from edgesector.graphs import Graph, corpus
 from edgesector.matrices import Matrix
-from edgesector.polynomials import Poly
+from edgesector.polynomials import Poly, PowerSeries
+from edgesector.shadows import fingerprint
 
 
 def random_connected_graph(rng: random.Random, n_max: int = 10, extra_max: int = 6) -> Graph:
@@ -33,6 +35,34 @@ def poly_power(p: Poly, k: int) -> Poly:
     for _ in range(k):
         out = out * p
     return out
+
+
+def vertex_triples(g: Graph) -> tuple:
+    """The sorted per-vertex (degree, sorted neighbor degrees, triangles
+    through the vertex): a cheap non-isomorphism certificate.  A vertex
+    lies on half the closed 3-walks from it, (A^3)_vv / 2."""
+    deg = g.degrees()
+    nbrs = g.neighbors()
+    a = g.adjacency()
+    a3 = a * a * a
+    return tuple(sorted(
+        (deg[v], tuple(sorted(deg[u] for u in nbrs[v])), a3[v][v] // 2) for v in range(g.n)
+    ))
+
+
+def correction_bumped_on(g6: str):
+    """A stand-in for screen.fingerprint that adds 1 to one graph's order-3
+    correction coefficient, leaving its Ihara determinant as it is."""
+
+    def fake(g, order, kmax, known=()):
+        fp = fingerprint(g, order, kmax, known)
+        if fp.graph6 != g6:
+            return fp
+        coeffs = list(fp.correction_series.coeffs)
+        coeffs[3] += 1
+        return dataclasses.replace(fp, correction_series=PowerSeries(order, coeffs))
+
+    return fake
 
 
 def random_population(seed: int, count: int, n_max: int = 10, extra_max: int = 6):

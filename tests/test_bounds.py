@@ -5,6 +5,7 @@ from math import sqrt
 
 import pytest
 
+from edgesector import bounds
 from edgesector.graphs import corpus, corpus_graph
 from edgesector.edge_space import build_hashimoto, edge_space, sector_blocks
 from edgesector.matrices import Matrix
@@ -260,6 +261,70 @@ def test_jacobi_floats_match_the_reference_loop_bit_for_bit():
         ]
     for m in mats:
         assert sym_spectrum(m) == reference_jacobi(m)
+
+
+def reference_poly_roots(coeffs):
+    """bounds._poly_roots as first written: every sweep, certified or not,
+    evaluates the residual at every root."""
+    tol = bounds.RESIDUAL_TOL
+    deg = len(coeffs) - 1
+    if deg <= 0:
+        return []
+    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+    radius = 1.0 + max(abs(c) for c in coeffs[:-1]) if deg else 1.0
+    zs = [
+        radius * cmath.exp(2j * cmath.pi * (k + 0.25) / deg + 0.3j) for k in range(deg)
+    ]
+    best = float("inf")
+    certified_at = None
+    for it in range(bounds.ABERTH_MAX_ITER):
+        moved = 0.0
+        for j in range(deg):
+            z = zs[j]
+            pv = bounds._peval(coeffs, z)
+            dv = bounds._peval(dcoeffs, z)
+            if pv == 0:
+                continue
+            if dv == 0:
+                zs[j] = z * (1 + 1e-6) + 1e-6
+                moved = max(moved, 1.0)
+                continue
+            newton = pv / dv
+            acc = 0j
+            for k in range(deg):
+                if k != j:
+                    dz = z - zs[k]
+                    if dz == 0:
+                        dz = 1e-12
+                    acc += 1.0 / dz
+            denom = 1.0 - newton * acc
+            step = newton if denom == 0 else newton / denom
+            zs[j] = z - step
+            moved = max(moved, abs(step) / max(abs(z), 1.0))
+        worst = max(_residual(coeffs, z) for z in zs)
+        best = min(best, worst)
+        if worst < tol and certified_at is None:
+            certified_at = it
+        if certified_at is not None and (it - certified_at >= 25 or moved < 1e-14):
+            return zs
+        if moved < 1e-15 and worst < sqrt(tol):
+            return zs
+    if best < tol:
+        return zs
+    raise bounds.RootFindingError("Aberth iteration hit the cap", best)
+
+
+def _bits(zs) -> list[tuple[str, str]]:
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+def test_hashimoto_spectrum_matches_the_reference_root_loop_bit_for_bit(monkeypatch):
+    rng = random.Random(64)
+    graphs = [entry.graph for entry in corpus()]
+    graphs += [random_connected_graph(rng, n_max=12) for _ in range(40)]
+    got = [_bits(hashimoto_spectrum(g).eigenvalues) for g in graphs]
+    monkeypatch.setattr(bounds, "_poly_roots", reference_poly_roots)
+    assert got == [_bits(hashimoto_spectrum(g).eigenvalues) for g in graphs]
 
 
 def test_residual_floats_match_the_reference_bit_for_bit():

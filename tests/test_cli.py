@@ -11,6 +11,7 @@ import pytest
 import edgesector
 from edgesector.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 from edgesector.graphs import encode_graph6
+from conftest import correction_bumped_on
 
 
 def run_cli(capsys, *argv):
@@ -314,6 +315,23 @@ def test_screen_fingerprints_out_exits_1_when_a_fingerprint_fails(tmp_path, caps
     assert out == ""
     assert err == "error: line 2: ArithmeticError: no charpoly\n"
     assert not store.exists()
+
+
+def test_screen_pair_breaking_the_resolution_principle_exits_1(tmp_path, capsys, monkeypatch):
+    from edgesector import screen
+
+    # example A's correction series now first differ at order 3, its Ihara
+    # determinants still at order 8
+    monkeypatch.setattr(screen, "fingerprint", correction_bumped_on("H?B@`jh"))
+    census = tmp_path / "example_a.g6"
+    census.write_text("H?ABePt\nH?B@`jh\n")
+    code, out, err = run_cli(capsys, "screen", "--input", str(census), "--key", "A,L")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == (
+        "error: H?ABePt vs H?B@`jh: line-cospectral, but the Ihara determinants "
+        "first differ at order 8 and the correction series at order 3\n"
+    )
 
 
 @pytest.mark.skipif(

@@ -15,11 +15,10 @@ from edgesector.graphs import (
     is_regular,
     parse_graph6,
     read_graph6_lines,
-    vertex_triple_multiset,
 )
 from edgesector.census import _all_graphs_up_to_iso
 from edgesector.matrices import Matrix
-from conftest import diagonal_matrix, random_connected_graph
+from conftest import diagonal_matrix, random_connected_graph, vertex_triples
 
 
 def test_graph_validation():
@@ -184,24 +183,6 @@ def test_predicates_examples():
     assert not is_connected(two)
 
 
-def test_vertex_triples():
-    k3 = corpus_graph("K3")
-    assert vertex_triple_multiset(k3) == ((2, (2, 2), 1),) * 3
-    star = corpus_graph("star3")
-    triples = vertex_triple_multiset(star)
-    assert triples.count((1, (3,), 0)) == 3
-    assert triples.count((3, (1, 1, 1), 0)) == 1
-
-
-def test_paper_pair_triples_separate():
-    pg, ph = corpus_graph("paperG"), corpus_graph("paperH")
-    tg, th = vertex_triple_multiset(pg), vertex_triple_multiset(ph)
-    assert (3, (3, 5, 6), 2) in tg
-    assert (3, (3, 5, 6), 2) not in th
-    assert tg != th
-    assert pg.degree_multiset() == ph.degree_multiset()
-
-
 def test_corpus_contents():
     names = corpus_names()
     for required in ["paperG", "paperH", "exA_G1", "exA_H1", "exB_G2", "exB_H2",
@@ -241,4 +222,4 @@ def test_relabel_preserves_structure():
     rng.shuffle(perm)
     h = g.relabel(perm)
     assert h.degree_multiset() == g.degree_multiset()
-    assert vertex_triple_multiset(h) == vertex_triple_multiset(g)
+    assert vertex_triples(h) == vertex_triples(g)

@@ -1,19 +1,22 @@
 """Source rules checked on the syntax tree of the package.
 
 The library raises instead of asserting, so its checks survive python -O,
-and only the command-line module prints.
+only the command-line module prints, and every public name and method has a
+caller outside the tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import edgesector
 
 PACKAGE = Path(edgesector.__file__).resolve().parent
+ROOT = PACKAGE.parents[1]
 
 
-def _trees():
-    for path in sorted(PACKAGE.glob("*.py")):
+def _trees(directory=PACKAGE):
+    for path in sorted(directory.glob("*.py")):
         yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
@@ -75,3 +78,51 @@ def test_matrices_import_nothing_from_fractions():
         elif isinstance(node, ast.ImportFrom) and not node.level:
             modules.add(node.module)
     assert "fractions" not in modules
+
+
+def _loaded(trees) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names the trees read; a def, a
+    class or an import binds a name without reading it."""
+    names, attributes = set(), set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # the benchmark and the CI workflow call the package too, and the
+    # README's entry-point list is what a library user calls
+    bench = list(_trees(ROOT / "perfbench"))
+    assert bench, "the benchmark sources sit beside src/"
+    names, attributes = _loaded(
+        [(name, tree) for name, tree in _trees() if name != "__init__.py"] + bench
+    )
+    text = "\n".join(
+        (ROOT / path).read_text(encoding="utf-8")
+        for path in ("README.md", ".github/workflows/tests.yml")
+    )
+    unused = [
+        name
+        for name in edgesector.__all__
+        if name not in names | attributes and not re.search(rf"\b{name}\b", text)
+    ]
+    assert unused == [], f"only the tests call {unused}; move them into the tests"
+
+
+def test_every_method_has_a_caller_outside_the_tests():
+    _, attributes = _loaded(list(_trees()) + list(_trees(ROOT / "perfbench")))
+    unused = [
+        f"{name}:{cls.name}.{node.name}"
+        for name, tree in _trees()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in attributes
+    ]
+    assert unused == [], f"only the tests call {unused}; move them into the tests"

@@ -22,7 +22,7 @@ from edgesector.screen import (
     write_fingerprints_jsonl,
 )
 from edgesector.shadows import fingerprint
-from conftest import random_connected_graph
+from conftest import correction_bumped_on, random_connected_graph
 
 FORKED = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -34,8 +34,9 @@ FORKED = pytest.mark.skipif(
 def pools(monkeypatch):
     """The process pools the screen opens, in order, each recording its
     worker count, the lines of its tasks and whether it has been shut
-    down."""
+    down.  The screen sees 4 usable CPUs, whatever the host has."""
     opened = []
+    monkeypatch.setattr(screen, "_cpus", lambda: 4)
 
     class Recorded(screen.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
@@ -710,6 +711,25 @@ def test_a_batch_opens_one_pool_of_at_most_one_worker_per_chunk(pools, pooled, t
     assert [p.max_workers for p in pools] == [workers]
 
 
+def test_a_pool_opens_no_more_workers_than_the_usable_cpus(monkeypatch, pools, pooled):
+    # 21 graphs, three chunks, and far more jobs than the 2 usable CPUs
+    monkeypatch.setattr(screen, "_cpus", lambda: 2)
+    lines = [(i + 1, encode_graph6(g)) for i, g in enumerate(builtin_generate(5))]
+    out = run_screen(lines, ScreenConfig(keys=("A",), jobs=500))
+    assert out.stage_counts == {"A": 21}
+    assert [p.max_workers for p in pools] == [2]
+
+
+def test_the_usable_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert screen._cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert screen._cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert screen._cpus() == 1
+
+
 def test_every_pool_is_shut_down_before_its_batch_returns(monkeypatch, pools, pooled):
     real = screen._map
     left_open = []
@@ -814,6 +834,27 @@ def test_an_invariant_failing_in_process_at_jobs_2_names_its_line(monkeypatch, p
     with pytest.raises(ScreenError, match=r"^line 13: ArithmeticError: charpoly went wrong$"):
         run_screen(lines, ScreenConfig(keys=("A",), jobs=2))
     assert pools == []
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORKED)])
+def test_a_pair_breaking_the_resolution_principle_stops_the_screen(
+    monkeypatch, pools, pooled, jobs
+):
+    # example A is line-cospectral and its dets first differ at order 8;
+    # with the bumped series they differ at order 3, both under order 12.
+    # Eight more copies of its first graph join the class, so at jobs=2 its
+    # ten fingerprints are more than a chunk and are built in a pool
+    g6, h6 = (encode_graph6(corpus_graph(name)) for name in PAPER_PAIRS[0])
+    lines = list(enumerate([g6, h6] + [g6] * 8, start=1))
+    monkeypatch.setattr(screen, "fingerprint", correction_bumped_on(h6))
+    with pytest.raises(ArithmeticError) as caught:
+        run_screen(lines, ScreenConfig(keys=("A", "L"), jobs=jobs))
+    assert str(caught.value) == (
+        f"{g6} vs {h6}: line-cospectral, but the Ihara determinants first "
+        "differ at order 8 and the correction series at order 3"
+    )
+    # the A and L stages and the fingerprints: one pool each
+    assert len(pools) == (3 if jobs > 1 else 0)
 
 
 def _store_lines(*names):

@@ -446,8 +446,8 @@ def test_log_trace_c3_closed_form():
     order = 8
     det_series = series_of(ratfunc_reduce(hashimoto_det(g), Poly.one()), order)
     line_series = series_of(ratfunc_reduce(line_factor(g), Poly.one()), order)
-    closed = det_series.log() - line_series.log()
-    assert factorize(g, order).correction_series.log() == closed
+    closed = [a - b for a, b in zip(det_series.log().coeffs, line_series.log().coeffs)]
+    assert list(factorize(g, order).correction_series.log().coeffs) == closed
     assert log_trace_check(g, order)
 
 
