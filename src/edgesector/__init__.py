@@ -21,7 +21,7 @@ from .graphs import (
     parse_graph6,
 )
 from .matrices import Matrix
-from .polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
+from .polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce
 from .edge_space import (
     OrientedEdgeSpace,
     build_hashimoto,
@@ -113,7 +113,6 @@ __all__ = [
     "run_screen",
     "schur_series_check",
     "sector_blocks",
-    "series_of",
     "shadow_set",
     "sym_spectrum",
     "trivial_roots",

@@ -12,14 +12,15 @@ no floats: it compares exact integer characteristic polynomials.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, sqrt
+from math import inf, log, sqrt
 
 from .edge_space import build_hashimoto, edge_space, sector_blocks
 from .graphs import Graph
 from .matrices import Matrix
-from .zeta import hashimoto_det
+from .zeta import ihara_det
 
 # Jacobi sweeps stop below this off-diagonal Frobenius norm
 JACOBI_TOL = 1e-10
@@ -107,18 +108,27 @@ def _residual(coeffs: list[float], z: complex) -> float:
     return abs(_peval(coeffs, z)) / max(scale, 1e-300)
 
 
-def _poly_roots(coeffs: list[float]):
-    """Aberth-Ehrlich simultaneous iteration for a monic float polynomial.
+def _poly_roots(coeffs: list[float], radius: float | None = None):
+    """Aberth-Ehrlich simultaneous iteration for a monic float polynomial,
+    started on the circle of the given radius, by default Cauchy's
+    1 + max |a_k| that holds every root.
 
     Returns the roots once every |p(z)| / sum_k |a_k||z|^k residual is below
-    RESIDUAL_TOL; raises RootFindingError with the best residual otherwise.
+    RESIDUAL_TOL; raises RootFindingError with the best residual otherwise,
+    at once where radius^deg passes the float range, since p overflows on
+    the start circle and the loop then runs its cap of sweeps for nothing.
     """
     tol = RESIDUAL_TOL
     deg = len(coeffs) - 1
     if deg <= 0:
         return []
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1]) if deg else 1.0
+    if radius is None:
+        radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    if deg * log(radius) > log(sys.float_info.max):
+        raise RootFindingError(
+            f"the start circle of radius {radius:.3e} overflows at degree {deg}", inf
+        )
     zs = [
         radius * cmath.exp(2j * cmath.pi * (k + 0.25) / deg + 0.3j) for k in range(deg)
     ]
@@ -180,16 +190,20 @@ class SpectrumEstimate:
 
 
 def hashimoto_spectrum(g: Graph) -> SpectrumEstimate:
-    """All 2m complex eigenvalues of T, from the exact charpoly of T.
+    """All 2m complex eigenvalues of T, from the exact charpoly of T, the
+    reversal of det(I - wT) as ihara_det gives it.
 
     Hashimoto spectra carry heavy exact multiplicities (trivial roots alone
     contribute m - n + 1 copies of 1), and float iteration scatters the
     approximants of a q-fold root across a radius like eps^(1/q).  So the
     exact polynomial is first split into square-free factors with known
     multiplicities (Yun's algorithm over the integers); the iteration then
-    only ever sees simple roots.
+    only ever sees simple roots.  A factor whose roots Cauchy's start circle
+    does not find (its radius^deg passes the float range from about 2m = 76
+    on) is started again on the circle of radius d_max - 1, which bounds
+    every eigenvalue of T.
     """
-    det = hashimoto_det(g)
+    det = ihara_det(g)
     two_m = 2 * g.m
     # det(I - wT) is the reversal of charpoly(T), which is monic of degree 2m
     p = det.reversal(two_m)
@@ -204,8 +218,11 @@ def hashimoto_spectrum(g: Graph) -> SpectrumEstimate:
             if len(coeffs) > 1:
                 lead = Fraction(coeffs[-1])
                 floats = [float(Fraction(c) / lead) for c in coeffs]
-                for z in _poly_roots(floats):
-                    distinct.append((z, mult))
+                try:
+                    roots = _poly_roots(floats)
+                except RootFindingError:
+                    roots = _poly_roots(floats, float(g.max_degree() - 1))
+                distinct.extend((z, mult) for z in roots)
 
     eigenvalues: list[complex] = []
     for z, mult in distinct:

@@ -10,8 +10,9 @@ Every sector block is a product of incidence matrices, L = |D|^T |D| - 2I,
 S = D^T D - 2I and M = |D|^T D, so by the AB/BA lemma each fingerprint
 spectrum is also the spectrum of an n x n matrix built from the signless
 Laplacian Q = |D||D|^T = Deg + A and the Laplacian Delta = D D^T = Deg - A.
-fingerprint computes in that vertex space; shadow_set and zeta.factorize
-keep the m x m and 2m x 2m edge-space routes as independent oracles.
+fingerprint computes in that vertex space, its Ihara fields through the
+routes of zeta.py; shadow_set keeps the m x m edge-space route as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +26,14 @@ from operator import sub
 from .edge_space import OrientedEdgeSpace, edge_space, sector_blocks
 from .graphs import Graph, encode_graph6, is_connected, is_regular, parse_graph6
 from .matrices import Matrix
-from .polynomials import Poly, PowerSeries, rescale, scalar_from_str
-from .zeta import DEFAULT_ORDER, PairDivergence, ihara_det
+from .polynomials import Poly, PowerSeries, scalar_from_str
+from .zeta import (
+    DEFAULT_ORDER,
+    PairDivergence,
+    _correction_quotient,
+    _line_charpoly,
+    ihara_det,
+)
 
 DEFAULT_KMAX = 2
 SCHEMA_VERSION = 1
@@ -297,15 +304,12 @@ def invariant(g: Graph, key: str, kmax: int = DEFAULT_KMAX) -> Poly | ShadowSet:
     ShadowSet for shadows."""
     if key == "A":
         return g.adjacency().charpoly()
-    if key in ("L", "S"):
-        # Q = Deg + A for L, Delta = Deg - A for S; the charpoly of
-        # X^T X - 2I (m x m) from that of X X^T (n x n) is the AB/BA factor
-        # x^(m-n), then the shift x -> x + 2
+    if key == "L":
+        return _line_charpoly(g)
+    if key == "S":
+        # as zeta._line_charpoly does for L from Q, with Delta = Deg - A = D D^T
         deg = g.degrees()
-        if key == "L":
-            p = g.vertex_operator(deg).charpoly()
-        else:
-            p = _deflated_charpoly(g.vertex_operator(deg, -1), deg)
+        p = _deflated_charpoly(g.vertex_operator(deg, -1), deg)
         return p.times_x_power(g.m - g.n).shift(2)
     if key == "shadows":
         return vertex_shadow_set(g, kmax)
@@ -332,19 +336,7 @@ def fingerprint(
     for key in GROUPING_KEYS:
         if key not in values:
             values[key] = invariant(g, key, kmax)
-    # in u = w/2 both factors are integer polynomials with constant term 1, so
-    # the quotient is an integer series; coefficient k divided by 2^k writes
-    # it in w, an int where the division is exact
-    det_u = rescale(PowerSeries.from_poly(values["hashimoto"], order), 2)
-    line_u = PowerSeries.from_poly(values["L"].reversal(g.m), order)
-    quotient = (det_u * line_u.inverse()).coeffs
-    series = PowerSeries(
-        order,
-        [
-            Fraction(c, 1 << k) if c & ((1 << k) - 1) else c >> k
-            for k, c in enumerate(quotient)
-        ],
-    )
+    series = _correction_quotient(values["hashimoto"], values["L"], g.m, order)
     return Fingerprint(
         graph6=encode_graph6(g),
         n=g.n,

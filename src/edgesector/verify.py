@@ -1,8 +1,11 @@
 """The identity battery: every structural identity of the paper, checked on
 one graph through the edge-space oracles (block form, Bass, factorization,
 Schur complement, log-trace, trivial roots, gauge invariance, bounds),
-each once and exactly.  verify_all returns failures as data instead of
-raising them.
+each once and exactly.  The production Ihara route of zeta.py (ihara_det,
+the vertex line factor and the correction quotient) is checked against
+hashimoto_det, bass_det, the Schur and log-trace series, the kernel
+dimensions and the spectral bounds.  verify_all returns failures as data
+instead of raising them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .zeta import (
     bass_det,
     factorize,
     hashimoto_det,
+    ihara_det,
     log_trace_check,
     schur_series_check,
     trivial_roots,
@@ -98,7 +102,7 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
         "pm_basis_norm",
         lambda: (pm.transpose() * pm == Matrix.identity(2 * g.m).scaled(2), "U^t U = 2I"),
     )
-    check("bass_vs_hashimoto", lambda: (bass_det(g) == hashimoto_det(g), ""))
+    check("bass_vs_hashimoto", lambda: (bass_det(g) == hashimoto_det(g) == ihara_det(g), ""))
     check(
         "factorization",
         lambda: (factorize(g, order).identity_holds(), "det = line * correction"),

@@ -9,12 +9,15 @@ reduced rational function (for P3 it is 1/(1 - w^2/4), so it is genuinely
 non-polynomial in general).  Everything in this module is exact; the only
 floating-point work in the package lives in bounds.py.
 
-hashimoto_det (the 2m x 2m charpoly of T), line_factor, factorize and
-bass_det (evaluation-interpolation) are the oracles of verify and the
-tests.  Fingerprints take det(I - wT) from ihara_det: the Bass formula
-(Bass, Internat. J. Math. 3, 1992) on the graph's 2-core makes it an
-n_core x n_core determinant, read from the digits of one integer
-determinant at w = 2^b.
+This module is the one production route of the Ihara polynomials, and
+fingerprint, factorize, trivial_roots and the bounds all read it: det(I - wT)
+from ihara_det, the Bass formula (Bass, Internat. J. Math. 3, 1992) on the
+graph's 2-core, an n_core x n_core determinant read from the digits of one
+integer determinant at w = 2^b; the charpoly of L from the n x n signless
+Laplacian (_line_charpoly); and the correction series as one integer quotient
+in u = w/2 (_correction_quotient).  hashimoto_det (the 2m x 2m charpoly of T),
+line_factor (the m x m L) and bass_det (evaluation-interpolation) are the
+oracles of verify and the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .polynomials import (
     first_difference,
     ratfunc_reduce,
     rescale,
-    series_of,
     truncated_product,
 )
 
@@ -200,12 +202,45 @@ class ZetaFactorization:
         return lhs == rhs
 
 
+def _line_charpoly(g: Graph) -> Poly:
+    """charpoly of L = |D|^T |D| - 2I (m x m) from that of the signless
+    Laplacian Q = |D||D|^T = Deg + A (n x n): the AB/BA factor x^(m-n), then
+    the shift x -> x + 2."""
+    q = g.vertex_operator(g.degrees())
+    return q.charpoly().times_x_power(g.m - g.n).shift(2)
+
+
+def _correction_quotient(det: Poly, line_charpoly: Poly, m: int, order: int) -> PowerSeries:
+    """C(w) = det(I - wT) / det(I - (w/2) L) as a power series to order.
+
+    In u = w/2 both factors are integer polynomials with constant term 1,
+    det(I - 2uT) and det(I - uL) (the reversal of the charpoly of L), so the
+    quotient is an integer series; coefficient k divided by 2^k writes it in
+    w, an int where the division is exact.
+    """
+    det_u = rescale(PowerSeries.from_poly(det, order), 2)
+    line_u = PowerSeries.from_poly(line_charpoly.reversal(m), order)
+    quotient = (det_u * line_u.inverse()).coeffs
+    return PowerSeries(
+        order,
+        [
+            Fraction(c, 1 << k) if c & ((1 << k) - 1) else c >> k
+            for k, c in enumerate(quotient)
+        ],
+    )
+
+
 @lru_cache(maxsize=1024)
 def factorize(g: Graph, order: int = DEFAULT_ORDER) -> ZetaFactorization:
-    det = hashimoto_det(g)
-    line = line_factor(g)
-    correction = ratfunc_reduce(det, line)
-    return ZetaFactorization(det, line, correction, series_of(correction, order))
+    """det(I - wT), det(I - (w/2) L), the reduced C(w) and its series to
+    order, from the vertex kernels that fingerprint uses; verify checks them
+    against the edge-space oracles."""
+    det = ihara_det(g)
+    line_charpoly = _line_charpoly(g)
+    line = line_charpoly.resolvent(g.m, Fraction(1, 2))
+    return ZetaFactorization(
+        det, line, ratfunc_reduce(det, line), _correction_quotient(det, line_charpoly, g.m, order)
+    )
 
 
 def correction_series(g: Graph, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -313,14 +348,14 @@ def trivial_roots(g: Graph) -> TrivialRootReport:
     d, absd = build_incidence(edge_space(g))
     ker_d = g.m - d.rank()
     ker_absd = g.m - absd.rank()
-    line = line_factor(g)
+    line = _line_charpoly(g).resolvent(g.m, Fraction(1, 2))
     line_at_plus1 = line.root_order(1)
     return TrivialRootReport(
         m_minus_n=g.m - g.n,
         ord_line_at_minus1=line.root_order(-1),
         ord_line_at_plus1=line_at_plus1,
         # C = det / line, so no reduction of C is needed for its order
-        ord_correction_at_plus1=hashimoto_det(g).root_order(1) - line_at_plus1,
+        ord_correction_at_plus1=ihara_det(g).root_order(1) - line_at_plus1,
         ker_dim_D=ker_d,
         ker_dim_absD=ker_absd,
         bipartite=is_bipartite(g),
@@ -385,5 +420,5 @@ class PairDivergence:
 
 
 def resolution_compare(g: Graph, h: Graph, order: int = DEFAULT_ORDER) -> PairDivergence:
-    """Edge-space divergence of two graphs, through factorize."""
+    """Divergence of two graphs, through factorize."""
     return PairDivergence.between(factorize(g, order), factorize(h, order))

@@ -6,7 +6,8 @@ from math import sqrt
 import pytest
 
 from edgesector import bounds
-from edgesector.graphs import corpus, corpus_graph
+from edgesector.census import _all_graphs_up_to_iso
+from edgesector.graphs import corpus, corpus_graph, parse_graph6
 from edgesector.edge_space import build_hashimoto, edge_space, sector_blocks
 from edgesector.matrices import Matrix
 from edgesector.bounds import (
@@ -17,7 +18,7 @@ from edgesector.bounds import (
     spectral_radius,
     sym_spectrum,
 )
-from conftest import random_connected_graph
+from conftest import random_connected_graph, sparse20_graphs
 
 
 def close(a, b, tol=1e-9):
@@ -325,6 +326,51 @@ def test_hashimoto_spectrum_matches_the_reference_root_loop_bit_for_bit(monkeypa
     got = [_bits(hashimoto_spectrum(g).eigenvalues) for g in graphs]
     monkeypatch.setattr(bounds, "_poly_roots", reference_poly_roots)
     assert got == [_bits(hashimoto_spectrum(g).eigenvalues) for g in graphs]
+
+
+@pytest.mark.slow
+def test_hashimoto_spectrum_matches_the_reference_root_loop_on_the_census(monkeypatch):
+    # every graph on at most 7 vertices: the overflow test of the start
+    # circle never fires where the reference loop succeeds
+    graphs = [g for n in range(8) for g in _all_graphs_up_to_iso(n)]
+    got = [_bits(hashimoto_spectrum(g).eigenvalues) for g in graphs]
+    monkeypatch.setattr(bounds, "_poly_roots", reference_poly_roots)
+    assert got == [_bits(hashimoto_spectrum(g).eigenvalues) for g in graphs]
+
+
+# n=22, m=44: Cauchy's start circle overflows on its factor of degree 37
+OVERFLOW22_GRAPH6 = "Uq_O__AcE?Cg_O?_?WA?__AU?@o@c?A?AS?ACop?"
+
+
+def test_bounds_hold_where_the_cauchy_start_overflows(monkeypatch):
+    starts = []
+    roots = bounds._poly_roots
+
+    def recording(coeffs, radius=None):
+        starts.append(radius)
+        return roots(coeffs, radius)
+
+    monkeypatch.setattr(bounds, "_poly_roots", recording)
+    for g in sparse20_graphs() + [parse_graph6(OVERFLOW22_GRAPH6)]:
+        starts.clear()
+        report = check_bounds(g)
+        assert report.ok, report.violations
+        assert report.max_residual < bounds.RESIDUAL_TOL
+        # the factor that failed from Cauchy's circle started again on d_max - 1
+        assert g.max_degree() - 1 in starts
+
+
+def test_an_overflowing_start_circle_fails_before_any_sweep(monkeypatch):
+    def no_sweep(coeffs, z):
+        raise AssertionError("evaluated on an overflowing start circle")
+
+    monkeypatch.setattr(bounds, "_peval", no_sweep)
+    # radius 1 + 1e20 at degree 16: radius^deg is 1e320, past the float range
+    with pytest.raises(bounds.RootFindingError, match="overflows at degree 16") as info:
+        bounds._poly_roots([1e20] * 16 + [1.0])
+    assert info.value.best_residual == float("inf")
+    with pytest.raises(bounds.RootFindingError, match="overflows at degree 2"):
+        bounds._poly_roots([1.0, 0.0, 1.0], 1e200)
 
 
 def test_residual_floats_match_the_reference_bit_for_bit():

@@ -7,6 +7,7 @@ schema bump, recorded in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -82,6 +83,15 @@ SPARSE40_GRAPH6 = [
     "gkaA?`@?KA?G?A?W?O?@??A??AL?????eA??C@????_A???A?CC__??g?o?AO??A?QO?O?PAA?@???c?@??PG??????O?CC??@?@?OaG?G@E?O?A@?_??@G?????G?_??A?",
 ]
 SCREEN6_DIGEST = "7920d12bee370648d07628b1d86e6ea330c64a44031fade472b6dd656c4884cb"
+# the stdout of `screen --generate 7 --key shadows --kmax 1 --json`: the
+# charpolys of M M^T and M^T L M alone leave no class among the 853 graphs;
+# CI checks the same digest under python -O
+SCREEN7_SHADOWS_KMAX1_DIGEST = "a4428402de7e19d5eaacca2873531b94ea213656edb44569c885127a5960dad7"
+# the stdout of `bounds OVERFLOW22 --json`, n=22, m=44, where Cauchy's start
+# circle overflows and the roots start again on the circle of radius
+# d_max - 1; CI checks the same digest under python -O
+OVERFLOW22_GRAPH6 = "Uq_O__AcE?Cg_O?_?WA?__AU?@o@c?A?AS?ACop?"
+BOUNDS_OVERFLOW22_JSON_DIGEST = "af86c2bc1d61bd70e457806de8c02809874c302dd2dfedbd77db2c565c5e0be3"
 # 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
 SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
 
@@ -165,6 +175,14 @@ def test_screen_generate_seven_hashimoto_and_store(capsys, tmp_path, jobs):
     assert hashlib.sha256(store.read_bytes()).hexdigest() == CENSUS7_FILE_DIGEST
 
 
+def test_screen_generate_seven_shadows_kmax1(capsys):
+    code = main(["screen", "--generate", "7", "--key", "shadows", "--kmax", "1", "--json"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert json.loads(out.splitlines()[-1])["summary"]["classes_nontrivial"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCREEN7_SHADOWS_KMAX1_DIGEST
+
+
 def test_screen_generate_six_hashimoto_pairs(capsys):
     code = main(["screen", "--generate", "6", "--key", "hashimoto", "--json"])
     out = capsys.readouterr().out
@@ -218,6 +236,12 @@ def test_bounds_corpus(capsys, flags, expect):
         assert main(["bounds", name, *flags]) == EXIT_OK
         lines += capsys.readouterr().out.splitlines()
     assert _digest(lines) == expect
+
+
+def test_bounds_where_the_cauchy_start_overflows(capsys):
+    assert main(["bounds", OVERFLOW22_GRAPH6, "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_OVERFLOW22_JSON_DIGEST
 
 
 @pytest.mark.parametrize(

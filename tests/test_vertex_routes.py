@@ -5,7 +5,9 @@ matrices built from Q = Deg + A and Delta = Deg - A, the Ihara determinant
 from one determinant on the 2-core, the correction series as a quotient of
 series.
 The oracles here are the m x m sector blocks, the 2m x 2m Hashimoto
-operator and the reduced rational function of zeta.factorize.
+operator and the series of the reduced rational function det(I - wT) /
+det(I - (w/2) L) taken from them.  zeta.factorize, zeta's trivial_roots and
+bounds.hashimoto_spectrum take the vertex routes too.
 """
 
 import importlib
@@ -14,12 +16,12 @@ import random
 import pytest
 
 import edgesector
-from edgesector import cli, screen, shadows, zeta
+from edgesector import bounds, cli, polynomials, screen, shadows, zeta
 from edgesector.edge_space import edge_space, sector_blocks
 from edgesector.census import _all_graphs_up_to_iso
 from edgesector.graphs import Graph, corpus, corpus_graph, encode_graph6, is_connected
 from edgesector.matrices import Matrix, _berkowitz_charpoly
-from edgesector.polynomials import PowerSeries
+from edgesector.polynomials import PowerSeries, ratfunc_reduce, series_of
 from edgesector.shadows import (
     GROUPING_KEYS,
     Fingerprint,
@@ -30,8 +32,16 @@ from edgesector.shadows import (
     shadow_set,
     vertex_shadow_set,
 )
-from edgesector.zeta import factorize, hashimoto_det, ihara_det, line_factor, resolution_compare
-from conftest import random_population, sparse20_graphs
+from edgesector.verify import verify_all
+from edgesector.zeta import (
+    PairDivergence,
+    factorize,
+    hashimoto_det,
+    ihara_det,
+    line_factor,
+    resolution_compare,
+)
+from conftest import _tree_plus_chords, random_population, sparse20_graphs
 
 # (order, kmax): every order in {0, 1, 12} and every kmax in 0..3
 SETTINGS = ((0, 0), (1, 1), (12, 2), (12, 3))
@@ -55,7 +65,7 @@ def edge_fingerprint(g: Graph, order: int, kmax: int) -> Fingerprint:
         shadows=ShadowSet(kmax, mixed.mmt, mixed.mtlkm),
         hashimoto_det=hashimoto_det(g),
         correction_order=order,
-        correction_series=factorize(g, order).correction_series,
+        correction_series=series_of(ratfunc_reduce(hashimoto_det(g), line_factor(g)), order),
     )
 
 
@@ -86,6 +96,10 @@ def assert_routes_agree(g: Graph) -> None:
         assert got.to_json_dict() == want.to_json_dict(), (encode_graph6(g), order, kmax)
         assert got == want
     assert fingerprint(g, 12, KMAX).line_factor == line_factor(g)
+    fact = factorize(g, 12)
+    assert fact.hashimoto_det == oracle.hashimoto_det
+    assert fact.line_factor == line_factor(g)
+    assert fact.correction_series == oracle.correction_series
 
 
 def random_graph(rng: random.Random, n_max: int) -> Graph:
@@ -219,11 +233,13 @@ def test_laplacian_side_charpolys_take_n_minus_1_rows(monkeypatch):
 def test_pair_report_matches_edge_space_divergence():
     for a, b in [("paperG", "paperH"), ("exA_G1", "exA_H1"), ("exB_G2", "exB_H2"), ("K4", "C6")]:
         g, h = corpus_graph(a), corpus_graph(b)
-        rep, pd = compare(g, h), resolution_compare(g, h)
+        pd = PairDivergence.between(edge_fingerprint(g, 12, 0), edge_fingerprint(h, 12, 0))
+        rep = compare(g, h)
         assert rep.line_cospectral == pd.line_cospectral
         assert rep.det_first_diff_order == pd.det_first_diff_order
         assert rep.correction_first_diff_order == pd.correction_first_diff_order
         assert rep.det_diff_values == pd.diff_values
+        assert resolution_compare(g, h) == pd
 
 
 # the package re-exports the function edge_space under the module's name
@@ -232,15 +248,19 @@ edge_space_module = importlib.import_module("edgesector.edge_space")
 # names that only the edge-space oracles may reach; bass_det is a verify oracle
 EDGE_ONLY = {
     edge_space_module: ("build_hashimoto", "sector_blocks"),
-    zeta: ("factorize", "hashimoto_det", "line_factor", "bass_det"),
+    polynomials: ("series_of",),
+    zeta: ("hashimoto_det", "line_factor", "bass_det"),
     shadows: ("shadow_set",),
 }
+# bounds keeps sector_blocks for its pinned float spectra of L, S and M^T M
+CLI_KEEPS = ("sector_blocks",)
 
 
-def test_fingerprint_and_pair_reports_never_reach_edge_space(monkeypatch):
-    modules = (edgesector, edge_space_module, zeta, shadows, screen, cli)
-    for home, names in EDGE_ONLY.items():
-        for name in names:
+def _refuse(monkeypatch, names: dict) -> None:
+    """Make every binding of each named function raise when called."""
+    modules = (edgesector, edge_space_module, polynomials, zeta, shadows, bounds, screen, cli)
+    for home, attrs in names.items():
+        for name in attrs:
             original = getattr(home, name)
 
             def refuse(*args, _name=name, **kwargs):
@@ -249,12 +269,38 @@ def test_fingerprint_and_pair_reports_never_reach_edge_space(monkeypatch):
             for module in modules:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, refuse)
+
+
+def test_fingerprint_and_pair_reports_never_reach_edge_space(monkeypatch, capsys):
+    # zeta and bounds: every Ihara polynomial from the vertex kernels; zeta
+    # keeps build_incidence for the kernel ranks of trivial_roots
+    _refuse(monkeypatch, {home: tuple(n for n in names if n not in CLI_KEEPS)
+                          for home, names in EDGE_ONLY.items()})
+    zeta.factorize.cache_clear()
     fingerprint.cache_clear()
     try:
+        for name in edgesector.corpus_names():
+            assert cli.main(["zeta", name]) == cli.EXIT_OK, name
+            assert cli.main(["bounds", name, "--json"]) == cli.EXIT_OK, name
+        capsys.readouterr()
+        _refuse(monkeypatch, EDGE_ONLY)
         for entry in corpus():
             fingerprint(entry.graph, 12, KMAX)
         compare(corpus_graph("paperG"), corpus_graph("paperH"))
         lines = [(i, encode_graph6(g)) for i, g in enumerate(random_population(99, 12, n_max=6), 1)]
         screen.run_screen(lines, screen.ScreenConfig(keys=("A", "hashimoto")))
     finally:
+        zeta.factorize.cache_clear()
         fingerprint.cache_clear()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_production_routes_and_battery_at_production_sizes(n):
+    # seeded graphs with m = 2n: the battery's oracles and the edge-space
+    # fingerprint against the vertex routes, past the census and the corpus
+    for seed in range(2):
+        g = _tree_plus_chords(random.Random(f"sweep/{n}/{seed}"), n, 2 * n)
+        failed = [r for r in verify_all(g) if not r.ok]
+        assert failed == [], (encode_graph6(g), failed)
+        assert_routes_agree(g)
