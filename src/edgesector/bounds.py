@@ -95,17 +95,28 @@ def spectral_radius(mat: Matrix) -> float:
 
 
 def _peval(coeffs: list[float], z: complex) -> complex:
+    return _horner(reversed(coeffs), z)
+
+
+def _horner(high, z: complex) -> complex:
+    """The polynomial whose coefficients high lists from the top, at z."""
     acc = 0j
-    for c in reversed(coeffs):
+    for c in high:
         acc = acc * z + c
     return acc
 
 
 def _residual(coeffs: list[float], z: complex) -> float:
     """|p(z)| / sum_k |a_k||z|^k for ascending float coefficients a_k."""
+    return _relative(_peval(coeffs, z), [abs(c) for c in coeffs], z)
+
+
+def _relative(pv: complex, sizes: list[float], z: complex) -> float:
+    """|pv| / sum_k sizes[k] |z|^k: the residual of the value pv of p at z,
+    sizes the |a_k| of p."""
     r = abs(z)
-    scale = sum(abs(c) * r**k for k, c in enumerate(coeffs))
-    return abs(_peval(coeffs, z)) / max(scale, 1e-300)
+    scale = sum(a * r**k for k, a in enumerate(sizes))
+    return abs(pv) / max(scale, 1e-300)
 
 
 def _poly_roots(coeffs: list[float], radius: float | None = None):
@@ -117,6 +128,11 @@ def _poly_roots(coeffs: list[float], radius: float | None = None):
     RESIDUAL_TOL; raises RootFindingError with the best residual otherwise,
     at once where radius^deg passes the float range, since p overflows on
     the start circle and the loop then runs its cap of sweeps for nothing.
+
+    Each residual pass keeps p at every root, and the next sweep takes it
+    as its first evaluation there; the float operations are those of
+    _peval and _residual in the same order, so the roots match theirs bit
+    for bit (tests/test_bounds.py pins them against a reference loop).
     """
     tol = RESIDUAL_TOL
     deg = len(coeffs) - 1
@@ -132,14 +148,19 @@ def _poly_roots(coeffs: list[float], radius: float | None = None):
     zs = [
         radius * cmath.exp(2j * cmath.pi * (k + 0.25) / deg + 0.3j) for k in range(deg)
     ]
+    # Horner's rule walks the coefficients from the top
+    high, dhigh = coeffs[::-1], dcoeffs[::-1]
+    sizes = [abs(c) for c in coeffs]
+    values = None  # p at every root, kept from the last residual pass
     best = float("inf")
     certified_at = None
     for it in range(ABERTH_MAX_ITER):
         moved = 0.0
         for j in range(deg):
             z = zs[j]
-            pv = _peval(coeffs, z)
-            dv = _peval(dcoeffs, z)
+            # zs[j] has not moved since the last residual pass evaluated p there
+            pv = _horner(high, z) if values is None else values[j]
+            dv = _horner(dhigh, z)
             if pv == 0:
                 continue
             if dv == 0:
@@ -158,8 +179,10 @@ def _poly_roots(coeffs: list[float], radius: float | None = None):
             step = newton if denom == 0 else newton / denom
             zs[j] = z - step
             moved = max(moved, abs(step) / max(abs(z), 1.0))
+        values = None
         if certified_at is None:
-            worst = max(_residual(coeffs, z) for z in zs)
+            values = [_horner(high, z) for z in zs]
+            worst = max(_relative(pv, sizes, z) for pv, z in zip(values, zs))
             best = min(best, worst)
             if worst < tol:
                 certified_at = it

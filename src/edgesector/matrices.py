@@ -4,20 +4,23 @@ Every operator here (T, L, S, A, the incidence products, M) is an integer
 matrix; the 1/2 of (1/2) L lives in the polynomials.  So entries are ints
 only, checked once where outside rows enter, and all arithmetic is integer:
 the characteristic polynomial of a small matrix is read from the digits of
-one determinant at a power of two by _kronecker_poly, the one digit reader,
-which zeta.ihara_det uses too, and that of any other comes from
-Berkowitz's division-free algorithm, whose mat-vecs sum at column indices
-for a light nonnegative matrix and dot row prefixes for any other.  rank
-and det share one fraction-free (Bareiss) elimination with row swaps.  A
-product walks the nonzeros of its left operand.
+one determinant at a power of two by _kronecker_poly, which zeta.ihara_det
+uses too, and that of any other comes from Berkowitz's division-free
+algorithm, whose mat-vecs sum at column indices for a light nonnegative
+matrix and dot row prefixes for any other.  The truncated series
+determinant of zeta.schur_series_check is the same reading taken modulo a
+power of two (_kronecker_series_det), and _balanced_digits is the one
+decoder of the digits of both.  rank and det share one fraction-free
+(Bareiss) elimination with row swaps.  A product walks the nonzeros of its
+left operand.
 
 Most of the package's matrices are symmetric: L, S, A, Q, T + T^T and the
-shadows M M^T, M^T M and M^T L^k M.  For those the Kronecker determinant
-(_symmetric_det) and Berkowitz do about half their work.  Each kernel tests
-symmetry itself with _symmetric, one exact comparison, so no caller passes
-it and a wrong assumption cannot reach a result.  T, the deflated Delta and
-the deflated shadow products Q (Q - 2I)^k Delta are not symmetric and take
-the general loops.
+shadows M M^T, M^T M and M^T L^k M.  For those the Kronecker determinants
+(_symmetric_det and _kronecker_series_det) and Berkowitz do about half
+their work.  Each kernel tests symmetry itself with _symmetric, one exact
+comparison, so no caller passes it and a wrong assumption cannot reach a
+result.  T, the deflated Delta and the deflated shadow products
+Q (Q - 2I)^k Delta are not symmetric and take the general loops.
 """
 
 from __future__ import annotations
@@ -283,7 +286,8 @@ def _kronecker_poly(rows, b: int, degree: int, top: int, low: int | None = None)
     """The polynomial p of the given degree whose value at x0 = 2^b is the
     determinant of the square int matrix rows: the balanced base-2^b digits
     of that determinant, lowest first, when each |c_k| < x0 / 4 (Kronecker
-    substitution).  The one digit reader of charpoly and zeta.ihara_det.
+    substitution).  The one polynomial reader of charpoly and
+    zeta.ihara_det, its digits decoded by _balanced_digits.
 
     rows is eliminated in place, and the last pivot is the determinant: by
     _symmetric_det when rows is symmetric (x0 I - M for a symmetric M, and
@@ -299,6 +303,24 @@ def _kronecker_poly(rows, b: int, degree: int, top: int, low: int | None = None)
         value = _symmetric_det(rows)
     else:
         value = _eliminate(rows, len(rows))[1]
+    digits = _balanced_digits(value, b)
+    if len(digits) != degree + 1 or digits[-1] != top or low is not None and digits[0] != low:
+        raise ArithmeticError(
+            f"Kronecker digits {digits} are not those of a degree-{degree} polynomial"
+            f" with top coefficient {top}" + ("" if low is None else f" and constant term {low}")
+        )
+    return Poly(digits)
+
+
+def _balanced_digits(value: int, b: int) -> list[int]:
+    """The base-2^b digits of value, lowest first, each in [-2^(b-1),
+    2^(b-1)), up to the highest nonzero one: none for 0.  The one decoder of
+    Kronecker digits, for _kronecker_poly and _kronecker_series_det.
+
+    b must be at least 2: each step then shrinks a nonzero value, where the
+    digits -1 and 0 of b = 1 would read 1 forever."""
+    if b < 2:
+        raise ValueError(f"balanced digits need at least 2 bits, not {b}")
     x0 = 1 << b
     mask, half = x0 - 1, x0 >> 1
     digits = []
@@ -308,12 +330,57 @@ def _kronecker_poly(rows, b: int, degree: int, top: int, low: int | None = None)
             digit -= x0
         digits.append(digit)
         value = (value - digit) >> b
-    if len(digits) != degree + 1 or digits[-1] != top or low is not None and digits[0] != low:
-        raise ArithmeticError(
-            f"Kronecker digits {digits} are not those of a degree-{degree} polynomial"
-            f" with top coefficient {top}" + ("" if low is None else f" and constant term {low}")
-        )
-    return Poly(digits)
+    return digits
+
+
+def _kronecker_series_det(rows, b: int, order: int) -> list[int]:
+    """Coefficients 0..order of det E(u) for a symmetric int polynomial
+    matrix E with E(0) = I, given rows = E(2^b): the balanced base-2^b
+    digits of det(rows) modulo 2^(b(order+1)), which stands for u^(order+1).
+
+    det E(2^b) is sum_k e_k 2^(bk), so modulo 2^(b(order+1)) only e_0 ..
+    e_order are left, and when every |e_k| < 2^(b-1) their sum lies within
+    2^(b(order+1)-1) of 0, so the balanced residue is that sum and its
+    digits are the e_k (a larger e_k wraps them, and the caller's bound
+    must exclude it).  rows is eliminated in place, on and above the
+    diagonal only, as by _symmetric_det: every entry is reduced modulo
+    2^(b(order+1)), each pivot taken times the determinant and inverted.
+    rows is I modulo 2^b, and the updates keep it so, so every pivot is 1
+    modulo 2^b, odd, and a unit; one that is not raises ArithmeticError, as
+    does a rows that is not symmetric.  That is n^3 / 6 updates on integers
+    of b(order+1) bits, where an elimination in the ring of truncated series
+    makes as many series products.
+    """
+    if not _symmetric(rows):
+        raise ArithmeticError("a truncated series determinant needs a symmetric matrix")
+    bits = b * (order + 1)
+    modulus = 1 << bits
+    mask, unit = modulus - 1, (1 << b) - 1
+    n = len(rows)
+    det = 1
+    for col in range(n):
+        prow = rows[col]
+        p = prow[col] & mask
+        if p & unit != 1:
+            raise ArithmeticError("series pivot lost its unit constant term")
+        det = det * p & mask
+        # the inverse by Newton's iteration, x <- x (2 - p x): 1 is exact
+        # modulo 2^b, and each step doubles the bits (pow(p, -1, modulus)
+        # took 14 times as long on a 360-bit p, Python 3.11)
+        inv, exact = 1, b
+        while exact < bits:
+            inv = inv * (2 - p * inv) & mask
+            exact *= 2
+        for i in range(col + 1, n):
+            # entry (i, col) read as (col, i)
+            f = prow[i] * inv & mask
+            if f:
+                row = rows[i]
+                for k in range(i, n):
+                    row[k] = (row[k] - f * prow[k]) & mask
+    if det >> (bits - 1):
+        det -= modulus
+    return _balanced_digits(det, b)
 
 
 def _kronecker_charpoly(rows, b: int) -> Poly:

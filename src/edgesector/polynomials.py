@@ -431,21 +431,6 @@ class PowerSeries:
             out.append(-inv0 * acc)
         return PowerSeries(self.order, out)
 
-    def log(self) -> "PowerSeries":
-        """Formal logarithm via integrating s'/s; needs constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("series logarithm needs constant term 1")
-        if self.order == 0:
-            return PowerSeries(0, [0])
-        deriv = PowerSeries(
-            self.order - 1, [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
-        ratio = deriv * PowerSeries(self.order - 1, self.coeffs[: self.order]).inverse()
-        out = [0]
-        for k in range(1, self.order + 1):
-            out.append(Fraction(ratio.coeffs[k - 1], k) if ratio.coeffs[k - 1] else 0)
-        return PowerSeries(self.order, out)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PowerSeries)

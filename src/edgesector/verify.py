@@ -54,8 +54,10 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
     `gauges` seeded flips Sigma = diag(signs) sends M to M' = M Sigma, so the
     check takes no charpoly.  It asks M' M'^T = M M^T and, for k = 1 ..
     DEFAULT_KMAX, M'^T L^k M' = Sigma (M^T L^k M) Sigma entry by entry, which
-    implies equal shadow charpolys.  trivial_roots runs only on a connected
-    graph with at least one vertex.
+    implies equal shadow charpolys.  Each side is formed as M'^T (L^k M'),
+    L^k M' carried forward as L (L^(k-1) M'), so every product walks a sparse
+    left operand (L, M' or M'^T) where (M'^T L^k) M' walked a dense one.
+    trivial_roots runs only on a connected graph with at least one vertex.
 
     An order below 1 is an input error, not a failed identity: it raises
     ValueError before any check runs.
@@ -124,19 +126,24 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
 
     rng = random.Random(seed)
 
+    def line_products(mix: Matrix) -> list:
+        """The rows of mix^T L^k mix, k = 1 .. DEFAULT_KMAX, with L^k mix
+        carried forward: every product walks a sparse L or mix^T."""
+        mixt, lk_mix, out = mix.transpose(), mix, []
+        for _ in range(DEFAULT_KMAX):
+            lk_mix = blocks.L * lk_mix
+            out.append((mixt * lk_mix).rows)
+        return out
+
     def gauge_check():
-        line_powers = [blocks.L]
-        for _ in range(1, DEFAULT_KMAX):
-            line_powers.append(line_powers[-1] * blocks.L)
-        base = [(mt * lk * m).rows for lk in line_powers]
+        base = line_products(m)
         for _ in range(gauges):
             signs = random_gauge(rng, g.m)
             m2 = sector_blocks(regauge(es, signs)).M
             if m2 * m2.transpose() != base_mmt:
                 return False, "MM^t moved under a gauge flip"
-            m2t = m2.transpose()
-            for k, (lk, rows) in enumerate(zip(line_powers, base), start=1):
-                if (m2t * lk * m2).rows != _conjugated(rows, signs):
+            for k, (rows, expect) in enumerate(zip(line_products(m2), base), start=1):
+                if rows != _conjugated(expect, signs):
                     return False, f"M'^t L^{k} M' != Sigma M^t L^{k} M Sigma under a gauge flip"
         return True, f"{gauges} random gauges"
 

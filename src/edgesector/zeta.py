@@ -18,6 +18,15 @@ Laplacian (_line_charpoly); and the correction series as one integer quotient
 in u = w/2 (_correction_quotient).  hashimoto_det (the 2m x 2m charpoly of T),
 line_factor (the m x m L) and bass_det (evaluation-interpolation) are the
 oracles of verify and the tests.
+
+verify's series identities run in integers too.  The Schur complement E(u)
+of the edge-space blocks S, L and M is evaluated at u = 2^b, and det E
+through u^order is read from the digits of that one determinant modulo
+2^(b(order+1)) (_schur_det), b from a majorant of its coefficients
+(_schur_bits).  The log-trace identity is checked as Newton's identities
+between the correction series in u and the power traces of T and L.  Both
+compare with the correction series times 2^k at w^k, so no series ring,
+series logarithm or Fraction enters either check.
 """
 
 from __future__ import annotations
@@ -25,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, prod
+from math import comb, isqrt, lcm, prod
 
 from .edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
 from .graphs import Graph, is_bipartite, is_connected
-from .matrices import Matrix, _kronecker_poly
+from .matrices import Matrix, _kronecker_poly, _kronecker_series_det
 from .polynomials import (
     Poly,
     PowerSeries,
@@ -37,7 +46,6 @@ from .polynomials import (
     first_difference,
     ratfunc_reduce,
     rescale,
-    truncated_product,
 )
 
 DEFAULT_ORDER = 12
@@ -196,10 +204,21 @@ class ZetaFactorization:
     correction_series: PowerSeries
 
     def identity_holds(self) -> bool:
-        """hashimoto_det * den(C) == line_factor * num(C), exactly."""
-        lhs = self.hashimoto_det * self.correction.den
-        rhs = self.line_factor * self.correction.num
-        return lhs == rhs
+        """hashimoto_det * den(C) == line_factor * num(C), exactly, in
+        integers: each polynomial times the lcm of its coefficient
+        denominators, and each product of two times the other side's
+        scales."""
+        (det, a), (den, b), (line, c), (num, d) = map(
+            _integer_multiple,
+            (self.hashimoto_det, self.correction.den, self.line_factor, self.correction.num),
+        )
+        return (det * den).scale(c * d) == (line * num).scale(a * b)
+
+
+def _integer_multiple(p: Poly) -> tuple[Poly, int]:
+    """(s p, s), s the lcm of the coefficient denominators of p."""
+    s = lcm(*(c.denominator for c in p.coeffs))
+    return Poly([c.numerator * (s // c.denominator) for c in p.coeffs]), s
 
 
 def _line_charpoly(g: Graph) -> Poly:
@@ -247,6 +266,94 @@ def correction_series(g: Graph, order: int = DEFAULT_ORDER) -> PowerSeries:
     return factorize(g, order).correction_series
 
 
+def _row_norm(mat: Matrix) -> int:
+    """The largest absolute row sum of mat; 0 for a matrix with no rows."""
+    return max((sum(map(abs, row)) for row in mat.rows), default=0)
+
+
+def _schur_bits(blocks, order: int) -> int:
+    """b with 2^(b-1) > [u^k] r(u)^m for k = 0 .. order, where
+
+        r(u) = 1 + s u + mu sum_{j=0}^{order-2} lambda^j u^(j+2),
+
+    s and lambda are the largest absolute row sums of S and L, and mu =
+    ||M^T|| ||M|| in the same norm; so every coefficient e_k of det E(u)
+    through u^order has |e_k| < 2^(b-1).
+
+    Proof.  Write p <= q when every coefficient of p is at most that of q
+    in absolute value, q with nonnegative coefficients.  Row i of E(u)
+    modulo u^(order+1) has sum_l |E_il(u)| <= r(u): the u^0 coefficients
+    are a row of I, the u^1 ones a row of S, and the u^(j+2) ones a row of
+    M^T L^j M, whose absolute sum is at most ||M^T|| ||L||^j ||M|| since
+    the row-sum norm is submultiplicative.  det E = sum_sigma +-prod_i
+    E_i,sigma(i), and every product of series with nonnegative coefficients
+    is monotone in its factors, so det E <= sum_sigma prod_i |E_i,sigma(i)|
+    <= prod_i sum_l |E_il| <= r^m; a coefficient of det E through u^order
+    reads coefficients of E through u^order only.  Also r <= r^m, as r^(m-1)
+    has constant term 1, so every entry of every C_j is below 2^(b-1) and a
+    difference of two is below 2^b.
+    """
+    s, lam = _row_norm(blocks.S), _row_norm(blocks.L)
+    mu = _row_norm(blocks.M.transpose()) * _row_norm(blocks.M)
+    r = ([1, s] + [mu * lam**j for j in range(order - 1)])[: order + 1]
+    m = blocks.L.nrows
+    # the coefficients of r^m by J. C. P. Miller's recurrence (Knuth, TAOCP
+    # vol. 2, 4.7), from r (r^m)' = m r' r^m and r_0 = 1; every division is exact
+    power = [1]
+    for k in range(1, order + 1):
+        power.append(
+            sum(((m + 1) * i - k) * r[i] * power[k - i] for i in range(1, k + 1)) // k
+        )
+    return max(power).bit_length() + 1
+
+
+def _schur_det(g: Graph, order: int) -> list[int]:
+    """Coefficients 0 .. order of det E(u), E(u) the Schur complement of
+    schur_series_check, from one integer matrix X = E(2^b).
+
+    Truncated at u^order, E(u) = I + u S + sum_{j=0}^{order-2} u^(j+2)
+    M^T L^j M is a polynomial matrix, and X is its value by Horner's rule:
+    Y <- M + 2^b (L Y), order - 2 times from Y = M, then X = I + 2^b S +
+    4^b M^T Y (X = I + 2^b S at order 1).  L and M^T are sparse, so every
+    product walks a sparse left operand.  b = _schur_bits keeps each
+    coefficient below 2^(b-1), and matrices._kronecker_series_det reads
+    them as the balanced base-2^b digits of det X modulo 2^(b(order+1)).
+    A coefficient matrix that is not symmetric raises ArithmeticError
+    naming the lowest one, C_j: each entry of X - X^T is sum_j 2^(bj)
+    delta_j with |delta_j| < 2^b, so its lowest nonzero delta_j sits at
+    bit position (2-adic valuation) // b.
+    """
+    blocks = sector_blocks(edge_space(g))
+    mt = blocks.M.transpose()
+    b = _schur_bits(blocks, order)
+    x0 = 1 << b
+    x = Matrix.identity(g.m) + blocks.S.scaled(x0)
+    if order >= 2:
+        y = blocks.M
+        for _ in range(order - 2):
+            y = blocks.M + (blocks.L * y).scaled(x0)
+        x = x + (mt * y).scaled(x0 * x0)
+    rows = x.rows
+    if not x.is_symmetric():
+        diffs = [a - c for row, col in zip(rows, zip(*rows)) for a, c in zip(row, col) if a != c]
+        j = min(((d & -d).bit_length() - 1) // b for d in diffs)
+        raise ArithmeticError(f"Schur coefficient matrix C_{j} is not symmetric")
+    digits = _kronecker_series_det(rows, b, order)
+    return digits + [0] * (order + 1 - len(digits))
+
+
+def _in_u(series: PowerSeries) -> list[int] | None:
+    """The coefficients 2^k c_k of a series sum_k c_k w^k in u = w/2, or
+    None when one of them is not an integer."""
+    out = []
+    for k, c in enumerate(series.coeffs):
+        q, r = divmod(c.numerator << k, c.denominator)
+        if r:
+            return None
+        out.append(q)
+    return out
+
+
 def schur_series_check(g: Graph, order: int) -> bool:
     """Check the Schur-complement form of the correction factor.
 
@@ -256,55 +363,18 @@ def schur_series_check(g: Graph, order: int) -> bool:
              = I + u S + sum_{j>=0} u^(j+2) M^T L^j M,
 
     a power series whose coefficients C_0 = I, C_1 = S and
-    C_(j+2) = M^T L^j M are symmetric integer matrices.  Its determinant is
-    taken by Gaussian elimination in the series ring, each entry a plain
-    list of integer coefficients (every pivot is 1 + O(u), so no pivoting is
-    needed and every entry, pivot inverses included, stays an integer
-    series).  Every trailing block of a symmetric matrix stays symmetric, so
-    only the entries on and above the diagonal are kept and updated, entry
-    (i, col) read as (col, i): about half the series products of a full
-    elimination.  A coefficient matrix that is not symmetric raises
-    ArithmeticError.  Rescaling u = w/2 gives det E in w, which is compared
-    with the correction series from the determinant quotient.
+    C_(j+2) = M^T L^j M are symmetric integer matrices built from the
+    edge-space blocks.  det E through u^order is read from the digits of
+    one integer determinant (_schur_det); in w its coefficient k is that of
+    the correction series from the determinant quotient times 2^k, so the
+    check is that each such product is an integer equal to digit k.  A
+    coefficient matrix that is not symmetric, or a pivot that is not 1
+    modulo 2^b, raises ArithmeticError.
     """
     if order < 1:
         raise ValueError("series order must be at least 1")
-    blocks = sector_blocks(edge_space(g))
-    m = g.m
-    mt = blocks.M.transpose()
-    coeffs = [Matrix.identity(m), blocks.S]
-    lm = blocks.M  # L^j M, carried forward
-    for _ in range(order - 1):
-        coeffs.append(mt * lm)
-        lm = blocks.L * lm
-    for j, c in enumerate(coeffs):
-        if not c.is_symmetric():
-            raise ArithmeticError(f"Schur coefficient matrix C_{j} is not symmetric")
-    # row i holds entries k >= i only; None stands below the diagonal
-    mat = [[None] * i + [[c[i][k] for c in coeffs] for k in range(i, m)] for i in range(m)]
-
-    # determinant by elimination; the matrix is I + O(u) throughout, and only
-    # the entries right of the pivot column still feed a later pivot
-    det = [1] + [0] * order
-    for col in range(m):
-        prow = mat[col]
-        pivot = prow[col]
-        if pivot[0] != 1:
-            raise ArithmeticError("series pivot lost its unit constant term")
-        det = truncated_product(det, pivot, order)
-        inv = PowerSeries(order, pivot).inverse().coeffs
-        for i in range(col + 1, m):
-            if not any(prow[i]):
-                continue
-            row = mat[i]
-            factor = truncated_product(prow[i], inv, order)
-            for k in range(i, m):
-                if any(prow[k]):
-                    row[k] = [
-                        x - y
-                        for x, y in zip(row[k], truncated_product(factor, prow[k], order))
-                    ]
-    return rescale(PowerSeries(order, det), Fraction(1, 2)) == correction_series(g, order)
+    digits = _schur_det(g, order)
+    return _in_u(correction_series(g, order)) == digits
 
 
 @dataclass(frozen=True)
@@ -342,19 +412,26 @@ class TrivialRootReport:
 
 
 def trivial_roots(g: Graph) -> TrivialRootReport:
+    """Where w = +-1 sit in the line factor and the correction factor, with
+    the kernel dimensions of D and |D|, for a connected graph.
+
+    The line factor det(I - (w/2) L) vanishes at w = +-1 to the
+    multiplicity of the eigenvalue +-2 of L, taken as root_order(+-2) of
+    the integer charpoly of L; C = det(I - wT) / line factor, so its order
+    at w = 1 is a difference of two orders and needs no reduced C.
+    """
     # is_connected counts the null graph, whose ker D has dimension 0, not m - n + 1
     if not (g.n and is_connected(g)):
         raise ValueError("trivial-root localization requires a connected graph with a vertex")
     d, absd = build_incidence(edge_space(g))
     ker_d = g.m - d.rank()
     ker_absd = g.m - absd.rank()
-    line = _line_charpoly(g).resolvent(g.m, Fraction(1, 2))
-    line_at_plus1 = line.root_order(1)
+    line_charpoly = _line_charpoly(g)
+    line_at_plus1 = line_charpoly.root_order(2)
     return TrivialRootReport(
         m_minus_n=g.m - g.n,
-        ord_line_at_minus1=line.root_order(-1),
+        ord_line_at_minus1=line_charpoly.root_order(-2),
         ord_line_at_plus1=line_at_plus1,
-        # C = det / line, so no reduction of C is needed for its order
         ord_correction_at_plus1=ihara_det(g).root_order(1) - line_at_plus1,
         ker_dim_D=ker_d,
         ker_dim_absD=ker_absd,
@@ -363,19 +440,30 @@ def trivial_roots(g: Graph) -> TrivialRootReport:
 
 
 def log_trace_check(g: Graph, order: int) -> bool:
-    """log C(w) == -sum_k (w^k/k) (tr T^k - 2^-k tr L^k), exactly to the order."""
+    """log C(w) == -sum_k (w^k/k) (tr T^k - 2^-k tr L^k), exactly to the order,
+    checked by Newton's identities over the integers.
+
+    In u = w/2, C = sum_k d_k u^k with d_k = 2^k c_k, and the identity reads
+    log C = -sum_k P_k u^k / k with P_k = 2^k tr T^k - tr L^k.  Since
+    C(0) = 1, that is u C' = -C sum_k P_k u^k, coefficient by coefficient
+    k d_k = -sum_{i=1..k} P_i d_(k-i) for k = 1 .. order, with d_0 = 1: no
+    series logarithm and no Fraction.  The series the identity determines,
+    det(I - 2uT) / det(I - uL), has integer coefficients, so a d_k that is
+    not an integer, or d_0 != 1, fails the check.
+    """
     if order < 1:
         raise ValueError("series order must be at least 1")
-    lhs = correction_series(g, order).log()
+    d = _in_u(correction_series(g, order))
+    if d is None or d[0] != 1:
+        return False
     es = edge_space(g)
-    t = build_hashimoto(es)
-    line = sector_blocks(es).L
-    t_traces = t.power_traces(order)
-    l_traces = line.power_traces(order)
-    rhs = [0]
-    for k in range(1, order + 1):
-        rhs.append(-Fraction(t_traces[k - 1] - Fraction(l_traces[k - 1], 2**k), k))
-    return lhs == PowerSeries(order, rhs)
+    t_traces = build_hashimoto(es).power_traces(order)
+    l_traces = sector_blocks(es).L.power_traces(order)
+    p = [(tt << k) - lt for k, (tt, lt) in enumerate(zip(t_traces, l_traces), start=1)]
+    return all(
+        k * d[k] == -sum(p[i - 1] * d[k - i] for i in range(1, k + 1))
+        for k in range(1, order + 1)
+    )
 
 
 @dataclass(frozen=True)

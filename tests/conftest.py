@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,19 @@ def poly_power(p: Poly, k: int) -> Poly:
     for _ in range(k):
         out = out * p
     return out
+
+
+def series_log(s: PowerSeries) -> PowerSeries:
+    """The formal logarithm of a series with constant term 1, by
+    integrating s'/s: the oracle of the log-trace identity, which the
+    package checks by Newton's identities instead."""
+    if s.coeffs[0] != 1:
+        raise ValueError("series logarithm needs constant term 1")
+    if s.order == 0:
+        return PowerSeries(0, [0])
+    deriv = PowerSeries(s.order - 1, [k * c for k, c in enumerate(s.coeffs)][1:])
+    ratio = deriv * PowerSeries(s.order - 1, s.coeffs[: s.order]).inverse()
+    return PowerSeries(s.order, [0] + [Fraction(c, k) for k, c in enumerate(ratio.coeffs, start=1)])
 
 
 def vertex_triples(g: Graph) -> tuple:

@@ -75,6 +75,9 @@ SPARSE20_GRAPH6 = [
     "S{PaIB?EO@?OCC?@_COW@GO??eY@?CK??",
     "SqCOPE@PGKG??A`h?@Gd?S?C?ODI??IG?",
 ]
+# the stdout bytes of `verify <SPARSE20_GRAPH6> --json`: at m = 38 the Schur
+# check reads its widest digits; CI checks the same digest under python -O
+VERIFY_SPARSE20_DIGEST = "97c2ab10bfc6279ac1914291d9ad92bf11ce590df7eada5cb618c9c6f3421f3d"
 # likewise the two seeded n=40, m=80 graphs of conftest.sparse40_graphs;
 # CI checks the same digest on the CLI's output under python -O
 SPARSE40_FILE_DIGEST = "0ea9dd17f7016e806f2b2861e2d156999afdecc99789b4008fea0b472a341173"
@@ -195,6 +198,12 @@ def test_verify_corpus_json(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert _digest(out.splitlines()) == VERIFY_CORPUS_DIGEST
+
+
+def test_verify_sparse20_json(capsys):
+    assert main(["verify", *SPARSE20_GRAPH6, "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SPARSE20_DIGEST
 
 
 def test_zeta_corpus_json(capsys):

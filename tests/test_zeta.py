@@ -9,7 +9,14 @@ from edgesector import matrices, zeta
 from edgesector.graphs import Graph, corpus, corpus_graph, is_connected, is_regular
 from edgesector.edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
 from edgesector.matrices import Matrix
-from edgesector.polynomials import Poly, PowerSeries, RatFunc, ratfunc_reduce, series_of
+from edgesector.polynomials import (
+    Poly,
+    PowerSeries,
+    RatFunc,
+    ratfunc_reduce,
+    series_of,
+    truncated_product,
+)
 from edgesector.census import _all_graphs_up_to_iso, builtin_generate
 from edgesector.zeta import (
     PairDivergence,
@@ -23,7 +30,7 @@ from edgesector.zeta import (
     schur_series_check,
     trivial_roots,
 )
-from conftest import poly_power, random_connected_graph
+from conftest import poly_power, random_connected_graph, series_log
 
 
 def test_tree_det_is_one():
@@ -310,6 +317,123 @@ def test_schur_series_detects_wrong_correction(monkeypatch):
     assert not schur_series_check(corpus_graph("K4"), 8)
 
 
+def series_ring_schur_det(g: Graph, order: int) -> list:
+    """det E(u) through u^order by Gaussian elimination in the ring of
+    truncated integer series, on and above the diagonal: the Schur check's
+    elimination before it read the digits of one integer determinant."""
+    blocks = sector_blocks(edge_space(g))
+    m = g.m
+    mt = blocks.M.transpose()
+    coeffs = [Matrix.identity(m), blocks.S]
+    lm = blocks.M
+    for _ in range(order - 1):
+        coeffs.append(mt * lm)
+        lm = blocks.L * lm
+    # row i holds entries k >= i only; None stands below the diagonal
+    mat = [[None] * i + [[c[i][k] for c in coeffs] for k in range(i, m)] for i in range(m)]
+    det = [1] + [0] * order
+    for col in range(m):
+        prow = mat[col]
+        pivot = prow[col]
+        assert pivot[0] == 1
+        det = truncated_product(det, pivot, order)
+        inv = PowerSeries(order, pivot).inverse().coeffs
+        for i in range(col + 1, m):
+            row = mat[i]
+            factor = truncated_product(prow[i], inv, order)
+            for k in range(i, m):
+                row[k] = [x - y for x, y in zip(row[k], truncated_product(factor, prow[k], order))]
+    return det
+
+
+def _schur_cases():
+    rng = random.Random(36)
+    graphs = [entry.graph for entry in corpus()]
+    graphs += [Graph.from_edges(n, []) for n in (0, 1, 3)]  # edgeless, m = 0
+    graphs += [random_connected_graph(rng, n_max=12, extra_max=10) for _ in range(8)]
+    graphs += [_random_connected(seed, 20, 38) for seed in (36, 37)]
+    return graphs
+
+
+def test_schur_digits_match_the_series_ring_elimination():
+    for g in _schur_cases():
+        for order in (1, 2, 3, 8, 12):
+            want = series_ring_schur_det(g, order)
+            assert zeta._schur_det(g, order) == want, (g.edges, order)
+            # the majorant of _schur_bits bounds every coefficient
+            b = zeta._schur_bits(sector_blocks(edge_space(g)), order)
+            assert max(map(abs, want)) < 1 << (b - 1)
+            assert schur_series_check(g, order)
+
+
+def test_schur_bits_take_the_majorant_power_by_products():
+    # Miller's recurrence for r^m, against m truncated products
+    def norm(mat):
+        return max((sum(map(abs, row)) for row in mat.rows), default=0)
+
+    for g in _schur_cases():
+        blocks = sector_blocks(edge_space(g))
+        for order in (1, 2, 3, 8, 12):
+            mu = norm(blocks.M.transpose()) * norm(blocks.M)
+            r = [1, norm(blocks.S)] + [mu * norm(blocks.L) ** j for j in range(order - 1)]
+            power = [1] + [0] * order
+            for _ in range(g.m):
+                power = truncated_product(power, r, order)
+            assert zeta._schur_bits(blocks, order) == max(power).bit_length() + 1
+
+
+def _outcome(g: Graph, order: int):
+    try:
+        return schur_series_check(g, order)
+    except (ArithmeticError, ValueError):
+        return "raised"
+
+
+def test_schur_check_never_passes_on_wrapped_digits(monkeypatch):
+    # b too small for the true coefficients wraps the digits, and the check
+    # must then fail or raise, while a b they fit is read exactly.  Tried:
+    # two bits fewer than _schur_bits, which only the smallest graphs need,
+    # and the fewest bits the coefficients need, and one fewer
+    bits = zeta._schur_bits
+    short_wrapped = 0
+    for g in _schur_cases():
+        for order in (1, 2, 3, 8):
+            want = series_ring_schur_det(g, order)
+
+            def fits(b):
+                # balanced digits take at least 2 bits
+                return b >= 2 and all(-(1 << (b - 1)) <= e < 1 << (b - 1) for e in want)
+
+            need = next(b for b in range(2, 200) if fits(b))
+            short = bits(sector_blocks(edge_space(g)), order) - 2
+            short_wrapped += not fits(short)
+            for b in (short, need, need - 1):
+                monkeypatch.setattr(zeta, "_schur_bits", lambda blocks, order, _b=b: _b)
+                outcome = _outcome(g, order)
+                monkeypatch.setattr(zeta, "_schur_bits", bits)
+                if fits(b):
+                    assert outcome is True, (g.edges, order, b)
+                else:
+                    assert outcome in (False, "raised"), (g.edges, order, b)
+    assert short_wrapped  # K2 and P3
+
+
+def test_schur_series_check_names_the_lowest_non_symmetric_coefficient(monkeypatch):
+    # a non-symmetric L leaves C_0 = I, C_1 = S and C_2 = M^T M symmetric
+    # and breaks C_3 = M^T L M first
+    g = corpus_graph("K4")
+    blocks = sector_blocks(edge_space(g))
+    rows = [list(row) for row in blocks.L.rows]
+    rows[0][1] += 1
+    bad = dataclasses.replace(blocks, L=Matrix(rows))
+    monkeypatch.setattr(zeta, "sector_blocks", lambda es: bad)
+    for order in (3, 8):
+        with pytest.raises(ArithmeticError, match="C_3 is not symmetric"):
+            schur_series_check(g, order)
+    # through u^2 E reads no L
+    assert series_ring_schur_det(g, 2) == zeta._schur_det(g, 2)
+
+
 def test_schur_rejects_bad_order():
     with pytest.raises(ValueError):
         schur_series_check(corpus_graph("K3"), 0)
@@ -446,9 +570,58 @@ def test_log_trace_c3_closed_form():
     order = 8
     det_series = series_of(ratfunc_reduce(hashimoto_det(g), Poly.one()), order)
     line_series = series_of(ratfunc_reduce(line_factor(g), Poly.one()), order)
-    closed = [a - b for a, b in zip(det_series.log().coeffs, line_series.log().coeffs)]
-    assert list(factorize(g, order).correction_series.log().coeffs) == closed
+    closed = [a - b for a, b in zip(series_log(det_series).coeffs, series_log(line_series).coeffs)]
+    assert list(series_log(factorize(g, order).correction_series).coeffs) == closed
     assert log_trace_check(g, order)
+
+
+def test_log_trace_check_fails_on_a_bumped_trace(monkeypatch):
+    # tr T^k + 1 moves P_k by 2^k, and Newton's identity at k breaks
+    traces = Matrix.power_traces
+    for name in ("K3", "K4", "petersen", "exA_G1"):
+        g = corpus_graph(name)
+        assert log_trace_check(g, 6)
+        for k in range(1, 7):
+
+            def bumped(mat, kmax, _k=k, _two_m=2 * g.m):
+                out = traces(mat, kmax)
+                if mat.nrows == _two_m:
+                    out[_k - 1] += 1
+                return out
+
+            monkeypatch.setattr(Matrix, "power_traces", bumped)
+            assert not log_trace_check(g, 6), (name, k)
+            monkeypatch.setattr(Matrix, "power_traces", traces)
+
+
+def test_log_trace_check_fails_on_a_series_off_the_identity(monkeypatch):
+    true_series = zeta.correction_series
+    g = corpus_graph("K4")
+    for k, delta in ((0, 1), (3, 1), (8, Fraction(1, 2**8)), (5, Fraction(1, 2**6))):
+
+        def off(g, order, _k=k, _delta=delta):
+            coeffs = list(true_series(g, order).coeffs)
+            coeffs[_k] += _delta
+            return PowerSeries(order, coeffs)
+
+        monkeypatch.setattr(zeta, "correction_series", off)
+        # d_0 != 1, a d_k off by one, and a 2^k c_k that is not an integer
+        assert not log_trace_check(g, 8), k
+
+
+def test_identity_holds_fails_on_a_bumped_polynomial():
+    for entry in corpus():
+        fact = factorize(entry.graph)
+        assert fact.identity_holds()
+        num, den = fact.correction.num, fact.correction.den
+        for k in range(len(num.coeffs)):
+            coeffs = list(num.coeffs)
+            coeffs[k] += 1
+            bumped = dataclasses.replace(fact, correction=RatFunc(Poly(coeffs), den))
+            assert not bumped.identity_holds(), (entry.name, k)
+        line = list(fact.line_factor.coeffs)
+        line[-1] += Fraction(1, 2 ** len(line))
+        assert not dataclasses.replace(fact, line_factor=Poly(line)).identity_holds()
 
 
 def test_newton_identities_det_vs_traces():
