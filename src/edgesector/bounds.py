@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import inf, log, sqrt
 
 from .edge_space import build_hashimoto, edge_space, sector_blocks
@@ -94,10 +93,6 @@ def spectral_radius(mat: Matrix) -> float:
     return max((abs(x) for x in eig), default=0.0)
 
 
-def _peval(coeffs: list[float], z: complex) -> complex:
-    return _horner(reversed(coeffs), z)
-
-
 def _horner(high, z: complex) -> complex:
     """The polynomial whose coefficients high lists from the top, at z."""
     acc = 0j
@@ -108,7 +103,7 @@ def _horner(high, z: complex) -> complex:
 
 def _residual(coeffs: list[float], z: complex) -> float:
     """|p(z)| / sum_k |a_k||z|^k for ascending float coefficients a_k."""
-    return _relative(_peval(coeffs, z), [abs(c) for c in coeffs], z)
+    return _relative(_horner(reversed(coeffs), z), [abs(c) for c in coeffs], z)
 
 
 def _relative(pv: complex, sizes: list[float], z: complex) -> float:
@@ -131,7 +126,7 @@ def _poly_roots(coeffs: list[float], radius: float | None = None):
 
     Each residual pass keeps p at every root, and the next sweep takes it
     as its first evaluation there; the float operations are those of
-    _peval and _residual in the same order, so the roots match theirs bit
+    _horner and _residual in the same order, so the roots match theirs bit
     for bit (tests/test_bounds.py pins them against a reference loop).
     """
     tol = RESIDUAL_TOL
@@ -221,10 +216,12 @@ def hashimoto_spectrum(g: Graph) -> SpectrumEstimate:
     approximants of a q-fold root across a radius like eps^(1/q).  So the
     exact polynomial is first split into square-free factors with known
     multiplicities (Yun's algorithm over the integers); the iteration then
-    only ever sees simple roots.  A factor whose roots Cauchy's start circle
-    does not find (its radius^deg passes the float range from about 2m = 76
-    on) is started again on the circle of radius d_max - 1, which bounds
-    every eigenvalue of T.
+    only ever sees simple roots.  Each factor's integer coefficients are
+    divided by its leading one as int / int, which Python rounds correctly,
+    so the monic floats are those of the exact quotients.  A factor whose
+    roots Cauchy's start circle does not find (its radius^deg passes the
+    float range from about 2m = 76 on) is started again on the circle of
+    radius d_max - 1, which bounds every eigenvalue of T.
     """
     det = ihara_det(g)
     two_m = 2 * g.m
@@ -239,8 +236,7 @@ def hashimoto_spectrum(g: Graph) -> SpectrumEstimate:
                 distinct.append((0j, mult))
                 coeffs = coeffs[1:]  # square-free: at most one root at 0
             if len(coeffs) > 1:
-                lead = Fraction(coeffs[-1])
-                floats = [float(Fraction(c) / lead) for c in coeffs]
+                floats = [c / coeffs[-1] for c in coeffs]
                 try:
                     roots = _poly_roots(floats)
                 except RootFindingError:

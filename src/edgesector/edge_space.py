@@ -161,9 +161,6 @@ class SectorCheck:
     ok: bool
     mismatch: tuple[int, int, int, int] | None = None  # (row, col, lhs, rhs)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_sector_identity(es: OrientedEdgeSpace) -> SectorCheck:
     """Exact check of U^T T U = [[L, -M], [M^T, -S]]: the left side is the

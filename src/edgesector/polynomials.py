@@ -3,7 +3,10 @@
 Coefficients are Python ints or fractions.Fraction and nothing here ever
 rounds.  Polynomials are dense, ascending degree, with no trailing zero
 coefficient, so the zero polynomial has an empty coefficient tuple and
-degree() returns None (a real sentinel, never -1).
+degree() returns None (a real sentinel, never -1).  A product `*` is the
+ring product of two polynomials or two series; a scalar multiplies through
+Poly.scale or rescale.  A rational polynomial is scaled to an integer one
+by _integer_multiple only.
 """
 
 from __future__ import annotations
@@ -53,13 +56,8 @@ def _pseudo_remainder(a, b) -> list:
 
 def scalar_str(x) -> str:
     """Canonical "num" or "num/den" string of an exact scalar."""
-    if type(x) is int or type(x) is Fraction:
-        # str of a Fraction, always reduced, is exactly this form
-        return str(x)
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    # str of a Fraction, always reduced, is exactly this form
+    return str(x if type(x) is int or type(x) is Fraction else Fraction(x))
 
 
 def scalar_from_str(s: str):
@@ -132,15 +130,12 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
-            return Poly(truncated_product(a, b, len(a) + len(b) - 2))
-        return self.scale(other)
+    def __mul__(self, other: "Poly") -> "Poly":
+        """The polynomial product; a scalar multiplies through scale."""
+        a, b = self.coeffs, other.coeffs
+        return Poly(truncated_product(a, b, len(a) + len(b) - 2))
 
     def scale(self, s) -> "Poly":
-        if s == 0:
-            return Poly.zero()
         return Poly([c * s for c in self.coeffs])
 
     def __call__(self, x):
@@ -232,17 +227,12 @@ class Poly:
 
     def primitive_int(self) -> "Poly":
         """Primitive integer polynomial with positive leading coefficient,
-        equal to self up to a positive rational factor."""
+        equal to self up to a positive rational factor: the integer multiple
+        of _integer_multiple divided by its content, signed as its lead."""
         if self.is_zero():
             return self
-        den = 1
-        for c in self.coeffs:
-            if not isinstance(c, int):
-                den = _lcm_int(den, Fraction(c).denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = _gcd_int(g, abs(c))
+        ints = _integer_multiple(self)[0].coeffs
+        g = _gcd_int(*ints)
         if ints[-1] < 0:
             g = -g
         return Poly([c // g for c in ints])
@@ -357,7 +347,7 @@ class RatFunc:
         if num.is_zero():
             return cls(Poly.zero(), Poly.one())
         g = num.gcd(den)
-        if g.degree() and g.degree() > 0:
+        if g.degree() > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
         lead = den.leading()
@@ -410,17 +400,16 @@ class PowerSeries:
             raise IndexError(f"series truncated at order {self.order}")
         return self.coeffs[k]
 
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            n = min(self.order, other.order)
-            return PowerSeries(n, truncated_product(self.coeffs, other.coeffs, n))
-        return PowerSeries(self.order, [c * other for c in self.coeffs])
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        """The series product, truncated at the smaller order."""
+        n = min(self.order, other.order)
+        return PowerSeries(n, truncated_product(self.coeffs, other.coeffs, n))
 
     def inverse(self) -> "PowerSeries":
         a0 = self.coeffs[0]
         if a0 == 0:
             raise PoleAtOriginError("series with zero constant term is not invertible")
-        inv0 = _canon(Fraction(1, a0))  # an int when a0 is +-1
+        inv0 = _quo(1, a0)  # an int when a0 is +-1
         out = [inv0]
         for k in range(1, self.order + 1):
             acc = 0
@@ -472,6 +461,13 @@ def _newton_expand(nodes, coefs) -> list:
             acc[k], prev = prev - x * a, a
         acc.append(prev)
     return acc
+
+
+def _integer_multiple(p: Poly) -> tuple[Poly, int]:
+    """(s p, s), s the lcm of the coefficient denominators of p: the one
+    scaling of a rational polynomial to an integer one."""
+    s = _lcm_int(*(c.denominator for c in p.coeffs))
+    return Poly([c.numerator * (s // c.denominator) for c in p.coeffs]), s
 
 
 def rescale(p, s):

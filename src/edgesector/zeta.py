@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm, prod
+from math import comb, isqrt, prod
 
 from .edge_space import build_hashimoto, build_incidence, edge_space, sector_blocks
 from .graphs import Graph, is_bipartite, is_connected
@@ -43,6 +43,7 @@ from .polynomials import (
     Poly,
     PowerSeries,
     RatFunc,
+    _integer_multiple,
     first_difference,
     ratfunc_reduce,
     rescale,
@@ -213,12 +214,6 @@ class ZetaFactorization:
             (self.hashimoto_det, self.correction.den, self.line_factor, self.correction.num),
         )
         return (det * den).scale(c * d) == (line * num).scale(a * b)
-
-
-def _integer_multiple(p: Poly) -> tuple[Poly, int]:
-    """(s p, s), s the lcm of the coefficient denominators of p."""
-    s = lcm(*(c.denominator for c in p.coeffs))
-    return Poly([c.numerator * (s // c.denominator) for c in p.coeffs]), s
 
 
 def _line_charpoly(g: Graph) -> Poly:

@@ -282,8 +282,8 @@ def reference_poly_roots(coeffs):
         moved = 0.0
         for j in range(deg):
             z = zs[j]
-            pv = bounds._peval(coeffs, z)
-            dv = bounds._peval(dcoeffs, z)
+            pv = bounds._horner(reversed(coeffs), z)
+            dv = bounds._horner(reversed(dcoeffs), z)
             if pv == 0:
                 continue
             if dv == 0:
@@ -361,10 +361,11 @@ def test_bounds_hold_where_the_cauchy_start_overflows(monkeypatch):
 
 
 def test_an_overflowing_start_circle_fails_before_any_sweep(monkeypatch):
-    def no_sweep(coeffs, z):
+    def no_sweep(high, z):
         raise AssertionError("evaluated on an overflowing start circle")
 
-    monkeypatch.setattr(bounds, "_peval", no_sweep)
+    # every sweep and every residual pass evaluates p through _horner
+    monkeypatch.setattr(bounds, "_horner", no_sweep)
     # radius 1 + 1e20 at degree 16: radius^deg is 1e320, past the float range
     with pytest.raises(bounds.RootFindingError, match="overflows at degree 16") as info:
         bounds._poly_roots([1e20] * 16 + [1.0])

@@ -2,6 +2,7 @@ import argparse
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import edgesector
 from edgesector.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 from edgesector.graphs import encode_graph6
-from conftest import correction_bumped_on
+from conftest import _tree_plus_chords, correction_bumped_on
 
 
 def run_cli(capsys, *argv):
@@ -424,3 +425,15 @@ def test_screen_store_skips_malformed_lines(tmp_path, capsys):
 
         fps = read_fingerprints_jsonl(fh)
     assert [fp.graph6 for fp in fps] == ["A_", "Bw"]
+
+
+@pytest.mark.slow
+def test_bounds_and_verify_exit_0_on_seeded_graphs_from_n20_to_n40(capsys):
+    # twenty graphs with m = 2n and n spread over 20..40, past 2m = 76,
+    # where Cauchy's start circle overflows; about a minute
+    for j in range(20):
+        n = 20 + 20 * j // 19
+        g6 = encode_graph6(_tree_plus_chords(random.Random(f"cli-sweep/{j}"), n, 2 * n))
+        assert main(["bounds", g6]) == EXIT_OK, g6
+        assert main(["verify", g6]) == EXIT_OK, g6
+        capsys.readouterr()

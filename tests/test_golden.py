@@ -95,6 +95,9 @@ SCREEN7_SHADOWS_KMAX1_DIGEST = "a4428402de7e19d5eaacca2873531b94ea213656edb44569
 # d_max - 1; CI checks the same digest under python -O
 OVERFLOW22_GRAPH6 = "Uq_O__AcE?Cg_O?_?WA?__AU?@o@c?A?AS?ACop?"
 BOUNDS_OVERFLOW22_JSON_DIGEST = "af86c2bc1d61bd70e457806de8c02809874c302dd2dfedbd77db2c565c5e0be3"
+# the stdout of `verify OVERFLOW22 --json`: its bounds check takes the same
+# second start; CI checks the same digest under python -O
+VERIFY_OVERFLOW22_JSON_DIGEST = "f3fcea59fef27be5d5172923ef92294ecfb5b1ed709988bb41d11458cd328f72"
 # 14 Ihara-cospectral classes, 56 pair reports: pins the PairReport fields
 SCREEN6_HASHIMOTO_DIGEST = "7c72459c237480d45d1f7c54c49448e4d32bc0c4ec00f11acb59ac466e15aec9"
 
@@ -251,6 +254,12 @@ def test_bounds_where_the_cauchy_start_overflows(capsys):
     assert main(["bounds", OVERFLOW22_GRAPH6, "--json"]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_OVERFLOW22_JSON_DIGEST
+
+
+def test_verify_where_the_cauchy_start_overflows(capsys):
+    assert main(["verify", OVERFLOW22_GRAPH6, "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_OVERFLOW22_JSON_DIGEST
 
 
 @pytest.mark.parametrize(

@@ -67,17 +67,19 @@ def test_the_screen_takes_no_battery_or_generator_code():
     assert set(_relative_imports("census")) == {"graphs"}
 
 
-def test_matrices_import_nothing_from_fractions():
+def test_only_the_modules_that_write_in_w_import_fractions():
     # Matrix is integer-only: a rational operator enters as an integer
-    # multiple, its scale kept in the polynomials
-    tree = ast.parse((PACKAGE / "matrices.py").read_text(encoding="utf-8"))
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update(a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            modules.add(node.module)
-    assert "fractions" not in modules
+    # multiple, its scale kept in the polynomials.  A Fraction is written
+    # only in w, by the polynomial layer, zeta's correction series and line
+    # factor, and a fingerprint's line factor; bounds floats integers
+    found = {
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and "fractions" in {a.name for a in node.names}
+        or isinstance(node, ast.ImportFrom) and not node.level and node.module == "fractions"
+    }
+    assert found <= {"polynomials.py", "zeta.py", "shadows.py"}, found
 
 
 def _loaded(trees) -> tuple[set[str], set[str]]:

@@ -238,7 +238,7 @@ def test_shift_times_x_power_and_resolvent():
             q = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))])
             expect = Poly.zero()  # sum of c_k (x + a)^k
             for k, c in enumerate(q.coeffs):
-                expect = expect + poly_power(Poly((a, 1)), k) * c
+                expect = expect + poly_power(Poly((a, 1)), k).scale(c)
             assert q.shift(a) == expect
     assert p.times_x_power(2) == Poly((0, 0, 3, -2, 0, 1))
     assert p.times_x_power(2).times_x_power(-2) == p

@@ -11,7 +11,7 @@ from itertools import permutations
 
 import pytest
 
-from edgesector.graphs import Graph, Graph6Error, corpus, corpus_graph, encode_graph6
+from edgesector.graphs import Graph, Graph6Error, corpus, corpus_graph, encode_graph6, is_connected
 from edgesector import census, screen
 from edgesector.census import builtin_generate, canonical_label
 from edgesector.screen import (
@@ -112,8 +112,6 @@ def test_builtin_generator_bounds():
 
 
 def test_builtin_outputs_are_canonical_and_connected():
-    from edgesector.graphs import is_connected
-
     for g in builtin_generate(5):
         assert is_connected(g)
         assert canonical_label(g) == g
@@ -1029,3 +1027,13 @@ def test_fingerprint_persistence_roundtrip_grouping():
     original = [key_string_of(fp, keys) for fp in fps]
     restored = [key_string_of(fp, keys) for fp in back]
     assert original == restored
+
+
+@pytest.mark.slow
+def test_shadow_screen_at_kmax_1_leaves_no_class_among_the_connected_n8_graphs():
+    # M M^T and M^T L M alone, as CI pins at n=7, over all 11117 graphs at n=8
+    graphs = [g for g in census._all_graphs_up_to_iso(8) if is_connected(g)]
+    lines = [(i, encode_graph6(g)) for i, g in enumerate(graphs, 1)]
+    out = run_screen(lines, ScreenConfig(keys=("shadows",), kmax=1))
+    assert out.stage_counts["shadows"] == len(lines) == 11117
+    assert out.classes == []

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from edgesector.graphs import Graph, corpus, corpus_graph
+from edgesector.graphs import Graph, corpus, corpus_graph, is_connected
 from edgesector.edge_space import edge_space, random_gauge, regauge, sector_blocks
 from edgesector.polynomials import Poly, first_difference
 from edgesector.census import _all_graphs_up_to_iso
@@ -15,6 +15,7 @@ from edgesector.shadows import (
     invariant,
     regular_collapse_check,
     shadow_set,
+    vertex_shadow_set,
 )
 from edgesector.zeta import resolution_compare
 
@@ -221,3 +222,13 @@ def test_fingerprint_from_known_invariants_equals_fingerprint():
                 (key, values[key]) for bit, key in enumerate(GROUPING_KEYS) if mask >> bit & 1
             )
             assert fingerprint(g, 12, 2, known) == want, (g, known)
+
+
+@pytest.mark.slow
+def test_mtlm_charpoly_alone_separates_every_connected_graph_through_n8():
+    # the charpoly of M^T L M, that is x^(m-n) charpoly(Q (Q - 2I) Delta),
+    # differs between any two of the 12113 connected graphs on 1 to 8 vertices
+    graphs = [g for n in range(1, 9) for g in _all_graphs_up_to_iso(n) if is_connected(g)]
+    polys = [vertex_shadow_set(g, 1).mtlkm[0] for g in graphs]
+    assert len(polys) == 12113
+    assert len(set(polys)) == len(polys)
