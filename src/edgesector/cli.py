@@ -181,7 +181,7 @@ def cmd_zeta(args) -> int:
     print(f"correction        : {fact.correction.pretty()}")
     print(f"correction series : {fact.correction_series.pretty()}")
     if g.n and is_connected(g):
-        print(f"trivial roots     : {trivial_roots(g)}")
+        print(f"trivial roots     : {trivial_roots(g, args.order)}")
     return EXIT_OK
 
 

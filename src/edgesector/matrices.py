@@ -12,15 +12,17 @@ determinant of zeta.schur_series_check is the same reading taken modulo a
 power of two (_kronecker_series_det), and _balanced_digits is the one
 decoder of the digits of both.  rank and det share one fraction-free
 (Bareiss) elimination with row swaps.  A product walks the nonzeros of its
-left operand.
+left operand; the edge-space oracles, verify and the bounds take products,
+and a fingerprint takes none (shadows.vertex_shadow_set builds its
+matrices from neighbour lists).
 
-Most of the package's matrices are symmetric: L, S, A, Q, T + T^T and the
-shadows M M^T, M^T M and M^T L^k M.  For those the Kronecker determinants
-(_symmetric_det and _kronecker_series_det) and Berkowitz do about half
-their work.  Each kernel tests symmetry itself with _symmetric, one exact
-comparison, so no caller passes it and a wrong assumption cannot reach a
-result.  T, the deflated Delta and the deflated shadow products
-Q (Q - 2I)^k Delta are not symmetric and take the general loops.
+Most of the package's matrices are symmetric: L, S, A, Q - 2I, T + T^T and
+the shadows M M^T, M^T M and M^T L^k M.  For those the Kronecker
+determinants (_symmetric_det and _kronecker_series_det) and Berkowitz do
+about half their work.  Each kernel tests symmetry itself with _symmetric,
+one exact comparison, so no caller passes it and a wrong assumption cannot
+reach a result.  T, the deflated Delta - 2I and the deflated shadow
+products Q (Q - 2I)^k Delta are not symmetric and take the general loops.
 """
 
 from __future__ import annotations
@@ -215,12 +217,13 @@ class Matrix:
         n * b is at most _KRONECKER_BITS; every other matrix takes Berkowitz
         (_berkowitz_charpoly), whose mat-vecs sum at column indices for a
         light nonnegative matrix and dot row prefixes for any other.  Both
-        routes do about half their work on a symmetric matrix (A, Q, L, S,
-        T + T^T, M M^T, M^T L^k M); T, the deflated Delta and the deflated
-        shadow products take the general loops.  At n = 20, m = 38, A takes
-        680 bits, Q 1040 and deflated Delta 970-990, so A and Delta take
-        the Kronecker route and Q and the shadow products (1500 and more)
-        Berkowitz.  _KRONECKER_BITS records how the limit was fitted.
+        routes do about half their work on a symmetric matrix (A, Q - 2I,
+        L, S, T + T^T, M M^T, M^T L^k M); T, the deflated Delta - 2I and
+        the deflated shadow products take the general loops.  At n = 20,
+        m = 38, A takes 680 bits, Q - 2I 840-900 and the deflated
+        Delta - 2I 800-860, so those three take the Kronecker route and the
+        shadow products (1500 and more) Berkowitz.  _KRONECKER_BITS records
+        how the limit was fitted.
         """
         if not self.is_square():
             raise DimensionError("characteristic polynomial of a non-square matrix")
@@ -297,7 +300,8 @@ def _kronecker_poly(rows, b: int, degree: int, top: int, low: int | None = None)
     than the determinant.  A wrong bound b wraps the digits unseen, so the
     digits known in advance are checked: degree + 1 of them, the top one
     and, when low is given, the constant one.  Anything else raises
-    ArithmeticError.
+    ArithmeticError.  The checked digits are ints with a nonzero top, so
+    Poly._of wraps them with no second pass.
     """
     if _symmetric(rows):
         value = _symmetric_det(rows)
@@ -309,7 +313,7 @@ def _kronecker_poly(rows, b: int, degree: int, top: int, low: int | None = None)
             f"Kronecker digits {digits} are not those of a degree-{degree} polynomial"
             f" with top coefficient {top}" + ("" if low is None else f" and constant term {low}")
         )
-    return Poly(digits)
+    return Poly._of(digits)
 
 
 def _balanced_digits(value: int, b: int) -> list[int]:
@@ -408,17 +412,18 @@ def _berkowitz_charpoly(rows) -> Poly:
     leading r x r block A_r, where R and C are row and column r cut to A_r
     and a is entry (r, r).  The mat-vecs take one of two loops, by sign and
     weight.  A listed matrix, every entry >= 0 and the entries summing to at
-    most n^2 / 2 (T, T + T^T, L, A and a sparse Q), keeps each row of A_r as
-    a list of column indices, j listed a_ij times, and sums v at them with
-    no product at all; its lists never hold more than half the cells.  Any
-    other matrix (Delta, S, the shadow products) dots the row prefixes of
-    A_r with map(mul), O(n^4) in all.
+    most n^2 / 2 (T, T + T^T, L and A), keeps each row of A_r as a list of
+    column indices, j listed a_ij times, and sums v at them with no product
+    at all; its lists never hold more than half the cells.  Any other matrix
+    (Q - 2I with a vertex of degree below 2, the deflated Delta - 2I, S, the
+    shadow products) dots the row prefixes of A_r with map(mul), O(n^4) in
+    all.
 
-    A symmetric matrix (_symmetric: L, S, A, Q, T + T^T, M M^T, M^T L^k M)
-    has R = C^T and a symmetric A_r, so with w_j = A_r^j C the entries are
-    R A_r^2j C = w_j . w_j and R A_r^(2j+1) C = w_j . w_(j+1): floor(r / 2)
-    mat-vecs per block where any other matrix (T, the deflated Delta, the
-    shadow products X_k) takes r - 1.
+    A symmetric matrix (_symmetric: L, S, A, Q - 2I, T + T^T, M M^T,
+    M^T L^k M) has R = C^T and a symmetric A_r, so with w_j = A_r^j C the
+    entries are R A_r^2j C = w_j . w_j and R A_r^(2j+1) C = w_j . w_(j+1):
+    floor(r / 2) mat-vecs per block where any other matrix (T, the deflated
+    Delta - 2I, the shadow products X_k) takes r - 1.
     """
     entries = list(chain.from_iterable(rows))
     listed = min(entries, default=0) >= 0 and 2 * sum(entries) <= len(rows) ** 2

@@ -3,14 +3,23 @@
 Coefficients are Python ints or fractions.Fraction and nothing here ever
 rounds.  Polynomials are dense, ascending degree, with no trailing zero
 coefficient, so the zero polynomial has an empty coefficient tuple and
-degree() returns None (a real sentinel, never -1).  A product `*` is the
-ring product of two polynomials or two series; a scalar multiplies through
-Poly.scale or rescale.  A rational polynomial is scaled to an integer one
-by _integer_multiple only.
+degree() returns None (a real sentinel, never -1).  Poly(coeffs) normalizes
+what it is given; Poly._of wraps canonical coefficients the package has just
+built or read, such as the checked digits of a Kronecker determinant.  A
+product `*` is the ring product of two polynomials or two series; a scalar
+multiplies through Poly.scale or rescale.  A rational polynomial is scaled
+to an integer one by _integer_multiple only.
+
+The store's coefficient codec is here too: scalar_str writes the canonical
+"num" or "num/den" string, and scalars_from_strs reads a list of them back,
+an all-integer list with one map(int) and an ASCII "num/den" by two int()
+calls, everything else through Fraction, so each string reads as Fraction
+would read it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd as _gcd_int, lcm as _lcm_int
 
@@ -60,13 +69,34 @@ def scalar_str(x) -> str:
     return str(x if type(x) is int or type(x) is Fraction else Fraction(x))
 
 
+# an ASCII integer or ratio as scalar_str writes it; "+3", " 3/4", "3/-4",
+# "1_0" or non-ASCII digits take Fraction's own parse
+_DECIMAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def scalar_from_str(s: str):
-    """The exact scalar of a string Fraction accepts, as an int when whole.
-    Most stored coefficients are whole, and int() parses them far faster."""
+    """The exact scalar of a string Fraction accepts, as an int when whole,
+    with Fraction's value and error for every string.  The forms scalar_str
+    writes are read by int() alone: Fraction(int(num), int(den)) is what
+    Fraction("num/den") builds, ZeroDivisionError for a zero den included."""
+    if type(s) is str and (match := _DECIMAL.fullmatch(s)):
+        num, den = match.groups()
+        return int(num) if den is None else _canon(Fraction(int(num), int(den)))
     try:
         return int(s)
     except ValueError:
         return _canon(Fraction(s))
+
+
+def scalars_from_strs(strings) -> list:
+    """scalar_from_str of each string: most stored lists are all integers,
+    and one map(int) reads them; any other list is read string by string.
+    int() reads every string it accepts to the value Fraction gives, so the
+    two routes agree."""
+    try:
+        return list(map(int, strings))
+    except ValueError:
+        return list(map(scalar_from_str, strings))
 
 
 class Poly:
@@ -81,6 +111,15 @@ class Poly:
         self.coeffs = tuple(cs)
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _of(cls, coeffs: list) -> "Poly":
+        """The polynomial of fresh canonical coefficients (ints, and
+        Fractions that are not whole) with no trailing zero, taken as they
+        are."""
+        p = object.__new__(cls)
+        p.coeffs = tuple(coeffs)
+        return p
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -200,10 +239,6 @@ class Poly:
         self: the reversal at dim with coefficient k times scale^k."""
         return rescale(self.reversal(at_degree=dim), scale)
 
-    def shift(self, a) -> "Poly":
-        """p(x + a): the coefficients as a Newton form whose nodes are all -a."""
-        return Poly(_newton_expand([-a] * len(self.coeffs), self.coeffs))
-
     def times_x_power(self, k: int) -> "Poly":
         """x^k * self; for k < 0 the lowest -k coefficients must vanish."""
         if k >= 0:
@@ -304,7 +339,11 @@ class Poly:
 
     @classmethod
     def from_coeff_strings(cls, strings) -> "Poly":
-        return cls([scalar_from_str(s) for s in strings])
+        # scalar_from_str returns canonical scalars already
+        cs = scalars_from_strs(strings)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cls._of(cs)
 
     def pretty(self, var: str = "w") -> str:
         if self.is_zero():

@@ -236,8 +236,8 @@ def run_screen(lines, cfg: ScreenConfig) -> ScreenResult:
     """Screen an iterable of (lineno, graph6) pairs for cospectral classes.
 
     The lines are read once; the graphs that pass the filters are grouped by
-    the configured key in a cascade, one stage per key field, cheapest first
-    (GROUPING_KEYS order).  Each stage is evaluated only for graphs that
+    the configured key in a cascade, one stage per key field, in
+    GROUPING_KEYS order.  Each stage is evaluated only for graphs that
     still share their exact stage values with another graph: a graph alone
     at a prefix of the key is alone for the whole key, so the classes are
     those of a grouping by the full key.  Full fingerprints are built, from

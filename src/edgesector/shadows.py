@@ -21,17 +21,18 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from operator import add, sub
 
 from .edge_space import OrientedEdgeSpace, edge_space, sector_blocks
 from .graphs import Graph, encode_graph6, is_connected, is_regular, parse_graph6
 from .matrices import Matrix
-from .polynomials import Poly, PowerSeries, scalar_from_str
+from .polynomials import Poly, PowerSeries, scalars_from_strs
 from .zeta import (
     DEFAULT_ORDER,
     PairDivergence,
     _correction_quotient,
     _line_charpoly,
+    _times_x_plus_2_power,
     ihara_det,
 )
 
@@ -73,33 +74,55 @@ def shadow_set(es: OrientedEdgeSpace, kmax: int = DEFAULT_KMAX) -> ShadowSet:
 
 
 def vertex_shadow_set(g: Graph, kmax: int = DEFAULT_KMAX) -> ShadowSet:
-    """shadow_set from n x n vertex matrices.
+    """shadow_set from n x n vertex matrices built from neighbour lists.
 
     |D| L^k |D|^T = Q (Q - 2I)^k and D D^T = Delta, so by the AB/BA lemma
     charpoly(M^T L^k M) = x^(m-n) charpoly(X_k) with X_k = Q (Q - 2I)^k Delta;
-    k = 0 gives M M^T (and M^T M, which has the same charpoly).  Q and
-    Q - 2I commute, so X_k = (Q - 2I) X_(k-1) from X_0 = Q Delta: kmax + 1
-    products in all, each led by a sparse operator.  Delta 1 = 0, so
-    X_k 1 = 0 too, and each charpoly is x times one of order n - 1
-    (_deflated_charpoly).
+    k = 0 gives M M^T (and M^T M, which has the same charpoly).  No matrix
+    product is taken.  X_0 = Q Delta = Deg^2 - Deg A + A Deg - A^2, entry by
+    entry delta_ij d_i^2 + A_ij (d_j - d_i) - |N(i) & N(j)|, the common
+    neighbours counted on bitmasks.  Q and Q - 2I commute, so X_k =
+    (Q - 2I) X_(k-1), whose row i is (d_i - 2) times row i of X_(k-1) plus
+    the rows of i's neighbours.  Delta 1 = 0, so X_k 1 = 0 too, and each
+    charpoly is x times one of order n - 1 (_deflated).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    deg = g.degrees()
-    q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
-    q_minus_2 = g.vertex_operator([d - 2 for d in deg])
-    polys = []
-    x = q * delta
-    for k in range(kmax + 1):
-        if k:
-            x = q_minus_2 * x
-        polys.append(_deflated_charpoly(x, deg).times_x_power(g.m - g.n))
+    nbrs = g.neighbors()
+    deg = list(map(len, nbrs))
+    masks = [sum(1 << j for j in nb) for nb in nbrs]
+    x = []
+    for i, (nb, d, mask) in enumerate(zip(nbrs, deg, masks)):
+        row = [-(mask & other).bit_count() for other in masks]
+        row[i] += d * d
+        for j in nb:
+            row[j] += deg[j] - d
+        x.append(row)
+    polys = [_shadow_charpoly(x, deg, g.m)]
+    for _ in range(kmax):
+        nxt = []
+        for row, nb, d in zip(x, nbrs, deg):
+            row = [(d - 2) * a for a in row]
+            for j in nb:
+                row = list(map(add, row, x[j]))
+            nxt.append(row)
+        x = nxt
+        polys.append(_shadow_charpoly(x, deg, g.m))
     return ShadowSet(kmax, polys[0], tuple(polys[1:]))
 
 
-def _deflated_charpoly(mat: Matrix, deg: list[int]) -> Poly:
-    """charpoly of the n x n matrix X, every row of which sums to 0, as x
-    times the charpoly of an (n-1) x (n-1) matrix.
+def _shadow_charpoly(rows: list[list[int]], deg: list[int], m: int) -> Poly:
+    """x^(m-n) charpoly(X) for the n x n X of vertex_shadow_set, as x^(m-n+1)
+    times the charpoly of the deflated X (1 for n = 0)."""
+    if not rows:
+        return Poly.one()
+    y = _deflated(rows, deg)
+    return Matrix._of(y, len(y)).charpoly().times_x_power(m - len(rows) + 1)
+
+
+def _deflated(rows: list[list[int]], deg: list[int]) -> list[list[int]]:
+    """The (n-1) x (n-1) Y with charpoly(X) = x charpoly(Y), for the n x n
+    X = rows, n >= 1, every row of which sums to 0.
 
     With X 1 = 0 and U = I + (1 - e_r) e_r^T, whose column r is 1, column r
     of U^-1 X U is X 1 = 0, so charpoly(X) = x charpoly(Y) for Y the rest of
@@ -107,16 +130,11 @@ def _deflated_charpoly(mat: Matrix, deg: list[int]) -> Poly:
     row.  r is a vertex of least degree, whose sparse row keeps Y sparse.  A
     nonzero row sum raises ArithmeticError.
     """
-    rows = mat.rows
     if any(map(sum, rows)):
         raise ArithmeticError("a row of the matrix to deflate does not sum to 0")
-    n = len(rows)
-    if not n:
-        return Poly.one()
-    r = min(range(n), key=deg.__getitem__)
+    r = min(range(len(rows)), key=deg.__getitem__)
     pivot = rows[r][:r] + rows[r][r + 1 :]
-    y = [list(map(sub, row[:r] + row[r + 1 :], pivot)) for i, row in enumerate(rows) if i != r]
-    return Matrix._of(y, n - 1).charpoly().times_x_power(1)
+    return [list(map(sub, row[:r] + row[r + 1 :], pivot)) for i, row in enumerate(rows) if i != r]
 
 
 def _strip_zero_roots(p: Poly) -> Poly:
@@ -276,7 +294,7 @@ class Fingerprint:
             raise ValueError(
                 f"hashimoto_det does not have constant term 1 and degree at most 2m = {2 * m}"
             )
-        series = PowerSeries(order, [scalar_from_str(c) for c in coeffs])
+        series = PowerSeries(order, scalars_from_strs(coeffs))
         if series[0] != 1:
             raise ValueError("correction_series does not have constant term 1")
         return cls(
@@ -294,7 +312,9 @@ class Fingerprint:
         )
 
 
-# cheapest first: the order of run_screen's cascade stages
+# the order of run_screen's cascade stages, not an order of cost (at n = 8
+# hashimoto once took 80 us a graph and S 109 us); moving a key moves the
+# stage_counts bytes of every screen
 GROUPING_KEYS = ("A", "L", "S", "shadows", "hashimoto")
 
 
@@ -307,10 +327,17 @@ def invariant(g: Graph, key: str, kmax: int = DEFAULT_KMAX) -> Poly | ShadowSet:
     if key == "L":
         return _line_charpoly(g)
     if key == "S":
-        # as zeta._line_charpoly does for L from Q, with Delta = Deg - A = D D^T
+        # as zeta._line_charpoly does for L from Q - 2I: S + 2I and
+        # Delta = Deg - A = D D^T share their nonzero spectrum, so
+        # charpoly(S) = (x + 2)^(m-n) charpoly(Delta - 2I), and deflating
+        # Delta takes one factor x + 2 off charpoly(Delta - 2I)
+        if not g.n:
+            return Poly.one()
         deg = g.degrees()
-        p = _deflated_charpoly(g.vertex_operator(deg, -1), deg)
-        return p.times_x_power(g.m - g.n).shift(2)
+        y = _deflated(g.vertex_operator(deg, -1).rows, deg)
+        for i, row in enumerate(y):
+            row[i] -= 2
+        return _times_x_plus_2_power(Matrix._of(y, g.n - 1).charpoly(), g.m - g.n + 1)
     if key == "shadows":
         return vertex_shadow_set(g, kmax)
     if key == "hashimoto":
@@ -336,7 +363,7 @@ def fingerprint(
     for key in GROUPING_KEYS:
         if key not in values:
             values[key] = invariant(g, key, kmax)
-    series = _correction_quotient(values["hashimoto"], values["L"], g.m, order)
+    series = _correction_quotient(values["hashimoto"], values["L"], order)
     return Fingerprint(
         graph6=encode_graph6(g),
         n=g.n,

@@ -112,7 +112,7 @@ def verify_all(g: Graph, order: int = 8, gauges: int = 3, seed: int = 0) -> list
     check("schur_series", lambda: (schur_series_check(g, order), f"order {order}"))
     check("log_trace", lambda: (log_trace_check(g, order), f"order {order}"))
     if g.n and is_connected(g):
-        check("trivial_roots", lambda: (lambda r: (r.ok(), str(r)))(trivial_roots(g)))
+        check("trivial_roots", lambda: (lambda r: (r.ok(), str(r)))(trivial_roots(g, order)))
     if is_regular(g) is not None and is_connected(g):
         check("regular_collapse", lambda: (regular_collapse_check(g), ""))
 

@@ -7,7 +7,7 @@ import pytest
 from edgesector import screen
 from edgesector.graphs import Graph, corpus
 from edgesector.matrices import Matrix
-from edgesector.polynomials import Poly, PowerSeries
+from edgesector.polynomials import Poly, PowerSeries, _newton_expand
 from edgesector.shadows import fingerprint
 
 
@@ -36,6 +36,29 @@ def poly_power(p: Poly, k: int) -> Poly:
     for _ in range(k):
         out = out * p
     return out
+
+
+def shift(p: Poly, a) -> Poly:
+    """p(x + a): the coefficients as a Newton form whose nodes are all -a.
+    The oracle of the charpolys of L and S, which the package reads at
+    x + 2 from Q - 2I and the deflated Delta - 2I instead."""
+    return Poly(_newton_expand([-a] * len(p.coeffs), p.coeffs))
+
+
+def old_scalar_from_str(s):
+    """The store's scalar parse without its ASCII fast paths: int(), then
+    Fraction, an int when whole.  The oracle of scalar_from_str and of the
+    list readers built on it."""
+    try:
+        return int(s)
+    except ValueError:
+        f = Fraction(s)
+        return int(f) if f.denominator == 1 else f
+
+
+def old_from_coeff_strings(strings) -> Poly:
+    """Poly.from_coeff_strings through old_scalar_from_str, string by string."""
+    return Poly([old_scalar_from_str(s) for s in strings])
 
 
 def series_log(s: PowerSeries) -> PowerSeries:

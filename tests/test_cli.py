@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import edgesector
+from edgesector import zeta
 from edgesector.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 from edgesector.graphs import encode_graph6
 from conftest import _tree_plus_chords, correction_bumped_on
@@ -52,6 +53,28 @@ def test_zeta_graph6_argument(capsys):
     code, out, _ = run_cli(capsys, "zeta", "Bw", "--json")  # K3 as graph6
     assert code == EXIT_OK
     assert json.loads(out)["hashimoto_det"] == ["1", "0", "0", "-2", "0", "0", "1"]
+
+
+def test_one_zeta_run_computes_each_ihara_polynomial_once(capsys, monkeypatch):
+    # factorize computes det(I - wT) and the charpoly of Q - 2I; trivial_roots
+    # reads factorize's cached result
+    calls = []
+    for name in ("ihara_det", "_q_minus_2_charpoly"):
+        original = getattr(zeta, name)
+
+        def counting(g, _name=name, _original=original):
+            calls.append(_name)
+            return _original(g)
+
+        monkeypatch.setattr(zeta, name, counting)
+    g = _tree_plus_chords(random.Random("zeta/once"), 12, 20)
+    zeta.factorize.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "zeta", encode_graph6(g), "--order", "5")
+    finally:
+        zeta.factorize.cache_clear()
+    assert code == EXIT_OK and "trivial roots" in out
+    assert sorted(calls) == ["_q_minus_2_charpoly", "ihara_det"]
 
 
 def test_shadows(capsys):

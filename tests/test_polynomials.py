@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from edgesector import polynomials, shadows
 from edgesector.edge_space import build_hashimoto, edge_space
 from edgesector.census import builtin_generate
-from edgesector.graphs import corpus
+from edgesector.graphs import corpus, corpus_graph
 from edgesector.polynomials import (
     PoleAtOriginError,
     Poly,
@@ -18,8 +19,8 @@ from edgesector.polynomials import (
     scalar_str,
     series_of,
 )
-from edgesector.shadows import fingerprint
-from conftest import poly_power, series_log
+from edgesector.shadows import Fingerprint, fingerprint
+from conftest import old_from_coeff_strings, old_scalar_from_str, poly_power, series_log, shift
 
 
 def test_zero_poly_degree_sentinel():
@@ -49,6 +50,52 @@ def test_scalar_from_str_rejects_what_fraction_rejects(text):
         Fraction(text)
     with pytest.raises(ValueError):
         scalar_from_str(text)
+
+
+# strings at the edges of the ASCII fast paths, and members that are not str
+READER_INPUTS = [
+    "3/4", "-0/5", "007/010", "+3/4", " 3/4", "3/-4", "1_0/3", "\u0663/\u0664", "3/0",
+    "0/0", "-3/0", "1.5", "1e3", "", "3/4/5", "-12", "1/1", "-6/4", "3\n", "3/4\n",
+    "1" * 5000, "1" * 5000 + "/3", 7, 3.7, Fraction(3, 4), None, True, b"3", b"3/4",
+]
+
+
+def _outcome(parse, *args):
+    """What parse returns, each scalar with its type, or the type and
+    message of what it raises."""
+    try:
+        value = parse(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    if isinstance(value, (Poly, PowerSeries)):
+        value = value.coeffs
+    if isinstance(value, Fingerprint):
+        value = value.to_json_dict()
+    return [(type(c), c) for c in value] if isinstance(value, (list, tuple)) else (type(value), value)
+
+
+@pytest.mark.parametrize("member", READER_INPUTS)
+def test_the_store_reader_matches_the_old_parse(member, monkeypatch):
+    assert _outcome(scalar_from_str, member) == _outcome(old_scalar_from_str, member)
+    for strings in ([member], ["1", member], [member, "2", "-1/2"], ["5/6", member, "7"]):
+        new = _outcome(Poly.from_coeff_strings, strings)
+        assert new == _outcome(old_from_coeff_strings, strings)
+        assert _outcome(polynomials.scalars_from_strs, strings) == _outcome(
+            lambda ss: [old_scalar_from_str(x) for x in ss], strings
+        )
+    # one coefficient of a stored line charpoly and of a correction series
+    rec = fingerprint(corpus_graph("paperG")).to_json_dict()
+    records = []
+    for field, index in (("charpoly_line", 0), ("correction_series", 3), ("correction_series", 0)):
+        changed = dict(rec, **{field: list(rec[field])})
+        changed[field][index] = member
+        records.append(changed)
+    new = [_outcome(Fingerprint.from_json_dict, r) for r in records]
+    monkeypatch.setattr(Poly, "from_coeff_strings", staticmethod(old_from_coeff_strings))
+    monkeypatch.setattr(
+        shadows, "scalars_from_strs", lambda ss: [old_scalar_from_str(x) for x in ss]
+    )
+    assert new == [_outcome(Fingerprint.from_json_dict, r) for r in records]
 
 
 def test_scalar_strings_round_trip():
@@ -227,11 +274,11 @@ def test_reversal():
 
 def test_shift_times_x_power_and_resolvent():
     p = Poly((3, -2, 0, 1))  # x^3 - 2x + 3
-    assert p.shift(2) == Poly((7, 10, 6, 1))  # p(x + 2)
-    assert p.shift(2).shift(-2) == p
-    assert p.shift(Fraction(1, 2)) == Poly((Fraction(17, 8), Fraction(-5, 4), Fraction(3, 2), 1))
-    assert Poly.zero().shift(5) == Poly.zero()
-    assert Poly((4,)).shift(Fraction(-7, 3)) == Poly((4,))
+    assert shift(p, 2) == Poly((7, 10, 6, 1))  # p(x + 2)
+    assert shift(shift(p, 2), -2) == p
+    assert shift(p, Fraction(1, 2)) == Poly((Fraction(17, 8), Fraction(-5, 4), Fraction(3, 2), 1))
+    assert shift(Poly.zero(), 5) == Poly.zero()
+    assert shift(Poly((4,)), Fraction(-7, 3)) == Poly((4,))
     rng = random.Random(12)
     for a in (2, -3, Fraction(1, 2)):
         for _ in range(10):
@@ -239,7 +286,7 @@ def test_shift_times_x_power_and_resolvent():
             expect = Poly.zero()  # sum of c_k (x + a)^k
             for k, c in enumerate(q.coeffs):
                 expect = expect + poly_power(Poly((a, 1)), k).scale(c)
-            assert q.shift(a) == expect
+            assert shift(q, a) == expect
     assert p.times_x_power(2) == Poly((0, 0, 3, -2, 0, 1))
     assert p.times_x_power(2).times_x_power(-2) == p
     with pytest.raises(ArithmeticError):

@@ -2,8 +2,8 @@
 
 fingerprint computes in vertex space: L, S and the mixed shadows from n x n
 matrices built from Q = Deg + A and Delta = Deg - A, the Ihara determinant
-from one determinant on the 2-core, the correction series as a quotient of
-series.
+from one determinant on the 2-core, the correction series by one integer
+recurrence.
 The oracles here are the m x m sector blocks, the 2m x 2m Hashimoto
 operator and the series of the reduced rational function det(I - wT) /
 det(I - (w/2) L) taken from them.  zeta.factorize, zeta's trivial_roots and
@@ -41,7 +41,7 @@ from edgesector.zeta import (
     line_factor,
     resolution_compare,
 )
-from conftest import _tree_plus_chords, random_population, sparse20_graphs
+from conftest import _tree_plus_chords, random_population, shift, sparse20_graphs
 
 # (order, kmax): every order in {0, 1, 12} and every kmax in 0..3
 SETTINGS = ((0, 0), (1, 1), (12, 2), (12, 3))
@@ -158,31 +158,10 @@ def test_vertex_shadow_set_rejects_negative_kmax():
         vertex_shadow_set(corpus_graph("petersen"), -1)
 
 
-def test_vertex_shadow_set_takes_kmax_plus_1_products(monkeypatch):
-    # Q Delta, then kmax steps X_k = (Q - 2I) X_(k-1), each led by Q - 2I
-    calls = []
-    product = Matrix.__mul__
-
-    def counting(self, other):
-        calls.append(self)
-        return product(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", counting)
-    g = corpus_graph("petersen")
-    deg = g.degrees()
-    q, q_minus_2 = g.vertex_operator(deg), g.vertex_operator([d - 2 for d in deg])
-    for kmax in (0, 1, 2):
-        calls.clear()
-        mixed = vertex_shadow_set(g, kmax)
-        assert calls == [q] + [q_minus_2] * kmax
-        assert len(mixed.mtlkm) == kmax
-
-
-def test_deflated_charpolys_equal_berkowitz_on_the_full_matrix():
-    # Delta and X_k = Q (Q - 2I)^k Delta, k = 0, 1, 2, every row of which
-    # sums to 0: every graph on at most 7 vertices (n = 0 and 1, forests and
-    # disconnected graphs included), the corpus, the seeded n=20 graphs and
-    # a disconnected graph with an isolated vertex
+def _small_and_sparse20_graphs() -> list[Graph]:
+    """Every graph on at most 7 vertices (n = 0 and 1, forests and
+    disconnected graphs included), the corpus, the seeded n=20 graphs and a
+    disconnected graph with an isolated vertex."""
     petersen_k4 = list(corpus_graph("petersen").edges)
     petersen_k4 += [(10 + i, 10 + j) for j in range(4) for i in range(j)]
     graphs = [g for n in range(8) for g in _all_graphs_up_to_iso(n)]
@@ -190,13 +169,57 @@ def test_deflated_charpolys_equal_berkowitz_on_the_full_matrix():
     graphs.append(Graph.from_edges(15, petersen_k4))
     assert {0, 1, 20} <= {g.n for g in graphs}
     assert not is_connected(graphs[-1])
-    for g in graphs:
+    return graphs
+
+
+def test_vertex_shadow_products_equal_matrix_products(monkeypatch):
+    # the X_k vertex_shadow_set builds from neighbour lists are Q Delta,
+    # then (Q - 2I) X_(k-1), as Matrix products compute them
+    built = []
+    charpoly = shadows._shadow_charpoly
+
+    def recording(rows, deg, m):
+        built.append(rows)
+        return charpoly(rows, deg, m)
+
+    monkeypatch.setattr(shadows, "_shadow_charpoly", recording)
+    for g in _small_and_sparse20_graphs():
+        deg = g.degrees()
+        q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
+        q_minus_2 = g.vertex_operator([d - 2 for d in deg])
+        built.clear()
+        mixed = vertex_shadow_set(g, KMAX)
+        assert len(mixed.mtlkm) == KMAX
+        x = q * delta
+        expected = [x]
+        for _ in range(KMAX):
+            x = q_minus_2 * x
+            expected.append(x)
+        assert built == [mat.rows for mat in expected], g.edges
+
+
+def test_deflated_charpolys_equal_berkowitz_on_the_full_matrix():
+    # Delta and X_k = Q (Q - 2I)^k Delta, k = 0, 1, 2, every row of which
+    # sums to 0; with m = n the shadow charpoly is x charpoly(deflated X)
+    for g in _small_and_sparse20_graphs():
         deg = g.degrees()
         q, delta = g.vertex_operator(deg), g.vertex_operator(deg, -1)
         q_minus_2 = g.vertex_operator([d - 2 for d in deg])
         x = q * delta
         for mat in (delta, x, q_minus_2 * x, q_minus_2 * (q_minus_2 * x)):
-            assert shadows._deflated_charpoly(mat, deg) == _berkowitz_charpoly(mat.rows), g.edges
+            full = _berkowitz_charpoly(mat.rows)
+            assert shadows._shadow_charpoly(mat.rows, deg, g.n) == full, g.edges
+
+
+def test_line_and_signed_charpolys_equal_the_shifted_vertex_charpolys():
+    # L + 2I and Q, S + 2I and Delta share their nonzero spectrum, so the
+    # charpolys of L and S are x^(m-n) charpoly(Q) and x^(m-n) charpoly(Delta)
+    # read at x + 2
+    for g in _small_and_sparse20_graphs():
+        deg = g.degrees()
+        for key, mat in (("L", g.vertex_operator(deg)), ("S", g.vertex_operator(deg, -1))):
+            want = shift(_berkowitz_charpoly(mat.rows).times_x_power(g.m - g.n), 2)
+            assert invariant(g, key) == want, (key, g.edges)
 
 
 def test_deflation_refuses_a_nonzero_row_sum():
@@ -204,14 +227,14 @@ def test_deflation_refuses_a_nonzero_row_sum():
     deg = g.degrees()
     for mat in (g.adjacency(), g.vertex_operator(deg)):
         with pytest.raises(ArithmeticError):
-            shadows._deflated_charpoly(mat, deg)
+            shadows._deflated(mat.rows, deg)
     # one row off by one, and a 1 x 1 matrix that is not 0
     off = [list(row) for row in g.vertex_operator(deg, -1).rows]
     off[9][0] += 1
     with pytest.raises(ArithmeticError):
-        shadows._deflated_charpoly(Matrix(off), deg)
+        shadows._deflated(off, deg)
     with pytest.raises(ArithmeticError):
-        shadows._deflated_charpoly(Matrix([[1]]), [0])
+        shadows._deflated([[1]], [0])
 
 
 def test_laplacian_side_charpolys_take_n_minus_1_rows(monkeypatch):
@@ -226,7 +249,7 @@ def test_laplacian_side_charpolys_take_n_minus_1_rows(monkeypatch):
     g = corpus_graph("petersen")
     for key in GROUPING_KEYS:
         invariant(g, key, 2)
-    # A and Q whole; Delta and X_0, X_1, X_2 deflated; hashimoto takes none
+    # A and Q - 2I whole; Delta - 2I and X_0, X_1, X_2 deflated; hashimoto takes none
     assert sizes == [10, 10, 9, 9, 9, 9]
 
 
